@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     EmptyProjectionError,
     NotInSigmaError,
+    NumericalError,
     OverlappingToriError,
     ResourceLimitError,
     ScarkitError,
@@ -61,7 +62,6 @@ from .phasespace import (
     EnergyVector,
     PhasePoint,
     component_energies,
-    component_flow,
     flow_rates,
     husimi,
     husimi_grid,
@@ -116,6 +116,7 @@ __all__ = [
     "GramResult",
     "HarmonicDecomposition",
     "NotInSigmaError",
+    "NumericalError",
     "OverlappingToriError",
     "PeriodicComponent",
     "PhasePoint",
@@ -133,7 +134,6 @@ __all__ = [
     "coherent",
     "component_eigenvalue",
     "component_energies",
-    "component_flow",
     "component_ratio",
     "conductor",
     "convex_scar",

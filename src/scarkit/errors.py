@@ -2,7 +2,8 @@
 
 Callers should be able to tell apart bad input (ValidationError), a request
 outside a function's mathematical domain (DomainError), a blown resource cap
-(ResourceLimitError), and honest "could not decide" outcomes, which are never
+(ResourceLimitError), a floating-point kernel that produced a non-finite value
+(NumericalError), and honest "could not decide" outcomes, which are never
 silently converted into guesses.
 """
 from __future__ import annotations
@@ -22,6 +23,10 @@ class DomainError(ScarkitError, ValueError):
 
 class ResourceLimitError(ScarkitError, RuntimeError):
     """A hard resource cap (lattice size, cutoff budget) was exceeded."""
+
+
+class NumericalError(ScarkitError, ArithmeticError):
+    """A floating-point kernel produced a non-finite value; never returned silently."""
 
 
 class ConductorUnresolvedError(ScarkitError, RuntimeError):

@@ -12,8 +12,10 @@ in tests). Membership tests are pure integer arithmetic on the lattice.
 Expectations are exact matrix-element sums: polynomial symbols through
 Weyl-symmetrized ladder matrices with enough padding that truncation never
 touches the retained block, characters through displacement-operator matrix
-elements. Product states (coherent) keep per-mode factor vectors and use
-factorized fast paths; projected states are sparse coefficient maps.
+elements, evaluated per mode only over the index range [min, max] of each
+state's support in that mode; a non-finite element raises NumericalError.
+Product states (coherent) keep per-mode factor vectors and use factorized
+fast paths; projected states are sparse coefficient maps.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from .errors import (
     BelowConductorError,
     DomainError,
     EmptyProjectionError,
+    NumericalError,
     ResourceLimitError,
     ValidationError,
 )
@@ -638,17 +641,35 @@ def _weyl_mode_matrix(a: int, b: int, hbar: float, size: int) -> np.ndarray:
     return out[:size, :size]
 
 
-def _displacement_matrix(beta: complex, rows: int, cols: int) -> np.ndarray:
-    """<m|D(beta)|n> for m < rows, n < cols; exact per element."""
-    m = np.arange(rows)[:, None]
-    n = np.arange(cols)[None, :]
+def _displacement_matrix(beta: complex, rows: range, cols: range) -> np.ndarray:
+    """<m|D(beta)|n> for m in rows, n in cols; exact per element.
+
+    Cahill-Glauber form sqrt(p!/(p+q)!) e^{-|beta|^2/2} L_p^q(|beta|^2) times
+    beta^q (m >= n) or (-conj beta)^q, with p = min(m, n), q = |m - n|. Each
+    element depends only on (m, n), so a window of the dense block has the
+    same bits as the dense block sliced. The Laguerre factor overflows once
+    p and q are both large; any non-finite element raises NumericalError.
+    """
+    m = np.arange(rows.start, rows.stop)[:, None]
+    n = np.arange(cols.start, cols.stop)[None, :]
     p = np.minimum(m, n)
     q = np.abs(m - n)
     mag2 = abs(beta) ** 2
     lag = eval_genlaguerre(p, q, mag2)
     pref = np.exp(0.5 * (gammaln(p + 1) - gammaln(p + q + 1)) - mag2 / 2.0)
     base = np.where(m >= n, beta, -np.conjugate(beta)) ** q
-    return pref * lag * base
+    out = pref * lag * base
+    if not np.isfinite(out).all():
+        raise NumericalError(
+            f"displacement kernel: non-finite <m|D(beta)|n> at |beta|^2 = {mag2:.6g} "
+            f"with p up to {int(p.max())} and q up to {int(q.max())}"
+        )
+    return out
+
+
+def _index_range(indices: np.ndarray) -> range:
+    """Smallest range covering one mode's indices in a state's support."""
+    return range(int(indices.min()), int(indices.max()) + 1)
 
 
 def _char_betas(w: Sequence[float], hbar: float, d: int) -> list[complex]:
@@ -728,7 +749,7 @@ def _char_product(bra: FockState, ket: FockState, chars, hbar: float, d: int) ->
         term = coeff
         for j in range(d):
             fa, fb = bra.factors[j], ket.factors[j]
-            D = _displacement_matrix(betas[j], len(fa), len(fb))
+            D = _displacement_matrix(betas[j], range(len(fa)), range(len(fb)))
             term *= complex(np.conjugate(fa) @ D @ fb)
         total += term
     return total
@@ -745,9 +766,10 @@ def _char_sparse(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -
             term = np.ones(len(keys), dtype=complex)
             for j in range(d):
                 fa = bra.factors[j]
-                D = _displacement_matrix(betas[j], len(fa), int(kk[:, j].max()) + 1)
+                cols = _index_range(kk[:, j])
+                D = _displacement_matrix(betas[j], range(len(fa)), cols)
                 row = np.conjugate(fa) @ D
-                term *= row[kk[:, j]]
+                term *= row[kk[:, j] - cols.start]
             total += coeff * np.sum(term * vals)
         return complex(total)
     bkeys = list(bra.coeffs.keys())
@@ -759,16 +781,20 @@ def _char_sparse(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -
         betas = _char_betas(w, hbar, d)
         block = np.ones((len(bkeys), len(keys)), dtype=complex)
         for j in range(d):
-            D = _displacement_matrix(
-                betas[j], int(mm[:, j].max()) + 1, int(kk[:, j].max()) + 1
-            )
-            block *= D[np.ix_(mm[:, j], kk[:, j])]
+            rows, cols = _index_range(mm[:, j]), _index_range(kk[:, j])
+            D = _displacement_matrix(betas[j], rows, cols)
+            block *= D[np.ix_(mm[:, j] - rows.start, kk[:, j] - cols.start)]
         total += coeff * complex(np.conjugate(bvals) @ block @ vals)
     return complex(total)
 
 
 def expectation(bra: FockState, ket: FockState, a: Symbol) -> complex:
-    """<bra, Op_hbar(a) ket>, exact up to the states' tail bounds."""
+    """<bra, Op_hbar(a) ket>, exact up to the states' tail bounds.
+
+    Character terms evaluate <m|D(beta)|n> only for m and n inside the bra's
+    and the ket's per-mode index ranges; NumericalError is raised when one of
+    those elements is not finite (large m and n at once).
+    """
     if bra.hbar != ket.hbar or bra.dims != ket.dims:
         raise ValidationError("states live in different spaces")
     if a.dims != bra.dims:

@@ -270,9 +270,6 @@ class HarmonicDecomposition:
     def dims(self) -> int:
         return self.spec.dims
 
-    def weight_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(c.weights for c in self.components)
-
 
 def period_of(v: float, nu: Sequence[Fraction]) -> float:
     """Period of the flow of v * sum_j nu_j H_j (nu rational, not all zero)."""

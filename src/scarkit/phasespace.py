@@ -82,12 +82,6 @@ def multi_flow(decomp: HarmonicDecomposition, z0: PhasePoint, tau: Sequence[floa
     return PhasePoint(tuple(x * c + xi * s), tuple(-x * s + xi * c))
 
 
-def component_flow(decomp: HarmonicDecomposition, n: int, z0: PhasePoint, t: float) -> PhasePoint:
-    tau = [0.0] * decomp.d_omega
-    tau[n] = float(t)
-    return multi_flow(decomp, z0, tau)
-
-
 def hamiltonian_symbol(decomp: HarmonicDecomposition, n: int) -> Symbol:
     """The component Hamiltonian pivot_n * sum_j weights[n][j] H_j as a Symbol."""
     comp = decomp.components[n]

@@ -198,11 +198,11 @@ def residuals(
     if probes is None:
         probes = default_probes(decomp)
     rates = flow_rates(decomp)
+    bases = [expectation(state, state, a) for a in probes]
     invariance = []
     for n, comp in enumerate(decomp.components):
         worst = 0.0
-        for a in probes:
-            base = expectation(state, state, a)
+        for a, base in zip(probes, bases):
             for i in range(1, t_points):
                 t = comp.period * i / t_points
                 thetas = [rates[n][j] * t for j in range(decomp.dims)]

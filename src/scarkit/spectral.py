@@ -205,7 +205,6 @@ def select_target(
     decomp: HarmonicDecomposition,
     E: Sequence[float],
     hbar: float,
-    check_membership: bool = True,
 ) -> TargetEigenvalue:
     """Nearest joint eigenvalue above E on each component ladder.
 
@@ -217,10 +216,7 @@ def select_target(
     if hbar <= 0:
         raise ValidationError("hbar must be positive")
     E = tuple(float(v) for v in E)
-    if check_membership:
-        sigma_membership(decomp, E)
-    elif len(E) != decomp.d_omega:
-        raise ValidationError("energy vector must have one entry per component")
+    sigma_membership(decomp, E)
     ns, signs, lams, ratios, wits = [], [], [], [], []
     for n, (comp, en) in enumerate(zip(decomp.components, E)):
         if en == 0.0:

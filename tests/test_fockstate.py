@@ -5,16 +5,21 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 from scipy.stats import poisson
 
 from scarkit.errors import (
     EmptyProjectionError,
+    NumericalError,
     ValidationError,
 )
 from scarkit.fockstate import (
     FockState,
+    _char_betas,
+    _displacement_matrix,
     average_project,
     coherent,
     dump_state,
@@ -372,18 +377,112 @@ def test_weyl_moments_on_coherent_state():
 
 
 def test_character_expectation_ground_and_coherent():
-    hbar = 0.17
     w = (0.7, -0.4)
-    ground = coherent(PhasePoint.zero(1), hbar)
     sym = character(1, w)
     wnorm2 = w[0] ** 2 + w[1] ** 2
-    want = math.exp(-hbar * wnorm2 / 4.0)
-    assert expectation(ground, ground, sym) == pytest.approx(want, abs=1e-12)
-    z0 = PhasePoint(x=(0.5,), xi=(-0.2,))
-    psi = coherent(z0, hbar)
-    val = expectation(psi, psi, sym)
-    want_c = complex(sym.evaluate((0.5,), (-0.2,))) * want
-    assert val == pytest.approx(want_c, abs=1e-10)
+    for hbar in (0.17, 1e-3):
+        ground = coherent(PhasePoint.zero(1), hbar)
+        want = math.exp(-hbar * wnorm2 / 4.0)
+        assert expectation(ground, ground, sym) == pytest.approx(want, abs=1e-12)
+        z0 = PhasePoint(x=(0.5,), xi=(-0.2,))
+        psi = coherent(z0, hbar)
+        val = expectation(psi, psi, sym)
+        want_c = complex(sym.evaluate((0.5,), (-0.2,))) * want
+        assert val == pytest.approx(want_c, abs=1e-10)
+
+
+def _dense_displacement(beta, rows, cols):
+    """Reference: every <m|D(beta)|n> with m < rows and n < cols."""
+    m = np.arange(rows)[:, None]
+    n = np.arange(cols)[None, :]
+    p = np.minimum(m, n)
+    q = np.abs(m - n)
+    mag2 = abs(beta) ** 2
+    lag = eval_genlaguerre(p, q, mag2)
+    pref = np.exp(0.5 * (gammaln(p + 1) - gammaln(p + q + 1)) - mag2 / 2.0)
+    base = np.where(m >= n, beta, -np.conjugate(beta)) ** q
+    return pref * lag * base
+
+
+def _mp_displacement(beta, m, n):
+    """<m|D(beta)|n> from the normal-ordered expansion, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        b = mpmath.mpc(beta.real, beta.imag)
+        total = mpmath.mpf(0)
+        for k in range(min(m, n) + 1):
+            total += (
+                b ** (m - k)
+                * (-mpmath.conj(b)) ** (n - k)
+                / (mpmath.factorial(k) * mpmath.factorial(m - k) * mpmath.factorial(n - k))
+            )
+        out = mpmath.exp(-abs(b) ** 2 / 2) * mpmath.sqrt(
+            mpmath.factorial(m) * mpmath.factorial(n)
+        ) * total
+        return complex(out)
+
+
+def test_displacement_window_is_dense_block_slice():
+    rng = np.random.default_rng(11)
+    kmax = 140
+    for _ in range(20):
+        beta = complex(*rng.normal(scale=0.6, size=2))
+        dense = _dense_displacement(beta, kmax + 1, kmax + 1)
+        r0, r1 = sorted(rng.integers(0, kmax + 1, size=2))
+        c0, c1 = sorted(rng.integers(0, kmax + 1, size=2))
+        window = _displacement_matrix(beta, range(r0, r1 + 1), range(c0, c1 + 1))
+        assert window.tobytes() == dense[r0 : r1 + 1, c0 : c1 + 1].tobytes()
+
+
+@pytest.mark.parametrize("m,n", [(1200, 1190), (1190, 1200), (1500, 1500)])
+def test_displacement_matches_mpmath_at_large_index(m, n):
+    beta = 0.011 + 0.004j
+    got = _displacement_matrix(beta, range(m, m + 1), range(n, n + 1))[0, 0]
+    assert got == pytest.approx(_mp_displacement(beta, m, n), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "beta,rows,cols",
+    [
+        (0.3 + 0.2j, range(0, 200), range(40, 60)),
+        (0.011 + 0.004j, range(960, 1041), range(990, 1011)),
+    ],
+)
+def test_displacement_columns_are_unit_vectors(beta, rows, cols):
+    D = _displacement_matrix(beta, rows, cols)
+    np.testing.assert_allclose((np.abs(D) ** 2).sum(axis=0), 1.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_displacement_non_finite_element_raises():
+    with pytest.raises(NumericalError, match="displacement kernel.*p up to 600"):
+        _displacement_matrix(0.011, range(600, 601), range(1200, 1201))
+
+
+def _random_sparse(rng, hbar, lo, hi, size):
+    keys = {tuple(int(v) for v in rng.integers(lo, hi, size=2)) for _ in range(size)}
+    coeffs = {k: complex(*rng.normal(size=2)) for k in keys}
+    return FockState(hbar=hbar, dims=2, cutoff=(hi, hi), tail_bound=0.0, coeffs=coeffs)
+
+
+def test_sparse_character_matches_dense_reference():
+    rng = np.random.default_rng(5)
+    hbar = 0.05
+    for _ in range(5):
+        bra = _random_sparse(rng, hbar, 10, 70, 40)
+        ket = _random_sparse(rng, hbar, 25, 90, 40)
+        sym = character(2, rng.normal(size=4), 0.6) + character(2, rng.normal(size=4), -1.3j)
+        want = 0j
+        mm = np.array(list(bra.coeffs))
+        kk = np.array(list(ket.coeffs))
+        bvals = np.array(list(bra.coeffs.values()))
+        kvals = np.array(list(ket.coeffs.values()))
+        for coeff, w in sym.chars:
+            block = np.ones((len(mm), len(kk)), dtype=complex)
+            for j, beta in enumerate(_char_betas(w, hbar, 2)):
+                D = _dense_displacement(beta, mm[:, j].max() + 1, kk[:, j].max() + 1)
+                block *= D[np.ix_(mm[:, j], kk[:, j])]
+            want += coeff * complex(np.conjugate(bvals) @ block @ kvals)
+        assert expectation(bra, ket, sym) == want
 
 
 def test_expectation_consistent_across_representations(dec12):
