@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -43,7 +42,6 @@ class ExperimentConfig:
     tail_tol: float = 1e-12
     out: str = "out"
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.hbar_ratio < 1.0:
@@ -122,8 +120,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 values["out"] = value
             elif key == "seed":
                 values["seed"] = int(value)
-            elif key == "threads":
-                values["threads"] = int(value)
             else:
                 raise SpecParseError(f"unknown key '{key}'", lineno)
         except SpecParseError:
@@ -157,20 +153,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     lines.append(f"tail_tol = {fmt_float(cfg.tail_tol)}")
     lines.append(f"out = {cfg.out}")
     lines.append(f"seed = {cfg.seed}")
-    lines.append(f"threads = {cfg.threads}")
     return "\n".join(lines) + "\n"
-
-
-def _resolve_threads(cli_value: int | None, cfg_value: int) -> int:
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get("SCARKIT_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError("SCARKIT_THREADS must be an integer") from None
-    return cfg_value
 
 
 def _load_spec_for(cfg_path: Path, spec_ref: str):
@@ -178,6 +161,22 @@ def _load_spec_for(cfg_path: Path, spec_ref: str):
     if not spec_path.is_absolute():
         spec_path = cfg_path.parent / spec_path
     return load_frequency_spec(spec_path)
+
+
+def _out_dir(cfg_path: Path, cfg: ExperimentConfig) -> Path:
+    """The config's output directory, relative to the config file; created."""
+    out_dir = Path(cfg.out)
+    if not out_dir.is_absolute():
+        out_dir = cfg_path.parent / out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _base_point(cfg: ExperimentConfig, decomp) -> PhasePoint:
+    """The config's z0, or the membership witness for `z0 = from-witness`."""
+    if cfg.z0 is not None:
+        return PhasePoint(*cfg.z0)
+    return sigma_membership(decomp, cfg.E).torus_point()
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +229,9 @@ def _config_from_args(args) -> tuple[Path, ExperimentConfig, str]:
         cfg = replace(cfg, out=args.out)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
-    threads = _resolve_threads(getattr(args, "threads", None), cfg.threads)
-    cfg = replace(cfg, threads=threads)
-    # out and threads do not influence the numbers; the digest identifies
-    # the experiment, so the same run lands the same hash anywhere
-    digest = config_hash(serialize_config(replace(cfg, out="out", threads=1)))
+    # out does not influence the numbers; the digest identifies the
+    # experiment, so the same run lands the same hash anywhere
+    digest = config_hash(serialize_config(replace(cfg, out="out")))
     return cfg_path, cfg, digest
 
 
@@ -255,12 +252,10 @@ def cmd_sweep(args) -> int:
         probes=probes,
         seed=cfg.seed,
         tail_tol=cfg.tail_tol,
-        threads=cfg.threads,
     )
     report = sweep(sweep_cfg)
 
-    out_dir = cfg_path.parent / cfg.out if not Path(cfg.out).is_absolute() else Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg_path, cfg)
     with open(out_dir / "rows.csv", "w") as f:
         report.to_csv(f, digest)
     with open(out_dir / "slopes.csv", "w") as f:
@@ -314,11 +309,7 @@ def cmd_husimi(args) -> int:
     cfg_path, cfg, digest = _config_from_args(args)
     spec = _load_spec_for(cfg_path, cfg.spec)
     decomp = decompose(spec)
-    base = (
-        PhasePoint(*cfg.z0)
-        if cfg.z0 is not None
-        else sigma_membership(decomp, cfg.E).torus_point()
-    )
+    base = _base_point(cfg, decomp)
     if args.state:
         with open(args.state) as f:
             state = load_state(f)
@@ -335,9 +326,7 @@ def cmd_husimi(args) -> int:
     n = args.grid
     xs = [-span + 2 * span * i / (n - 1) for i in range(n)]
     values = husimi_grid(state, mode, xs, xs, base=base, tail_tol=cfg.tail_tol)
-    out_dir = cfg_path.parent / cfg.out if not Path(cfg.out).is_absolute() else Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_file = out_dir / f"husimi_mode{args.mode}.csv"
+    out_file = _out_dir(cfg_path, cfg) / f"husimi_mode{args.mode}.csv"
     rows = []
     for i, xv in enumerate(xs):
         for k, xiv in enumerate(xs):
@@ -358,15 +347,8 @@ def cmd_dump(args) -> int:
     cfg_path, cfg, digest = _config_from_args(args)
     spec = _load_spec_for(cfg_path, cfg.spec)
     decomp = decompose(spec)
-    z0 = (
-        PhasePoint(*cfg.z0)
-        if cfg.z0 is not None
-        else sigma_membership(decomp, cfg.E).torus_point()
-    )
-    scar = build_scar(decomp, z0, cfg.E, cfg.hbars[0], cfg.tail_tol)
-    out_dir = cfg_path.parent / cfg.out if not Path(cfg.out).is_absolute() else Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_file = out_dir / "state.csv"
+    scar = build_scar(decomp, _base_point(cfg, decomp), cfg.E, cfg.hbars[0], cfg.tail_tol)
+    out_file = _out_dir(cfg_path, cfg) / "state.csv"
     with open(out_file, "w") as f:
         dump_state(f, scar.state, digest)
     print(f"wrote {out_file}")
@@ -395,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="run a convergence experiment")
     sw.add_argument("config", help="experiment config file")
     sw.add_argument("--out", help="output directory override")
-    sw.add_argument("--threads", type=int)
     sw.add_argument("--seed", type=int)
     sw.set_defaults(func=cmd_sweep)
 

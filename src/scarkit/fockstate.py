@@ -30,21 +30,18 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import (
-    BelowConductorError,
-    DomainError,
     EmptyProjectionError,
     NumericalError,
     ResourceLimitError,
     ValidationError,
 )
 from .freqarith import (
-    GenCoords,
     HarmonicDecomposition,
     _span_solver,
-    conductor,
-    semigroup_witness,
+    independent_rows,
+    periodic_component,
 )
-from .phasespace import PhasePoint
+from .phasespace import PhasePoint, component_energies
 from .spectral import (
     TargetEigenvalue,
     component_eigenvalue,
@@ -321,34 +318,23 @@ def average_project(state: FockState, target: TargetEigenvalue) -> FockState:
 # Gram data at a point
 
 @dataclass(frozen=True)
-class TildeComponent:
-    """Effective component l of the reduced system at z0.
-
-    weights are the projection of component l's weights onto the excited
-    modes; v is the effective frequency v_l + sum_n b_{n,l} v_n folding in
-    the components whose projected weights depend on the retained ones.
-    """
-
-    index: int
-    v: float
-    coords: GenCoords
-    weights: tuple[Fraction, ...]
-    int_weights: tuple[int, ...]
-    period: float
-    zero_point: float
-    zero_point_q: Fraction
-
-
-@dataclass(frozen=True)
 class GramResult:
-    """Gram matrix of the energy gradients at z0 and the reduced system."""
+    """Gram matrix of the energy gradients at z0 and the system it belongs to.
+
+    `system` is the decomposition itself when the gradient rank d0 equals
+    d_omega. Below that it is the reduced system over the excited modes: one
+    component per retained index, with the weights projected onto the
+    excited modes and an effective frequency v_l + sum_n b_{n,l} v_n that
+    folds in each dropped component n through its transfer row b_n.
+    `volume` is the product of the system's periods (1 at rank 0).
+    """
 
     rank_d0: int
     excited: tuple[bool, ...]
     retained: tuple[int, ...]
     transfer: tuple[tuple[Fraction, ...], ...]  # rows: dropped n -> b_{n,l}
     dropped: tuple[int, ...]
-    tilde: tuple[TildeComponent, ...]
+    system: HarmonicDecomposition
     matrix: np.ndarray
     det: float
     volume: float
@@ -359,37 +345,24 @@ def _projected_weights(comp, excited) -> tuple[Fraction, ...]:
 
 
 def gram(z0: PhasePoint, decomp: HarmonicDecomposition) -> GramResult:
-    """Rank and Gram matrix of {grad Hcal_n(z0)}, plus the reduced system.
+    """Rank and Gram matrix of {grad Hcal_n(z0)}, plus the system at z0.
 
     The zero pattern is exact: mode j counts as excited iff x_j or xi_j is
     nonzero. The rank over Q of the projected weight vectors is computed by
     exact row reduction; when it is below d_omega the retained components
-    absorb the dropped ones through rational transfer coefficients b, giving
-    effective frequencies, periods, and the reduced Gram matrix.
+    absorb the dropped ones through rational transfer coefficients b, and
+    the reduced system is an ordinary HarmonicDecomposition whose periods
+    give the volume and whose components give the Gram matrix.
     """
     if z0.dims != decomp.dims:
         raise ValidationError("point dimension does not match the decomposition")
     excited = tuple(xv != 0.0 or pv != 0.0 for xv, pv in zip(z0.x, z0.xi))
     projected = [_projected_weights(c, excited) for c in decomp.components]
-    # first maximal independent subset of the projected weights, exact
-    echelon: list[tuple[int, list[Fraction]]] = []
-    retained: list[int] = []
-    for n, row in enumerate(projected):
-        vec = list(row)
-        for lead, erow in echelon:
-            c = vec[lead]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, erow)]
-        lead = next((i for i, v in enumerate(vec) if v), None)
-        if lead is None:
-            continue
-        inv = vec[lead]
-        echelon.append((lead, [v / inv for v in vec]))
-        echelon.sort(key=lambda e: e[0])
-        retained.append(n)
+    retained = independent_rows(projected)
     d0 = len(retained)
     dropped = tuple(n for n in range(decomp.d_omega) if n not in retained)
     transfer = []
+    system = decomp
     if dropped:
         solve = _span_solver([projected[n] for n in retained])
         for n in dropped:
@@ -397,65 +370,47 @@ def gram(z0: PhasePoint, decomp: HarmonicDecomposition) -> GramResult:
             if b is None:  # impossible: retained rows span all projections
                 raise ValidationError("projected weights escaped the retained span")
             transfer.append(b)
-    # effective frequency of retained l folds in every dropped n via b_{n,l}
-    tilde = []
-    h2 = [x * x + xi * xi for x, xi in zip(z0.x, z0.xi)]  # 2 H_j(z0)
-    for pos, l in enumerate(retained):
-        comp_l = decomp.components[l]
-        coords = list(comp_l.pivot_coords)
-        for row, n in zip(transfer, dropped):
-            bnl = row[pos]
-            if bnl:
-                coords = [
-                    a + bnl * c
-                    for a, c in zip(coords, decomp.components[n].pivot_coords)
-                ]
-        coords = tuple(coords)
-        v = decomp.spec.basis.evaluate_float(coords)
-        weights = projected[l]
-        nz = [abs(w) for w in weights if w]
-        floor = min(nz)
-        mult = 1
-        for w in weights:
-            if w:
-                mult = math.lcm(mult, (w / floor).denominator)
-        int_weights = tuple(int(mult * w / floor) for w in weights)
-        trace = sum(weights, Fraction(0))
-        tilde.append(
-            TildeComponent(
-                index=l,
-                v=v,
-                coords=coords,
-                weights=weights,
-                int_weights=int_weights,
-                period=2.0 * math.pi * mult / (abs(v) * float(floor)),
-                zero_point=v * float(trace),
-                zero_point_q=trace,
+        # effective frequency of retained l folds in every dropped n via b_{n,l}
+        reduced = []
+        for pos, l in enumerate(retained):
+            comp_l = decomp.components[l]
+            coords = list(comp_l.pivot_coords)
+            for row, n in zip(transfer, dropped):
+                bnl = row[pos]
+                if bnl:
+                    coords = [
+                        a + bnl * c
+                        for a, c in zip(coords, decomp.components[n].pivot_coords)
+                    ]
+            v = decomp.spec.basis.evaluate_float(coords)
+            reduced.append(
+                periodic_component(pos, comp_l.pivot_row, tuple(coords), v, projected[l])
             )
-        )
+        system = HarmonicDecomposition(decomp.spec, tuple(reduced))
+    comps = system.components
+    h2 = [x * x + xi * xi for x, xi in zip(z0.x, z0.xi)]  # 2 H_j(z0)
     matrix = np.zeros((d0, d0))
     for a in range(d0):
         for b_ in range(d0):
             matrix[a, b_] = sum(
-                tilde[a].v
-                * float(tilde[a].weights[j])
-                * tilde[b_].v
-                * float(tilde[b_].weights[j])
+                comps[a].pivot
+                * float(comps[a].weights[j])
+                * comps[b_].pivot
+                * float(comps[b_].weights[j])
                 * h2[j]
                 for j in range(decomp.dims)
             )
     det = float(np.linalg.det(matrix)) if d0 else 1.0
-    volume = math.prod(t.period for t in tilde) if d0 else 1.0
     return GramResult(
         rank_d0=d0,
         excited=excited,
-        retained=tuple(retained),
+        retained=retained,
         transfer=tuple(transfer),
         dropped=dropped,
-        tilde=tuple(tilde),
+        system=system,
         matrix=matrix,
         det=det,
-        volume=volume,
+        volume=math.prod((c.period for c in comps), start=1.0),
     )
 
 
@@ -503,32 +458,6 @@ def _retarget(
     )
 
 
-def _tilde_conditions(g: GramResult, z0: PhasePoint, hbar: float):
-    """Ladder targets for the reduced system: one condition per retained l."""
-    h = z0.mode_energies()
-    conditions = []
-    for t in g.tilde:
-        e_t = t.v * sum(float(w) * hj for w, hj in zip(t.weights, h))
-        if e_t == 0.0:
-            sigma, big_n = 1, 0
-        else:
-            sigma = 1 if e_t > 0 else -1
-            scale = t.period / (2.0 * math.pi)
-            big_n = math.ceil(sigma * scale * (e_t / hbar - t.zero_point / 2.0))
-            cond = conductor(t.int_weights, sigma)
-            if big_n < cond:
-                raise BelowConductorError(
-                    f"reduced component {t.index}: ladder index {big_n} below "
-                    f"conductor {cond}; decrease hbar"
-                )
-        if semigroup_witness(t.int_weights, sigma, big_n) is None:
-            raise DomainError(
-                f"reduced component {t.index}: no witness for ladder index {big_n}"
-            )
-        conditions.append((t.int_weights, sigma * big_n))
-    return conditions
-
-
 def normalize_scar(
     decomp: HarmonicDecomposition,
     z0: PhasePoint,
@@ -539,11 +468,13 @@ def normalize_scar(
     """coherent -> average over the period box -> L2 normalize.
 
     Reports the diagnostic constant c_hbar = volume * sqrt(det G) * mass /
-    (4 pi hbar)^{d0/2}, where mass is the kept squared norm; the reduced
-    (tilde) system supplies the projection conditions and normalization
-    whenever the gradient rank d0 falls below d_omega, and a point with no
-    excited mode at all degenerates to the ground state with c_hbar = 1 by
-    convention.
+    (4 pi hbar)^{d0/2}, where mass is the kept squared norm and volume and
+    G come from gram(z0, decomp). At full rank the projection targets
+    select_target(decomp, E, hbar). When the gradient rank d0 falls below
+    d_omega it targets the reduced system at its own component energies at
+    z0, and the reported target is re-anchored at the eigenvalue the kept
+    state actually has. A point with no excited mode at all degenerates to
+    the ground state with c_hbar = 1 by convention.
     """
     target = select_target(decomp, E, hbar)
     g = gram(z0, decomp)
@@ -568,31 +499,15 @@ def normalize_scar(
             volume=g.volume,
             mass=psi.norm() ** 2,
         )
-    if g.rank_d0 == decomp.d_omega:
+    if g.system is decomp:
         projected = average_project(psi, target)
-        volume = math.prod(c.period for c in decomp.components)
     else:
-        conditions = _tilde_conditions(g, z0, hbar)
-        kept = _project_conditions(psi, conditions)
-        if not kept:
-            nearest = _nearest_misses(psi, conditions)
-            raise EmptyProjectionError(
-                "reduced projection is zero; nearest support points: "
-                f"{list(nearest)}",
-                nearest=nearest,
-            )
-        projected = FockState(
-            hbar=hbar,
-            dims=decomp.dims,
-            cutoff=psi.cutoff,
-            tail_bound=tail_tol,
-            coeffs=kept,
-        )
-        volume = g.volume
-        target = _retarget(decomp, target, min(kept))
+        reduced = select_target(g.system, component_energies(g.system, z0), hbar)
+        projected = average_project(psi, reduced)
+        target = _retarget(decomp, target, min(projected.coeffs))
     mass = projected.norm() ** 2
     c_hbar = (
-        volume
+        g.volume
         * math.sqrt(max(g.det, 0.0))
         * mass
         / (4.0 * math.pi * hbar) ** (g.rank_d0 / 2.0)
@@ -605,7 +520,7 @@ def normalize_scar(
         c_hbar=float(c_hbar),
         rank_d0=g.rank_d0,
         gram_det=g.det,
-        volume=volume,
+        volume=g.volume,
         mass=mass,
     )
 
@@ -732,12 +647,13 @@ def _apply_monomial(coeffs: dict, mono, hbar: float, dims: int) -> dict:
 
 
 def _poly_sparse(bra: FockState, ket_coeffs: dict, poly, hbar: float, dims: int) -> complex:
+    coefficient = bra.coefficient if bra.is_product else (lambda k: bra.coeffs.get(k, 0j))
     total = 0j
     for mono, coeff in poly.items():
         applied = _apply_monomial(ket_coeffs, mono, hbar, dims)
         acc = 0j
         for k, c in applied.items():
-            acc += np.conjugate(bra.coefficient(k)) * c
+            acc += np.conjugate(coefficient(k)) * c
         total += coeff * acc
     return total
 

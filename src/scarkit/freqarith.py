@@ -158,15 +158,14 @@ def _leading_index(vec: Sequence[Fraction]) -> int | None:
     return None
 
 
-def rational_span(spec: FrequencySpec) -> tuple[int, tuple[int, ...]]:
-    """Rank of the frequencies over Q and the first rows that realize it.
+def independent_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
+    """Indices of the first maximal Q-independent subset of the rows.
 
-    Returns (d_omega, pivot_indices); ties break toward the earliest row, so
-    pivot frequencies are the first maximal Q-independent subset of omega.
+    Exact row reduction; ties break toward the earliest row.
     """
     echelon: list[tuple[int, list[Fraction]]] = []
     pivots: list[int] = []
-    for j, row in enumerate(spec.coords):
+    for j, row in enumerate(rows):
         vec = _reduce(list(row), echelon)
         lead = _leading_index(vec)
         if lead is None:
@@ -175,7 +174,17 @@ def rational_span(spec: FrequencySpec) -> tuple[int, tuple[int, ...]]:
         echelon.append((lead, [x / inv for x in vec]))
         echelon.sort(key=lambda e: e[0])
         pivots.append(j)
-    return len(pivots), tuple(pivots)
+    return tuple(pivots)
+
+
+def rational_span(spec: FrequencySpec) -> tuple[int, tuple[int, ...]]:
+    """Rank of the frequencies over Q and the first rows that realize it.
+
+    Returns (d_omega, pivot_indices); ties break toward the earliest row, so
+    pivot frequencies are the first maximal Q-independent subset of omega.
+    """
+    pivots = independent_rows(spec.coords)
+    return len(pivots), pivots
 
 
 def _span_solver(rows: Sequence[GenCoords]) -> Callable[[Sequence[Fraction]], tuple[Fraction, ...] | None]:
@@ -289,6 +298,40 @@ def _floor_and_multiplier(nu: Sequence[Fraction]) -> tuple[Fraction, int]:
     return floor, mult
 
 
+def periodic_component(
+    index: int,
+    pivot_row: int,
+    pivot_coords: GenCoords,
+    pivot: float,
+    weights: tuple[Fraction, ...],
+) -> PeriodicComponent:
+    """The component pivot * sum_j weights[j] H_j with its derived data.
+
+    Computes the weight floor and multiplier, the primitive integer weights,
+    the period 2 pi multiplier / (|pivot| floor), the zero point, the ladder
+    signs and the conductor for the first of them.
+    """
+    floor, mult = _floor_and_multiplier(weights)
+    int_weights = tuple(int(mult * w / floor) for w in weights)
+    trace = sum(weights, Fraction(0))
+    signs = _ladder_signs(int_weights)
+    return PeriodicComponent(
+        index=index,
+        pivot_row=pivot_row,
+        pivot_coords=pivot_coords,
+        pivot=pivot,
+        weights=weights,
+        weight_floor=floor,
+        int_weights=int_weights,
+        multiplier=mult,
+        period=2.0 * math.pi * mult / (abs(pivot) * float(floor)),
+        zero_point_q=trace,
+        zero_point=pivot * float(trace),
+        conductor=conductor(int_weights, signs[0]),
+        ladder_signs=signs,
+    )
+
+
 def decompose(spec: FrequencySpec) -> HarmonicDecomposition:
     """Split omega into d_omega periodic components with exact weights.
 
@@ -305,32 +348,17 @@ def decompose(spec: FrequencySpec) -> HarmonicDecomposition:
         if coeffs is None:  # impossible: pivots span all rows
             raise ValidationError(f"frequency {j} escaped the pivot span")
         cols.append(coeffs)
-    components = []
-    for n, p in enumerate(pivots):
-        weights = tuple(cols[j][n] for j in range(spec.dims))
-        floor, mult = _floor_and_multiplier(weights)
-        int_weights = tuple(int(mult * w / floor) for w in weights)
-        pivot_val = spec.numeric[p]
-        trace = sum(weights, Fraction(0))
-        signs = _ladder_signs(int_weights)
-        components.append(
-            PeriodicComponent(
-                index=n,
-                pivot_row=p,
-                pivot_coords=spec.coords[p],
-                pivot=pivot_val,
-                weights=weights,
-                weight_floor=floor,
-                int_weights=int_weights,
-                multiplier=mult,
-                period=2.0 * math.pi * mult / (pivot_val * float(floor)),
-                zero_point_q=trace,
-                zero_point=pivot_val * float(trace),
-                conductor=conductor(int_weights, signs[0]),
-                ladder_signs=signs,
-            )
+    components = tuple(
+        periodic_component(
+            n,
+            p,
+            spec.coords[p],
+            spec.numeric[p],
+            tuple(cols[j][n] for j in range(spec.dims)),
         )
-    decomp = HarmonicDecomposition(spec=spec, components=tuple(components))
+        for n, p in enumerate(pivots)
+    )
+    decomp = HarmonicDecomposition(spec=spec, components=components)
     _check_reconstruction(decomp)
     return decomp
 
@@ -517,30 +545,6 @@ def _pair_witness(p: int, q: int, target: int) -> tuple[int, int] | None:
     if a0 * pp < tt:
         a0 += qq * ((tt - a0 * pp + pp * qq - 1) // (pp * qq))
     return a0, (a0 * pp - tt) // qq
-
-
-# ---------------------------------------------------------------------------
-# frequencies from quadratic forms
-
-def numeric_frequencies(quadratic_form) -> tuple[float, ...]:
-    """Oscillator frequencies of a positive definite quadratic form.
-
-    Returns sqrt of the eigenvalues in ascending order. The result is
-    numeric only; exact generator coordinates must still be declared by
-    the caller before any rational structure is computed.
-    """
-    import numpy as np
-
-    q = np.asarray(quadratic_form, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValidationError("quadratic form must be a square matrix")
-    scale = max(1.0, float(np.max(np.abs(q))))
-    if float(np.max(np.abs(q - q.T))) > 1e-12 * scale:
-        raise ValidationError("quadratic form must be symmetric")
-    eigs = np.linalg.eigvalsh(q)
-    if eigs[0] <= 0:
-        raise DomainError("quadratic form must be positive definite")
-    return tuple(float(x) for x in np.sqrt(eigs))
 
 
 # ---------------------------------------------------------------------------

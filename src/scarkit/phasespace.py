@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NotInSigmaError, ResourceLimitError, ValidationError
 from .freqarith import HarmonicDecomposition, _span_solver
-from .symbols import Symbol, mode_energy
+from .symbols import Symbol
 
 _CHUNK = 1 << 18
 _CHAR_POINTS = 256
@@ -80,19 +80,6 @@ def multi_flow(decomp: HarmonicDecomposition, z0: PhasePoint, tau: Sequence[floa
     xi = np.asarray(z0.xi)
     c, s = np.cos(theta), np.sin(theta)
     return PhasePoint(tuple(x * c + xi * s), tuple(-x * s + xi * c))
-
-
-def hamiltonian_symbol(decomp: HarmonicDecomposition, n: int) -> Symbol:
-    """The component Hamiltonian pivot_n * sum_j weights[n][j] H_j as a Symbol."""
-    comp = decomp.components[n]
-    d = decomp.dims
-    out = None
-    for j, w in enumerate(comp.weights):
-        if not w:
-            continue
-        term = mode_energy(d, j) * (comp.pivot * float(w))
-        out = term if out is None else out + term
-    return out.with_label(f"Hcal{n + 1}")
 
 
 def component_energies(decomp: HarmonicDecomposition, z: PhasePoint) -> tuple[float, ...]:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OverlappingToriError, ValidationError
+from .errors import DomainError, OverlappingToriError, ScarkitError, ValidationError
 from .fockstate import (
     FockState,
     ScarState,
@@ -232,7 +231,6 @@ class SweepConfig:
     seed: int = 0
     tail_tol: float = 1e-12
     t_points: int = 16
-    threads: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "E", tuple(float(v) for v in self.E))
@@ -245,8 +243,6 @@ class SweepConfig:
             raise ValidationError("hbar schedule must be strictly decreasing")
         if not 0 < self.tail_tol < 1:
             raise ValidationError("tail_tol must lie in (0, 1)")
-        if self.threads < 1:
-            raise ValidationError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -337,9 +333,9 @@ def _residual_rows(decomp, state, E, probes, t_points, hbar):
 def sweep(config: SweepConfig) -> ConvergenceReport:
     """Run the experiment at every hbar and fit per-observable rates.
 
-    Rows for each hbar are computed independently (optionally in a thread
-    pool) and aggregated in schedule order; a failure at one hbar is
-    recorded and the sweep continues.
+    Rows for each hbar are computed in schedule order; a ScarkitError at
+    one hbar is recorded and the sweep continues, any other exception
+    propagates.
     """
     decomp = config.decomposition
     E = config.E
@@ -360,85 +356,77 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
         single_refs = [orbit_average(decomp, a, z0) for a in probes]
         z0_desc = f"x={z0.x} xi={z0.xi}"
 
-    def run_one(hbar: float):
-        try:
-            rows = []
-            if config.points:
-                parts, alphas, combined = _convex_parts(
-                    decomp, pts, E, hbar, config.tail_tol, config.seed
-                )
-                for j, part in enumerate(parts):
-                    rows.append(
-                        (
-                            hbar,
-                            f"c_hbar:{j + 1}",
-                            complex(part.c_hbar),
-                            1 + 0j,
-                            abs(part.c_hbar - 1.0),
-                        )
-                    )
-                nrm = combined.norm()
-                rows.append((hbar, "norm", complex(nrm), 1 + 0j, abs(nrm - 1.0)))
-                for p, a in enumerate(probes):
-                    val = expectation(combined, combined, a) / nrm**2
-                    ref = complex(combined_refs[p])
-                    rows.append((hbar, f"gap:{a.label}", val, ref, abs(val - ref)))
-                for i in range(len(parts)):
-                    for j in range(i + 1, len(parts)):
-                        for a in probes:
-                            val = expectation(parts[i].state, parts[j].state, a)
-                            rows.append(
-                                (
-                                    hbar,
-                                    f"cross:{i + 1}-{j + 1}:{a.label}",
-                                    val,
-                                    0j,
-                                    abs(val),
-                                )
-                            )
-                rows.extend(
-                    _residual_rows(
-                        decomp,
-                        combined,
-                        E,
-                        probes,
-                        config.t_points,
-                        hbar,
-                    )
-                )
-            else:
-                scar = build_scar(decomp, z0, E, hbar, config.tail_tol)
+    def run_one(hbar: float) -> list[tuple[float, str, complex, complex, float]]:
+        rows = []
+        if config.points:
+            parts, alphas, combined = _convex_parts(
+                decomp, pts, E, hbar, config.tail_tol, config.seed
+            )
+            for j, part in enumerate(parts):
                 rows.append(
                     (
                         hbar,
-                        "c_hbar",
-                        complex(scar.c_hbar),
+                        f"c_hbar:{j + 1}",
+                        complex(part.c_hbar),
                         1 + 0j,
-                        abs(scar.c_hbar - 1.0),
+                        abs(part.c_hbar - 1.0),
                     )
                 )
-                rows.extend(_gap_rows(scar.state, single_refs, probes, hbar))
-                rows.extend(
-                    _residual_rows(
-                        decomp, scar.state, E, probes, config.t_points, hbar
-                    )
+            nrm = combined.norm()
+            rows.append((hbar, "norm", complex(nrm), 1 + 0j, abs(nrm - 1.0)))
+            for p, a in enumerate(probes):
+                val = expectation(combined, combined, a) / nrm**2
+                ref = complex(combined_refs[p])
+                rows.append((hbar, f"gap:{a.label}", val, ref, abs(val - ref)))
+            for i in range(len(parts)):
+                for j in range(i + 1, len(parts)):
+                    for a in probes:
+                        val = expectation(parts[i].state, parts[j].state, a)
+                        rows.append(
+                            (
+                                hbar,
+                                f"cross:{i + 1}-{j + 1}:{a.label}",
+                                val,
+                                0j,
+                                abs(val),
+                            )
+                        )
+            rows.extend(
+                _residual_rows(
+                    decomp,
+                    combined,
+                    E,
+                    probes,
+                    config.t_points,
+                    hbar,
                 )
-            return rows, None
-        except Exception as exc:  # recorded, sweep continues
-            return [], f"{type(exc).__name__}: {exc}"
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as ex:
-            outcomes = list(ex.map(run_one, config.hbars))
-    else:
-        outcomes = [run_one(h) for h in config.hbars]
+            )
+        else:
+            scar = build_scar(decomp, z0, E, hbar, config.tail_tol)
+            rows.append(
+                (
+                    hbar,
+                    "c_hbar",
+                    complex(scar.c_hbar),
+                    1 + 0j,
+                    abs(scar.c_hbar - 1.0),
+                )
+            )
+            rows.extend(_gap_rows(scar.state, single_refs, probes, hbar))
+            rows.extend(
+                _residual_rows(
+                    decomp, scar.state, E, probes, config.t_points, hbar
+                )
+            )
+        return rows
 
     rows: list[tuple[float, str, complex, complex, float]] = []
     errors: list[tuple[float, str]] = []
-    for hbar, (chunk, err) in zip(config.hbars, outcomes):
-        rows.extend(chunk)
-        if err is not None:
-            errors.append((hbar, err))
+    for hbar in config.hbars:
+        try:
+            rows.extend(run_one(hbar))
+        except ScarkitError as exc:  # recorded, sweep continues
+            errors.append((hbar, f"{type(exc).__name__}: {exc}"))
 
     by_name: dict[str, list[tuple[float, float]]] = {}
     for h, name, _, _, r in rows:

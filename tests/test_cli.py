@@ -8,7 +8,6 @@ import pytest
 
 from scarkit.cli import (
     ExperimentConfig,
-    _resolve_threads,
     main,
     parse_config,
     serialize_config,
@@ -80,6 +79,7 @@ def test_parse_config_explicit_z0():
         lambda t: t.replace("E = 1/2 1/2", "E = 1/0 1/2"),
         lambda t: t.replace("z0 = from-witness", "z0 = 1.0 / 0.0 0.0"),
         lambda t: t + "just some words\n",
+        lambda t: t + "threads = 1\n",  # removed key: now unknown
     ],
 )
 def test_parse_config_rejects(mangle):
@@ -91,14 +91,6 @@ def test_parse_config_reports_line_numbers():
     with pytest.raises(SpecParseError) as err:
         parse_config(BASE_CFG + "# fine\nwhat\n")
     assert err.value.line == len(BASE_CFG.splitlines()) + 2
-
-
-def test_resolve_threads_precedence(monkeypatch):
-    monkeypatch.delenv("SCARKIT_THREADS", raising=False)
-    assert _resolve_threads(None, 4) == 4
-    monkeypatch.setenv("SCARKIT_THREADS", "2")
-    assert _resolve_threads(None, 4) == 2
-    assert _resolve_threads(8, 4) == 8
 
 
 def test_hbars_schedule_is_geometric():
@@ -206,31 +198,11 @@ def test_sweep_writes_outputs(workdir):
 
 def test_sweep_reruns_byte_identical(workdir):
     main(["sweep", str(workdir / "run.cfg"), "--out", str(workdir / "a")])
-    main(["sweep", str(workdir / "run.cfg"), "--out", str(workdir / "b"),
-          "--threads", "3"])
+    main(["sweep", str(workdir / "run.cfg"), "--out", str(workdir / "b")])
     for name in ("rows.csv", "slopes.csv", "targets.csv", "summary.txt"):
         assert (workdir / "a" / name).read_bytes() == (
             workdir / "b" / name
         ).read_bytes()
-
-
-def test_sweep_env_threads(workdir, monkeypatch):
-    monkeypatch.setenv("SCARKIT_THREADS", "2")
-    main(["sweep", str(workdir / "run.cfg"), "--out", str(workdir / "e")])
-    baseline = workdir / "a.cfg"  # same config, env unset
-    monkeypatch.delenv("SCARKIT_THREADS")
-    main(["sweep", str(workdir / "run.cfg"), "--out", str(workdir / "f")])
-    assert (workdir / "e" / "rows.csv").read_bytes() == (
-        workdir / "f" / "rows.csv"
-    ).read_bytes()
-    assert not baseline.exists()
-
-
-def test_sweep_bad_env_threads(workdir, monkeypatch, capsys):
-    monkeypatch.setenv("SCARKIT_THREADS", "many")
-    rc = main(["sweep", str(workdir / "run.cfg"), "--out", str(workdir / "g")])
-    assert rc == 2
-    assert "SCARKIT_THREADS" in capsys.readouterr().err
 
 
 def test_sweep_infeasible_energy_exits_3(workdir, capsys):

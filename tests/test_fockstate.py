@@ -203,6 +203,7 @@ def test_gram_full_rank_frozen(dec12):
     z0 = torus_point(dec12, (0.5, 0.5))
     g = gram(z0, dec12)
     assert g.rank_d0 == 2
+    assert g.system is dec12
     assert g.retained == (0, 1)
     assert g.dropped == ()
     expected = np.diag([1.0, math.sqrt(2.0)])
@@ -225,6 +226,23 @@ def test_gram_rank_deficient_unexcited_mode(dec12):
     assert g.volume == pytest.approx(2 * math.pi, rel=1e-12)
 
 
+def test_gram_volume_is_scar_volume_with_an_unexcited_mode():
+    # omega = (1, 2, sqrt2) with mode 1 unexcited: the projected weights
+    # (0, 2, 0) and (0, 0, 1) keep full rank, so the periods are those of
+    # the full components, not of the projected weights (which halve T_1)
+    s2 = math.sqrt(2.0)
+    dec = make_dec([[F(1), F(0)], [F(2), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
+    z0 = PhasePoint(x=(0.0, math.sqrt(0.4), math.sqrt(0.6 * s2)), xi=(0.0,) * 3)
+    g = gram(z0, dec)
+    assert g.rank_d0 == 2
+    assert g.excited == (False, True, True)
+    assert g.system is dec
+    assert g.volume == pytest.approx((2 * math.pi) ** 2 / s2, rel=1e-12)
+    scar = normalize_scar(dec, z0, (0.4, 0.6), 0.08)
+    assert scar.rank_d0 == 2
+    assert scar.volume == g.volume
+
+
 def test_gram_rank_zero_at_origin(dec12):
     g = gram(PhasePoint.zero(2), dec12)
     assert g.rank_d0 == 0
@@ -245,8 +263,8 @@ def test_gram_nontrivial_transfer(dec_chain):
     assert g.retained == (0,)
     assert g.dropped == (1,)
     assert g.transfer == ((F(1, 2),),)
-    t = g.tilde[0]
-    assert t.v == pytest.approx(1.0 + s2, rel=1e-12)
+    t = g.system.components[0]
+    assert t.pivot == pytest.approx(1.0 + s2, rel=1e-12)
     assert t.int_weights == (0, 0, 1)
     assert t.period == pytest.approx(2 * math.pi / (1.0 + s2), rel=1e-12)
     assert g.matrix[0, 0] == pytest.approx(2.0 * (1.0 + s2), rel=1e-12)

@@ -16,7 +16,6 @@ from scarkit.freqarith import (
     conductor,
     decompose,
     format_frequency_spec,
-    numeric_frequencies,
     parse_frequency_spec,
     period_of,
     rational_span,
@@ -289,27 +288,6 @@ def test_conductor_domain_errors():
         conductor((2, 4))
     with pytest.raises(DomainError):
         conductor((0, 0))
-
-
-# --- quadratic forms --------------------------------------------------------
-
-def test_numeric_frequencies_diagonal():
-    assert numeric_frequencies([[1.0, 0.0], [0.0, 2.0]]) == pytest.approx(
-        (1.0, math.sqrt(2)), rel=1e-14
-    )
-
-
-def test_numeric_frequencies_coupled():
-    # eigenvalues of [[2,1],[1,2]] are 1 and 3
-    freqs = numeric_frequencies([[2.0, 1.0], [1.0, 2.0]])
-    assert freqs == pytest.approx((1.0, math.sqrt(3)), rel=1e-14)
-
-
-def test_numeric_frequencies_rejects_bad_forms():
-    with pytest.raises(ValidationError):
-        numeric_frequencies([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(DomainError):
-        numeric_frequencies([[1.0, 0.0], [0.0, -1.0]])
 
 
 # --- spec files --------------------------------------------------------------

@@ -12,7 +12,6 @@ from scarkit.freqarith import FrequencySpec, GeneratorBasis, decompose, sqrt_dec
 from scarkit.phasespace import (
     PhasePoint,
     component_energies,
-    hamiltonian_symbol,
     multi_flow,
     orbit_average,
     sigma_membership,
@@ -96,18 +95,6 @@ def test_component_energies_sum_to_total(dec12, dec23):
             w * h for w, h in zip(dec.spec.numeric, z.mode_energies())
         )
         assert sum(component_energies(dec, z)) == pytest.approx(total, rel=1e-13)
-
-
-def test_hamiltonian_symbol_matches_component_energies(dec12, dec23):
-    rng = random.Random(13)
-    for dec in (dec12, dec23):
-        z = random_point(rng, dec.dims)
-        vals = component_energies(dec, z)
-        for n in range(dec.d_omega):
-            sym = hamiltonian_symbol(dec, n)
-            got = sym.evaluate(np.array(z.x), np.array(z.xi))
-            assert got.real == pytest.approx(vals[n], rel=1e-13)
-            assert abs(got.imag) < 1e-15
 
 
 def test_orbit_average_of_conserved_quantities(dec12):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from scarkit import scarlab
 from scarkit.errors import (
+    DomainError,
     OverlappingToriError,
     ValidationError,
 )
@@ -168,8 +170,6 @@ def test_sweep_config_validation(dec12):
         SweepConfig(dec12, (0.5, 0.5), hbars=(0.1, 0.2))
     with pytest.raises(ValidationError):
         SweepConfig(dec12, (0.5, 0.5), hbars=(0.1,))
-    with pytest.raises(ValidationError):
-        SweepConfig(dec12, (0.5, 0.5), hbars=(0.1, 0.05), threads=0)
 
 
 def test_sweep_single_torus_report(dec12):
@@ -203,11 +203,6 @@ def test_sweep_is_deterministic_and_thread_safe(dec12):
     b = sweep(cfg)
     assert a.rows == b.rows
     assert a.fitted_slopes == b.fitted_slopes
-    threaded = SweepConfig(
-        dec12, (0.5, 0.5), hbars=(0.2, 0.1, 0.05), seed=3, threads=3
-    )
-    c = sweep(threaded)
-    assert c.rows == a.rows
 
 
 def test_sweep_records_failures_and_continues(dec23):
@@ -219,6 +214,24 @@ def test_sweep_records_failures_and_continues(dec23):
     assert "BelowConductorError" in report.errors[0][1]
     hs, _ = report.residual_series("c_hbar")
     assert hs == (0.2, 0.1)
+
+
+def test_sweep_records_only_scarkit_errors(dec12, monkeypatch):
+    cfg = SweepConfig(dec12, (0.5, 0.5), hbars=(0.2, 0.1))
+
+    def domain_failure(*args, **kwargs):
+        raise DomainError("injected")
+
+    monkeypatch.setattr(scarlab, "build_scar", domain_failure)
+    report = sweep(cfg)
+    assert report.errors == ((0.2, "DomainError: injected"), (0.1, "DomainError: injected"))
+
+    def programming_error(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(scarlab, "build_scar", programming_error)
+    with pytest.raises(TypeError, match="injected"):
+        sweep(cfg)
 
 
 def test_sweep_convex_mode_rows(dec11):
