@@ -16,6 +16,12 @@ elements, evaluated per mode only over the index range [min, max] of each
 state's support in that mode; a non-finite element raises NumericalError.
 Product states (coherent) keep per-mode factor vectors and use factorized
 fast paths; projected states are sparse coefficient maps.
+
+Polynomial moments <bra|Op(x^a xi^b)|ket> of a sparse ket are cached per
+state pair in a map the caller owns: expectation starts a fresh one per call,
+and scarlab.residuals keeps one per state across every probe and rotation, so
+each monomial is applied once however often the flowed probes repeat it.
+Every moment is computed by the same code in the same order either way.
 """
 from __future__ import annotations
 
@@ -646,14 +652,25 @@ def _apply_monomial(coeffs: dict, mono, hbar: float, dims: int) -> dict:
     return out
 
 
-def _poly_sparse(bra: FockState, ket_coeffs: dict, poly, hbar: float, dims: int) -> complex:
+def _poly_sparse(
+    bra: FockState, ket_coeffs: dict, poly, hbar: float, dims: int, moments: dict
+) -> complex:
+    """sum over poly of coeff * <bra|Op(mono)|ket>, each moment read from `moments`.
+
+    `moments` maps a monomial to its moment for this one (bra, ket) pair; a
+    missing moment is computed and stored, so a caller that keeps the map
+    applies every monomial once however many symbols it evaluates.
+    """
     coefficient = bra.coefficient if bra.is_product else (lambda k: bra.coeffs.get(k, 0j))
     total = 0j
     for mono, coeff in poly.items():
-        applied = _apply_monomial(ket_coeffs, mono, hbar, dims)
-        acc = 0j
-        for k, c in applied.items():
-            acc += np.conjugate(coefficient(k)) * c
+        acc = moments.get(mono)
+        if acc is None:
+            applied = _apply_monomial(ket_coeffs, mono, hbar, dims)
+            acc = 0j
+            for k, c in applied.items():
+                acc += np.conjugate(coefficient(k)) * c
+            moments[mono] = acc
         total += coeff * acc
     return total
 
@@ -704,12 +721,19 @@ def _char_sparse(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -
     return complex(total)
 
 
-def expectation(bra: FockState, ket: FockState, a: Symbol) -> complex:
+def expectation(
+    bra: FockState, ket: FockState, a: Symbol, *, _moments: dict | None = None
+) -> complex:
     """<bra, Op_hbar(a) ket>, exact up to the states' tail bounds.
 
     Character terms evaluate <m|D(beta)|n> only for m and n inside the bra's
     and the ket's per-mode index ranges; NumericalError is raised when one of
     those elements is not finite (large m and n at once).
+
+    `_moments` is private to scarkit: a map from monomial to moment that the
+    caller owns and reuses for one fixed (bra, ket) pair, so that a sparse
+    state's polynomial moments are computed once across many symbols
+    (scarlab.residuals keeps one per state). Left out, a fresh map is used.
     """
     if bra.hbar != ket.hbar or bra.dims != ket.dims:
         raise ValidationError("states live in different spaces")
@@ -717,16 +741,23 @@ def expectation(bra: FockState, ket: FockState, a: Symbol) -> complex:
         raise ValidationError("symbol mode count does not match the states")
     hbar = bra.hbar
     d = bra.dims
+    moments = {} if _moments is None else _moments
     total = 0j
     if a.poly:
         if bra.is_product and ket.is_product:
             total += _poly_product(bra, ket, a.poly)
         elif not ket.is_product:
-            total += _poly_sparse(bra, ket.coeffs, a.poly, hbar, d)
+            total += _poly_sparse(bra, ket.coeffs, a.poly, hbar, d, moments)
         else:
-            # ket is product, bra sparse: flip through Op(conj a) = Op(a)^dagger
+            # ket is product, bra sparse: flip through Op(conj a) = Op(a)^dagger;
+            # the moments are then those of the flipped pair, the same every call
             flipped = _poly_sparse(
-                ket, bra.coeffs, {m: c.conjugate() for m, c in a.poly.items()}, hbar, d
+                ket,
+                bra.coeffs,
+                {m: c.conjugate() for m, c in a.poly.items()},
+                hbar,
+                d,
+                moments,
             )
             total += np.conjugate(flipped)
     if a.chars:

@@ -297,3 +297,118 @@ def test_report_invariant_hbars_decreasing():
     )
     assert rep.hbars[0] > rep.hbars[1]
     assert rep.slope("missing") != rep.slope("missing")  # NaN
+
+
+# ---------------------------------------------------------------------------
+# residuals caches each polynomial moment of its state once per call
+
+
+def _reference_residuals(decomp, state, E, probes, t_points=16):
+    """residuals as a plain loop: one public expectation call per rotated probe."""
+    from scarkit.fockstate import expectation
+    from scarkit.phasespace import flow_rates
+    from scarkit.spectral import component_eigenvalue
+
+    items = list(state.coeffs.items())
+    norm2 = sum(abs(c) ** 2 for _, c in items)
+    concentration = []
+    for n in range(decomp.d_omega):
+        acc = 0.0
+        for k, c in items:
+            acc += abs(c) ** 2 * (component_eigenvalue(decomp, k, n, state.hbar) - E[n]) ** 2
+        concentration.append(acc / norm2)
+    rates = flow_rates(decomp)
+    invariance = []
+    for n, comp in enumerate(decomp.components):
+        worst = 0.0
+        for a in probes:
+            base = expectation(state, state, a)
+            for i in range(1, t_points):
+                t = comp.period * i / t_points
+                moved = expectation(
+                    state, state, a.rotate([rates[n][j] * t for j in range(decomp.dims)])
+                )
+                worst = max(worst, abs(moved - base) / norm2)
+        invariance.append(worst)
+    return tuple(concentration), tuple(invariance)
+
+
+def _moment_probes(decomp, seed):
+    """Default probes plus two mixed monomials and a polynomial-plus-character sum."""
+    from scarkit.symbols import character, monomial
+
+    d = decomp.dims
+    x1_xlast = [0] * (2 * d)
+    x1_xlast[0] = x1_xlast[d - 1] = 1
+    xi1_xlast = [0] * (2 * d)
+    xi1_xlast[d] = xi1_xlast[d - 1] = 1
+    mixed = monomial(d, x1_xlast, 0.7) + character(d, [0.3] * (2 * d), 0.2)
+    return default_probes(decomp, seed) + (
+        monomial(d, x1_xlast, -1.3).with_label("x1xd"),
+        monomial(d, xi1_xlast, 0.9).with_label("xi1xd"),
+        mixed.with_label("mixed"),
+    )
+
+
+def _moment_cases():
+    d3 = make_dec([[F(1), F(0)], [F(2), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
+    simplex = make_dec([[F(1), F(0)], [F(1), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
+    dec11 = make_dec([[F(1)], [F(1)]], ("one",))
+    E3 = (0.6, 0.4)
+    full = build_scar(d3, torus_point(d3, E3), E3, 0.05)
+    assert full.rank_d0 == d3.d_omega
+    E_end = (0.0, 1.0)
+    deficient = build_scar(simplex, torus_point(simplex, E_end), E_end, 0.1)
+    assert deficient.rank_d0 < simplex.d_omega
+    za = PhasePoint(x=(math.sqrt(1.5), math.sqrt(0.5)), xi=(0.0, 0.0))
+    zb = PhasePoint(x=(math.sqrt(0.5), math.sqrt(1.5)), xi=(0.0, 0.0))
+    combined = convex_scar(dec11, [(za, 0.5), (zb, 0.5)], (1.0,), 0.1)
+    return [
+        ("full-rank-d3", d3, full.state, E3),
+        ("rank-deficient", simplex, deficient.state, E_end),
+        ("convex", dec11, combined, (1.0,)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def moment_cases():
+    return _moment_cases()
+
+
+@pytest.mark.parametrize("case", range(3), ids=["full-rank-d3", "rank-deficient", "convex"])
+def test_residuals_bit_identical_to_uncached_reference(moment_cases, case):
+    _, decomp, state, E = moment_cases[case]
+    probes = _moment_probes(decomp, seed=4)
+    got = residuals(decomp, state, E, probes=probes)
+    want = _reference_residuals(decomp, state, E, probes)
+    assert got == want  # exact equality, float for float
+
+
+@pytest.mark.parametrize("case", range(3), ids=["full-rank-d3", "rank-deficient", "convex"])
+def test_residuals_applies_each_monomial_once(moment_cases, case, monkeypatch):
+    from scarkit import fockstate
+    from scarkit.phasespace import flow_rates
+
+    _, decomp, state, E = moment_cases[case]
+    probes = _moment_probes(decomp, seed=4)
+    applied = []
+    original = fockstate._apply_monomial
+
+    def counting(coeffs, mono, hbar, dims):
+        applied.append(mono)
+        return original(coeffs, mono, hbar, dims)
+
+    monkeypatch.setattr(fockstate, "_apply_monomial", counting)
+    residuals(decomp, state, E, probes=probes)
+    rates = flow_rates(decomp)
+    distinct = {m for a in probes for m in a.poly}
+    rotations = 0
+    for n, comp in enumerate(decomp.components):
+        for a in probes:
+            for i in range(1, 16):
+                t = comp.period * i / 16
+                distinct |= set(a.rotate([rates[n][j] * t for j in range(decomp.dims)]).poly)
+                rotations += 1
+    assert len(applied) == len(set(applied))
+    assert set(applied) <= distinct
+    assert len(applied) < rotations  # without the cache there is one per rotated monomial
