@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre, gammaln, pdtrc
 
 from .errors import (
     EmptyProjectionError,
@@ -167,8 +167,9 @@ def coherent(z0: PhasePoint, hbar: float, tail_tol: float = 1e-12) -> FockState:
         if mu == 0.0:
             factors.append(np.array([1.0 + 0j]))
             continue
-        # Poisson cdf by multiplicative recurrence; K = first index whose
-        # remaining tail drops below the budget
+        # K = first index whose Poisson tail P(X > K) drops below the budget;
+        # pdtrc computes the tail itself, so it keeps its relative accuracy
+        # far below the ~1e-13 floor of 1 - cumsum(pmf)
         k_max = int(mu + 12.0 * math.sqrt(mu) + 25.0)
         if k_max > _MODE_CUTOFF_CAP:
             raise ResourceLimitError(
@@ -176,8 +177,7 @@ def coherent(z0: PhasePoint, hbar: float, tail_tol: float = 1e-12) -> FockState:
             )
         ks = np.arange(k_max + 1)
         logpmf = -mu + ks * math.log(mu) - gammaln(ks + 1)
-        pmf = np.exp(logpmf)
-        tail = 1.0 - np.cumsum(pmf)
+        tail = pdtrc(ks, mu)
         hit = np.nonzero(tail < per_mode)[0]
         if len(hit) == 0:
             raise ResourceLimitError(

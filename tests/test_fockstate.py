@@ -127,6 +127,36 @@ def test_coherent_poisson_weights():
         )
 
 
+def _poisson_tail_mp(k: int, mu: float):
+    """P(X > k) for X ~ Poisson(mu), as a 50-digit regularized lower gamma."""
+    with mpmath.workdps(50):
+        return mpmath.gammainc(k + 1, 0, mu, regularized=True)
+
+
+@pytest.mark.parametrize("mu", [50.0, 1000.0, 5000.0])
+def test_poisson_tail_matches_mpmath(mu):
+    from scipy.special import pdtrc
+
+    for z in (0.0, 3.0, 7.0, 8.5, 10.0):  # tails from 0.5 down to ~1e-23
+        k = int(mu + z * math.sqrt(mu))
+        want = _poisson_tail_mp(k, mu)
+        assert abs(pdtrc(k, mu) - float(want)) <= 1e-12 * float(want)
+
+
+def test_coherent_cutoff_is_first_index_below_tail_budget(dec12):
+    # d=2 at hbar = 0.2 * 2^-11 puts |alpha|^2 near 5000 and 3600, where
+    # 1 - cumsum(pmf) stalls above the per-mode budget of 5e-13
+    z0 = torus_point(dec12, (0.5, 0.5))
+    hbar = 0.2 * 2.0**-11
+    psi = coherent(z0, hbar)
+    budget = 1e-12 / 2
+    for j in range(2):
+        mu = (z0.x[j] ** 2 + z0.xi[j] ** 2) / (2.0 * hbar)
+        K = psi.cutoff[j]
+        assert mu > 3000
+        assert _poisson_tail_mp(K, mu) < budget <= _poisson_tail_mp(K - 1, mu)
+
+
 def test_inner_agrees_across_representations(dec12):
     z0 = torus_point(dec12, (0.5, 0.5))
     zb = PhasePoint(x=(0.3, -0.1), xi=(0.2, 0.4))
