@@ -4,7 +4,9 @@ Subcommands: analyze (decomposition table for a frequency spec), levels
 (eigenvalue window table), sweep (full convergence experiment from a config
 file), husimi (phase-plane grid of a built or stored state). Exit codes:
 0 done, 2 parse or usage error, 3 energy vector outside the joint spectrum
-simplex.
+simplex, 4 a sweep wrote its outputs but an hbar step failed or a gating
+band printed FAIL, 5 a resource cap or a non-finite kernel value stopped
+the command.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import NotInSigmaError, ScarkitError, SpecParseError, ValidationError
+from .errors import (
+    NotInSigmaError,
+    NumericalError,
+    ResourceLimitError,
+    ScarkitError,
+    SpecParseError,
+    ValidationError,
+)
 from .fockstate import dump_state, load_state
 from .freqarith import decompose, load_frequency_spec, parse_frequency_spec
 from .phasespace import PhasePoint, husimi_grid, sigma_membership
@@ -302,6 +311,14 @@ def cmd_sweep(args) -> int:
         f.write(header_line(digest) + "\n")
         f.write(report.summary(bands=bands))
     print(f"wrote {out_dir}/rows.csv, slopes.csv, targets.csv, summary.txt")
+    failed_bands = report.band_failures(bands)
+    if report.errors or failed_bands:
+        print(
+            f"error: {len(report.errors)} hbar step(s) failed and "
+            f"{len(failed_bands)} band(s) printed FAIL; see {out_dir}/summary.txt",
+            file=sys.stderr,
+        )
+        return 4
     return 0
 
 
@@ -409,6 +426,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ResourceLimitError, NumericalError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
     except ScarkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

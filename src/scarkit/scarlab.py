@@ -283,16 +283,30 @@ class ConvergenceReport:
         meta = tuple(f"{k}={v}" for k, v in self.metadata)
         write_csv(f, columns, rows, config_digest, meta=meta)
 
+    def band_failures(
+        self, bands: dict[str, tuple[float | None, float | None]]
+    ) -> tuple[str, ...]:
+        """Fitted observables whose slope lies outside its band; NaN never passes."""
+        failed = []
+        for name in sorted(self.fitted_slopes):
+            if name in bands:
+                s = self.fitted_slopes[name]
+                lo, hi = bands[name]
+                if not ((lo is None or s >= lo) and (hi is None or s <= hi)):
+                    failed.append(name)
+        return tuple(failed)
+
     def summary(self, bands: dict[str, tuple[float | None, float | None]] | None = None) -> str:
         lines = ["convergence summary"]
         for k, v in self.metadata:
             lines.append(f"  {k} = {v}")
+        failed = self.band_failures(bands or {})
         for name in sorted(self.fitted_slopes):
             s = self.fitted_slopes[name]
             line = f"slope {name} = {s:.4f}"
             if bands and name in bands:
                 lo, hi = bands[name]
-                ok = (lo is None or s >= lo) and (hi is None or s <= hi)
+                ok = name not in failed
                 band_txt = f"[{lo if lo is not None else '-inf'}, {hi if hi is not None else 'inf'}]"
                 line += f"  band {band_txt}: {'pass' if ok else 'FAIL'}"
             lines.append(line)

@@ -226,6 +226,39 @@ def test_sweep_custom_symbols(workdir):
     assert "slope gap:x1^2" in summary and "band" in summary
 
 
+def test_sweep_failed_band_exits_4_after_writing_outputs(workdir, capsys):
+    cfg = workdir / "big.cfg"
+    cfg.write_text(BASE_CFG.replace("hbar_start = 0.2", "hbar_start = 500"))
+    rc = main(["sweep", str(cfg), "--out", str(workdir / "f")])
+    assert rc == 4
+    for name in ("rows.csv", "slopes.csv", "targets.csv", "summary.txt"):
+        assert (workdir / "f" / name).is_file()
+    assert "band [0.35, inf]: FAIL" in (workdir / "f" / "summary.txt").read_text()
+    assert "1 band(s) printed FAIL" in capsys.readouterr().err
+
+
+def test_sweep_failed_step_exits_4(workdir, monkeypatch):
+    from scarkit import scarlab
+    from scarkit.errors import NumericalError
+
+    def numerical_failure(*args, **kwargs):
+        raise NumericalError("injected")
+
+    monkeypatch.setattr(scarlab, "build_scar", numerical_failure)
+    rc = main(["sweep", str(workdir / "run.cfg"), "--out", str(workdir / "n")])
+    assert rc == 4
+    summary = (workdir / "n" / "summary.txt").read_text()
+    assert summary.count("NumericalError: injected") == 5
+
+
+def test_resource_limit_exits_5(workdir, capsys):
+    cfg = workdir / "tiny.cfg"
+    cfg.write_text(BASE_CFG.replace("hbar_start = 0.2", "hbar_start = 1e-5"))
+    rc = main(["dump", str(cfg), "--out", str(workdir / "t")])
+    assert rc == 5
+    assert "ResourceLimitError" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # husimi / dump
 

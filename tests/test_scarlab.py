@@ -276,6 +276,20 @@ def test_report_csv_and_summary(dec12):
     assert "FAIL" in summary_fail
 
 
+def test_band_failures_match_summary_and_fail_nan():
+    report = ConvergenceReport(
+        hbars=(0.2, 0.1),
+        rows=(),
+        fitted_slopes={"a": 0.5, "b": 2.0, "c": math.nan, "d": 0.1},
+        metadata=(),
+    )
+    bands = {"a": (0.35, 1.1), "b": (0.35, 1.1), "c": (0.35, None), "missing": (0.0, 1.0)}
+    assert report.band_failures(bands) == ("b", "c")
+    assert report.band_failures({}) == ()
+    fails = [ln.split()[1] for ln in report.summary(bands).splitlines() if "FAIL" in ln]
+    assert fails == ["b", "c"]
+
+
 def test_fit_loglog_recovers_rate():
     hbars = [0.2 * 2**-m for m in range(7)]
     vals = [3.7 * h**0.5 for h in hbars]
