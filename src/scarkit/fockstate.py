@@ -168,8 +168,8 @@ def coherent(z0: PhasePoint, hbar: float, tail_tol: float = 1e-12) -> FockState:
             factors.append(np.array([1.0 + 0j]))
             continue
         # K = first index whose Poisson tail P(X > K) drops below the budget;
-        # pdtrc computes the tail itself, so it keeps its relative accuracy
-        # far below the ~1e-13 floor of 1 - cumsum(pmf)
+        # pdtrc evaluates the tail directly, keeping full relative accuracy
+        # where 1 - cdf would cancel down to ~1e-13
         k_max = int(mu + 12.0 * math.sqrt(mu) + 25.0)
         if k_max > _MODE_CUTOFF_CAP:
             raise ResourceLimitError(
@@ -751,14 +751,8 @@ def expectation(
         else:
             # ket is product, bra sparse: flip through Op(conj a) = Op(a)^dagger;
             # the moments are then those of the flipped pair, the same every call
-            flipped = _poly_sparse(
-                ket,
-                bra.coeffs,
-                {m: c.conjugate() for m, c in a.poly.items()},
-                hbar,
-                d,
-                moments,
-            )
+            conj_poly = {m: c.conjugate() for m, c in a.poly.items()}
+            flipped = _poly_sparse(ket, bra.coeffs, conj_poly, hbar, d, moments)
             total += np.conjugate(flipped)
     if a.chars:
         if bra.is_product and ket.is_product:
