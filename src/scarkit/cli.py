@@ -53,6 +53,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0.0 < self.hbar_start < math.inf:
+            raise SpecParseError("hbar_start must be positive and finite", 0)
         if not 0.0 < self.hbar_ratio < 1.0:
             raise SpecParseError("hbar_ratio must lie in (0, 1)", 0)
         if self.hbar_count < 3:

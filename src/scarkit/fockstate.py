@@ -9,11 +9,12 @@ the target (the differences are integer multiples of 2 pi / T_n per axis) and
 no quadrature is involved (a small-grid quadrature equivalence is exercised
 in tests). Membership tests are pure integer arithmetic on the lattice.
 
-Expectations are exact matrix-element sums: polynomial symbols through
-Weyl-symmetrized ladder matrices with enough padding that truncation never
-touches the retained block, characters through displacement-operator matrix
-elements, evaluated per mode only over the index range [min, max] of each
-state's support in that mode; a non-finite element raises NumericalError.
+Expectations are exact matrix-element sums: polynomial symbols through the
+banded action of Op(x^a xi^b), which moves an index by at most a + b and is
+evaluated for all of a mode's support indices at once, characters through
+displacement-operator matrix elements, evaluated per mode only over the
+index range [min, max] of each state's support in that mode; a non-finite
+element raises NumericalError.
 Product states (coherent) keep per-mode factor vectors and use factorized
 fast paths; projected states are sparse coefficient maps.
 
@@ -25,11 +26,11 @@ Every moment is computed by the same code in the same order either way.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -80,8 +81,8 @@ class FockState:
     factors: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValidationError("hbar must be positive")
+        if not 0 < self.hbar < math.inf:
+            raise ValidationError(f"hbar must be positive and finite, got {self.hbar!r}")
         if (self.coeffs is None) == (self.factors is None):
             raise ValidationError("exactly one representation must be present")
         if len(self.cutoff) != self.dims:
@@ -156,8 +157,8 @@ def coherent(z0: PhasePoint, hbar: float, tail_tol: float = 1e-12) -> FockState:
     """
     if not 0 < tail_tol < 1:
         raise ValidationError("tail_tol must lie in (0, 1)")
-    if hbar <= 0:
-        raise ValidationError("hbar must be positive")
+    if not 0 < hbar < math.inf:
+        raise ValidationError(f"hbar must be positive and finite, got {hbar!r}")
     d = z0.dims
     per_mode = tail_tol / d
     factors = []
@@ -532,34 +533,34 @@ def normalize_scar(
 
 
 # ---------------------------------------------------------------------------
-# ladder matrices for expectations
+# matrix elements for expectations
 
-@lru_cache(maxsize=512)
-def _ladder(size: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, size)), k=1)
+def _weyl_band(cols: np.ndarray, a: int, b: int, hbar: float) -> np.ndarray:
+    """<cols[i] + o|Op(x^a xi^b)|cols[i]> at out[i, a + b + o] for |o| <= a + b.
 
-
-@lru_cache(maxsize=4096)
-def _weyl_mode_matrix(a: int, b: int, hbar: float, size: int) -> np.ndarray:
-    """Weyl quantization of x^a xi^b on one mode, exact on the size block.
-
-    Built at size + a + b so every product entry within the retained block
-    is free of truncation; the McCoy identity gives the symmetrized order:
-    Op(x^a xi^b) = 2^{-a} sum_s C(a, s) X^s Xi^b X^{a-s}.
+    The McCoy identity gives the Weyl order Op(x^a xi^b) = 2^{-a} sum_s
+    C(a, s) X^s Xi^b X^{a-s}, with X = c (A + A^+), Xi = i c (A^+ - A) and
+    c = sqrt(hbar / 2). Each X or Xi step shifts every column's band one
+    index up and down at once, so nothing is truncated and no dense matrix
+    is built; offsets below index 0 stay exactly zero.
     """
-    n = size + a + b
-    lower = _ladder(n)
+    r = a + b
+    idx = np.asarray(cols)[:, None] + np.arange(-r, r + 1)
     c = math.sqrt(hbar / 2.0)
-    X = c * (lower + lower.T)
-    Xi = 1j * c * (lower.T - lower)
-    Xi_b = np.linalg.matrix_power(Xi.astype(complex), b)
-    out = np.zeros((n, n), dtype=complex)
+    up = c * np.sqrt(np.maximum(idx[:, 1:], 0))  # A^+: m - 1 -> m
+    down = c * np.sqrt(np.maximum(idx[:, :-1] + 1, 0))  # A: m + 1 -> m
+    X, Xi = (up, down), (1j * up, -1j * down)
+    out = np.zeros(idx.shape, dtype=complex)
     for s in range(a + 1):
-        left = np.linalg.matrix_power(X.astype(complex), s)
-        right = np.linalg.matrix_power(X.astype(complex), a - s)
-        out += math.comb(a, s) * (left @ Xi_b @ right)
-    out /= 2.0**a
-    return out[:size, :size]
+        v = np.zeros(idx.shape, dtype=complex)
+        v[:, r] = 1.0
+        for raise_, lower in [X] * (a - s) + [Xi] * b + [X] * s:
+            w = np.zeros_like(v)
+            w[:, 1:] = raise_ * v[:, :-1]
+            w[:, :-1] += lower * v[:, 1:]
+            v = w
+        out += math.comb(a, s) * v
+    return out / 2.0**a
 
 
 def _displacement_matrix(beta: complex, rows: range, cols: range) -> np.ndarray:
@@ -613,11 +614,11 @@ def _poly_product(bra: FockState, ket: FockState, poly) -> complex:
                 L = min(len(fa), len(fb))
                 term *= complex(np.vdot(fa[:L], fb[:L]))
             else:
-                size = max(len(fa), len(fb))
-                W = _weyl_mode_matrix(a, b, bra.hbar, size)
-                term *= complex(
-                    np.conjugate(fa) @ W[: len(fa), : len(fb)] @ fb
-                )
+                n = np.arange(len(fb))
+                m = n[:, None] + np.arange(-(a + b), a + b + 1)
+                ok = (m >= 0) & (m < len(fa))
+                W = _weyl_band(n, a, b, bra.hbar) * fb[:, None]
+                term *= complex(np.conjugate(fa[m[ok]]) @ W[ok])
             if term == 0:
                 break
         total += term
@@ -630,22 +631,16 @@ def _apply_monomial(coeffs: dict, mono, hbar: float, dims: int) -> dict:
         a, b = mono[j], mono[dims + j]
         if a == 0 and b == 0:
             continue
-        kmax = max(k[j] for k in out) if out else 0
-        size = kmax + a + b + 1
-        W = _weyl_mode_matrix(a, b, hbar, size)
-        cols: dict[int, list[tuple[int, complex]]] = {}
+        r = a + b
+        cols = sorted({k[j] for k in out})
+        band = _weyl_band(np.array(cols), a, b, hbar)
+        hits: dict[int, list[tuple[int, complex]]] = {}
+        for col, row in zip(cols, band):
+            nz = np.nonzero(row)[0]
+            hits[col] = list(zip((nz + (col - r)).tolist(), row[nz].tolist()))
         nxt: dict[FockIndex, complex] = {}
         for k, c in out.items():
-            col = k[j]
-            hits = cols.get(col)
-            if hits is None:
-                column = W[:, col]
-                hits = [
-                    (int(m), complex(column[m]))
-                    for m in np.nonzero(np.abs(column) > 0)[0]
-                ]
-                cols[col] = hits
-            for m, wv in hits:
+            for m, wv in hits[k[j]]:
                 key = k[:j] + (m,) + k[j + 1 :]
                 nxt[key] = nxt.get(key, 0j) + wv * c
         out = nxt
@@ -805,29 +800,38 @@ def dump_state(f, state: FockState, config_digest: str = "") -> None:
 
 
 def load_state(f) -> FockState:
+    """Read a dump_state file; any malformed or non-finite entry is a ValidationError."""
     hbar = None
     dims = None
     coeffs: dict[FockIndex, complex] = {}
     header_seen = False
-    for raw in f:
+    for lineno, raw in enumerate(f, 1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("hbar="):
-                hbar = float(body[5:])
-            elif body.startswith("dims="):
-                dims = int(body[5:])
-            continue
-        if not header_seen:
-            header_seen = True  # column header
-            continue
-        parts = line.split(",")
-        if dims is None:
-            dims = len(parts) - 2
-        k = tuple(int(v) for v in parts[:dims])
-        coeffs[k] = complex(float(parts[dims]), float(parts[dims + 1]))
+        try:
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("hbar="):
+                    hbar = float(body[5:])
+                elif body.startswith("dims="):
+                    dims = int(body[5:])
+                continue
+            if not header_seen:
+                header_seen = True  # column header
+                continue
+            parts = line.split(",")
+            if dims is None:
+                dims = len(parts) - 2
+            if dims < 1 or len(parts) != dims + 2:
+                raise ValueError(f"{len(parts)} fields for {dims} mode(s)")
+            k = tuple(int(v) for v in parts[:dims])
+            c = complex(float(parts[dims]), float(parts[dims + 1]))
+            if any(v < 0 for v in k) or not cmath.isfinite(c):
+                raise ValueError("negative index or non-finite coefficient")
+        except ValueError as exc:
+            raise ValidationError(f"state file line {lineno}: {exc}") from None
+        coeffs[k] = c
     if hbar is None or dims is None or not coeffs:
         raise ValidationError("state file is missing header or data")
     cutoff = tuple(max(k[j] for k in coeffs) for j in range(dims))

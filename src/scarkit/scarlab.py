@@ -241,8 +241,8 @@ class SweepConfig:
         object.__setattr__(self, "hbars", tuple(float(h) for h in self.hbars))
         if len(self.hbars) < 2:
             raise ValidationError("schedule needs at least two hbar values")
-        if any(h <= 0 for h in self.hbars):
-            raise ValidationError("hbar values must be positive")
+        if not all(0 < h < math.inf for h in self.hbars):
+            raise ValidationError("hbar values must be positive and finite")
         if any(a <= b for a, b in zip(self.hbars, self.hbars[1:])):
             raise ValidationError("hbar schedule must be strictly decreasing")
         if not 0 < self.tail_tol < 1:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import scarkit
 from scarkit.cli import (
     ExperimentConfig,
     main,
@@ -214,6 +215,16 @@ def test_sweep_infeasible_energy_exits_3(workdir, capsys):
     assert not (workdir / "h").exists()
 
 
+@pytest.mark.parametrize("start", ["nan", "inf", "-0.2"])
+def test_sweep_non_finite_hbar_start_exits_2(workdir, capsys, start):
+    cfg = workdir / "nan.cfg"
+    cfg.write_text(BASE_CFG.replace("hbar_start = 0.2", f"hbar_start = {start}"))
+    rc = main(["sweep", str(cfg), "--out", str(workdir / "x")])
+    assert rc == 2
+    assert "hbar_start must be positive and finite" in capsys.readouterr().err
+    assert not (workdir / "x").exists()
+
+
 def test_sweep_custom_symbols(workdir):
     cfg = workdir / "sym.cfg"
     cfg.write_text(BASE_CFG + "symbols = x1^2; H1\n")
@@ -324,11 +335,14 @@ def test_husimi_empty_state_file(workdir, capsys):
 
 
 def test_console_script_runs(workdir):
+    # the child imports the same scarkit as this test, installed or not
+    src = str(Path(scarkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "scarkit.cli", "analyze", str(workdir / "sqrt2.freq")],
         capture_output=True,
         text=True,
-        env={**os.environ},
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("d_omega = 2")

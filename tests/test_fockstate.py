@@ -20,6 +20,7 @@ from scarkit.fockstate import (
     FockState,
     _char_betas,
     _displacement_matrix,
+    _weyl_band,
     average_project,
     coherent,
     dump_state,
@@ -424,6 +425,173 @@ def test_weyl_moments_on_coherent_state():
     )
 
 
+def _gaussian_moment(mean, sigma, a):
+    """E[(mean + sigma Z)^a] for a standard normal Z."""
+    return sum(
+        math.comb(a, i) * mean ** (a - i) * sigma**i * math.prod(range(i - 1, 0, -2))
+        for i in range(0, a + 1, 2)
+    )
+
+
+def _long_coherent(x0, xi0, hbar):
+    """One-mode coherent state kept far past the Poisson bulk.
+
+    The cutoff leaves out a mass far below 1e-30, so the high moments see
+    no truncation.
+    """
+    alpha = complex(x0, xi0) / math.sqrt(2.0 * hbar)
+    mu = abs(alpha) ** 2
+    ks = np.arange(int(mu + 15.0 * math.sqrt(mu) + 60.0))
+    amp = np.exp(0.5 * (-mu + ks * math.log(mu) - gammaln(ks + 1)))
+    f = amp * np.exp(1j * np.angle(alpha) * ks)
+    return FockState(hbar=hbar, dims=1, cutoff=(len(f) - 1,), tail_bound=0.0, factors=(f,))
+
+
+@pytest.mark.parametrize("hbar", [0.11, 1e-3, 1e-4])
+def test_weyl_moments_match_coherent_wigner_closed_form(hbar):
+    # the coherent state's Wigner function is a Gaussian of variance hbar/2
+    # per coordinate, and the Weyl moment is the Wigner average of x^a xi^b
+    x0, xi0 = 0.6, -0.35
+    psi = _long_coherent(x0, xi0, hbar)
+    states = [psi, as_sparse(psi)] if hbar > 0.1 else [psi]
+    sigma = math.sqrt(hbar / 2.0)
+    for a, b in itertools.product(range(9), repeat=2):
+        if a + b > 8:
+            continue
+        want = _gaussian_moment(x0, sigma, a) * _gaussian_moment(xi0, sigma, b)
+        for state in states:
+            got = expectation(state, state, monomial(1, [a, b])) / state.norm() ** 2
+            assert got == pytest.approx(want, abs=1e-13), (a, b, state.is_product)
+
+
+def _dense_weyl_mode_matrix(a, b, hbar, size):
+    """Reference: dense Weyl quantization of x^a xi^b, exact on the size block.
+
+    Built at size + a + b with matrix powers of the ladder matrices, so no
+    product entry inside the block is truncated.
+    """
+    n = size + a + b
+    lower = np.diag(np.sqrt(np.arange(1.0, n)), k=1)
+    c = math.sqrt(hbar / 2.0)
+    X = c * (lower + lower.T)
+    Xi = 1j * c * (lower.T - lower)
+    Xi_b = np.linalg.matrix_power(Xi.astype(complex), b)
+    out = np.zeros((n, n), dtype=complex)
+    for s in range(a + 1):
+        left = np.linalg.matrix_power(X.astype(complex), s)
+        right = np.linalg.matrix_power(X.astype(complex), a - s)
+        out += math.comb(a, s) * (left @ Xi_b @ right)
+    out /= 2.0**a
+    return out[:size, :size]
+
+
+def _assert_band_matches(band, cols, a, b, column_of, rel):
+    """Every band element within rel of the column's largest reference element."""
+    r = a + b
+    for i, n in enumerate(cols):
+        ref = column_of(int(n))
+        scale = max(abs(v) for v in ref.values())
+        for o in range(-r, r + 1):
+            want = ref.get(int(n) + o, 0j)
+            assert abs(band[i, r + o] - want) <= rel * scale, (a, b, n, o)
+
+
+@pytest.mark.parametrize(
+    "size,monos",
+    [
+        (9, [(a, b) for a in range(7) for b in range(7) if 0 < a + b <= 6]),
+        (60, [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 2), (2, 4), (4, 4)]),
+        (400, [(2, 0), (1, 1), (0, 3), (4, 4)]),
+    ],
+)
+def test_weyl_band_matches_dense_reference(size, monos):
+    hbar = 0.07
+    cols = np.arange(size)
+    for a, b in monos:
+        r = a + b
+        W = _dense_weyl_mode_matrix(a, b, hbar, size)
+        m = np.arange(size)[:, None]
+        assert not W[np.abs(m - cols[None, :]) > r].any()  # nothing outside the band
+        band = _weyl_band(cols, a, b, hbar)
+        assert not band[cols[:, None] + np.arange(-r, r + 1) < 0].any()
+        # rows past the block edge are cut off the dense block; keep the rest
+        _assert_band_matches(
+            band,
+            cols[: size - r],
+            a,
+            b,
+            lambda n: {k: W[k, n] for k in range(max(n - r, 0), min(n + r + 1, size))},
+            rel=1e-14,
+        )
+
+
+def _mp_weyl_column(n, a, b, hbar):
+    """Op(x^a xi^b)|n> by the McCoy sum on sparse vectors, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        c = mpmath.sqrt(mpmath.mpf(hbar) / 2)
+
+        def step(v, xi):
+            out = {}
+            for k, x in v.items():
+                up = c * mpmath.sqrt(k + 1) * x
+                out[k + 1] = out.get(k + 1, 0) + (1j * up if xi else up)
+                if k > 0:
+                    down = c * mpmath.sqrt(k) * x
+                    out[k - 1] = out.get(k - 1, 0) + (-1j * down if xi else down)
+            return out
+
+        total = {}
+        for s in range(a + 1):
+            v = {n: mpmath.mpc(1)}
+            for xi in [False] * (a - s) + [True] * b + [False] * s:
+                v = step(v, xi)
+            for k, x in v.items():
+                total[k] = total.get(k, 0) + math.comb(a, s) * x
+        return {k: complex(x / 2**a) for k, x in total.items()}
+
+
+@pytest.mark.parametrize("a,b", [(2, 0), (1, 1), (0, 5), (3, 2), (4, 4), (8, 0)])
+def test_weyl_band_matches_mpmath_at_large_index(a, b):
+    hbar = 1e-3
+    cols = np.array([4990, 4997, 5000, 5003])
+    band = _weyl_band(cols, a, b, hbar)
+    _assert_band_matches(
+        band, cols, a, b, lambda n: _mp_weyl_column(n, a, b, hbar), rel=1e-14
+    )
+
+
+def test_polynomial_expectation_matches_dense_reference():
+    rng = np.random.default_rng(8)
+    hbar = 0.05
+    sym = (
+        monomial(2, [2, 0, 0, 1], 0.7)
+        + monomial(2, [1, 1, 2, 0], -0.4j)
+        + monomial(2, [0, 3, 0, 0], 1.1)
+    )
+    for _ in range(3):
+        bra = _random_sparse(rng, hbar, 0, 40, 30)
+        ket = _random_sparse(rng, hbar, 0, 40, 30)
+        size = 41 + 4
+        want = 0j
+        for mono, coeff in sym.poly.items():
+            Ws = [_dense_weyl_mode_matrix(mono[j], mono[2 + j], hbar, size) for j in range(2)]
+            for k, c in ket.coeffs.items():
+                for m, cb in bra.coeffs.items():
+                    want += coeff * np.conjugate(cb) * Ws[0][m[0], k[0]] * Ws[1][m[1], k[1]] * c
+        assert expectation(bra, ket, sym) == pytest.approx(want, rel=1e-13)
+    z0 = PhasePoint(x=(0.4, -0.3), xi=(0.1, 0.5))
+    p, q = coherent(z0, hbar), coherent(PhasePoint(x=(0.3, -0.2), xi=(0.2, 0.5)), hbar)
+    want = 0j
+    for mono, coeff in sym.poly.items():
+        term = coeff
+        for j in range(2):
+            fa, fb = p.factors[j], q.factors[j]
+            W = _dense_weyl_mode_matrix(mono[j], mono[2 + j], hbar, max(len(fa), len(fb)))
+            term *= np.conjugate(fa) @ W[: len(fa), : len(fb)] @ fb
+        want += term
+    assert expectation(p, q, sym) == pytest.approx(want, rel=1e-13)
+
+
 def test_character_expectation_ground_and_coherent():
     w = (0.7, -0.4)
     sym = character(1, w)
@@ -638,9 +806,32 @@ def test_state_validation():
         FockState(
             hbar=-0.1, dims=1, cutoff=(0,), tail_bound=0.0, coeffs={(0,): 1.0}
         )
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            FockState(hbar=bad, dims=1, cutoff=(0,), tail_bound=0.0, coeffs={(0,): 1.0})
+        with pytest.raises(ValidationError, match="positive and finite"):
+            coherent(PhasePoint(x=(0.3,), xi=(0.1,)), bad)
     a = coherent(PhasePoint.zero(1), 0.1)
     b = coherent(PhasePoint.zero(1), 0.2)
     with pytest.raises(ValidationError):
         inner(a, b)
     with pytest.raises(ValidationError):
         expectation(a, a, position(2, 0))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t.replace("0,1.0,0.0", "0,nan,0.0"),  # non-finite coefficient
+        lambda t: t.replace("# hbar=0.1", "# hbar=nan"),
+        lambda t: t.replace("# hbar=0.1", "# hbar=inf"),
+        lambda t: t.replace("2,0.5,0.0", "-2,0.5,0.0"),  # negative index
+        lambda t: t.replace("2,0.5,0.0", "2,0.5"),  # too few fields
+    ],
+    ids=["nan-coefficient", "nan-hbar", "inf-hbar", "negative-index", "short-row"],
+)
+def test_load_state_rejects_malformed_input(edit):
+    text = "# hbar=0.1\n# dims=1\nk1,re,im\n0,1.0,0.0\n2,0.5,0.0\n"
+    assert load_state(io.StringIO(text)).norm() == pytest.approx(math.sqrt(1.25))
+    with pytest.raises(ValidationError):
+        load_state(io.StringIO(edit(text)))

@@ -165,11 +165,25 @@ def test_convex_scar_weight_validation(dec11):
         convex_scar(dec11, [], E, 0.1)
 
 
+def test_polynomial_residuals_at_deep_hbar(dec12):
+    # the scar sits at the single index (2560, 1810); the banded Weyl kernel
+    # touches only the few indices around it, so this takes milliseconds
+    E = (0.5, 0.5)
+    scar = build_scar(dec12, torus_point(dec12, E), E, 0.2 * 2**-10)
+    probes = tuple(p for p in default_probes(dec12) if not p.chars)
+    conc, inv = residuals(dec12, scar.state, E, probes=probes)
+    assert all(math.isfinite(v) for v in conc + inv)
+    assert max(inv) <= 1e-10
+
+
 def test_sweep_config_validation(dec12):
     with pytest.raises(ValidationError):
         SweepConfig(dec12, (0.5, 0.5), hbars=(0.1, 0.2))
     with pytest.raises(ValidationError):
         SweepConfig(dec12, (0.5, 0.5), hbars=(0.1,))
+    for hbars in ((math.inf, 0.1), (0.2, math.nan), (0.2, 0.1, -math.inf)):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            SweepConfig(dec12, (0.5, 0.5), hbars=hbars)
 
 
 def test_sweep_single_torus_report(dec12):
