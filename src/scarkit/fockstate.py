@@ -7,7 +7,11 @@ over the box, which is 1 exactly when every component eigenvalue of k matches
 the target (the differences are integer multiples of 2 pi / T_n per axis) and
 0 otherwise. So the average keeps one joint eigenspace and kills the rest;
 no quadrature is involved (a small-grid quadrature equivalence is exercised
-in tests). Membership tests are pure integer arithmetic on the lattice.
+in tests). For a product state the kept indices are the integer solutions
+of int_weights_n . k = sign_n N_n inside the per-mode cutoffs, enumerated
+exactly (freqarith.lattice_solver); no point of the cutoff box is scanned,
+and amplitudes are evaluated at the kept points only. Sparse states test
+each stored index.
 
 Expectations are exact matrix-element sums: polynomial symbols through the
 banded action of Op(x^a xi^b), which moves an index by at most a + b and is
@@ -27,7 +31,6 @@ Every moment is computed by the same code in the same order either way.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -46,6 +49,7 @@ from .freqarith import (
     HarmonicDecomposition,
     _span_solver,
     independent_rows,
+    lattice_solver,
     periodic_component,
 )
 from .phasespace import PhasePoint, component_energies
@@ -57,9 +61,8 @@ from .spectral import (
 )
 from .symbols import Symbol
 
-_MODE_CUTOFF_CAP = 20000
-_MATERIALIZE_CAP = 1 << 20
-_CHUNK = 1 << 18
+_MODE_CUTOFF_CAP = 1 << 20
+_BLOCK_CAP = 1 << 24
 
 FockIndex = tuple[int, ...]
 
@@ -125,24 +128,6 @@ class FockState:
             {k: c * factor for k, c in self.coeffs.items()},
             None,
         )
-
-
-def _sparse_items(state: FockState):
-    if not state.is_product:
-        return list(state.coeffs.items())
-    total = math.prod(len(f) for f in state.factors)
-    if total > _MATERIALIZE_CAP:
-        raise ResourceLimitError(
-            f"refusing to materialize a product state with {total} coefficients"
-        )
-    items = []
-    for k in itertools.product(*(range(len(f)) for f in state.factors)):
-        c = 1.0 + 0j
-        for j, f in enumerate(state.factors):
-            c *= complex(f[k[j]])
-        if c != 0:
-            items.append((k, c))
-    return items
 
 
 # ---------------------------------------------------------------------------
@@ -237,30 +222,20 @@ def norm(state: FockState) -> float:
 def _project_conditions(
     state: FockState, conditions: Sequence[tuple[tuple[int, ...], int]]
 ) -> dict[FockIndex, complex]:
-    """Keep coefficients whose index satisfies ivec.k == rhs for all conditions."""
+    """Keep coefficients whose index satisfies ivec.k == rhs for all conditions.
+
+    A product state's kept indices are the lattice solutions inside its
+    per-mode cutoffs, enumerated directly and in row-major order; amplitudes
+    are evaluated at those points only, as 1 * f_0[k_0] * f_1[k_1] * ...
+    """
     if state.is_product:
-        sizes = [len(f) for f in state.factors]
-        total = math.prod(sizes)
-        kept: dict[FockIndex, complex] = {}
-        for start in range(0, total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, total))
-            coords = np.unravel_index(idx, sizes)
-            ok = np.ones(len(idx), dtype=bool)
-            for ivec, rhs in conditions:
-                dot = np.zeros(len(idx), dtype=np.int64)
-                for j, iv in enumerate(ivec):
-                    if iv:
-                        dot += iv * coords[j]
-                ok &= dot == rhs
-            if not ok.any():
-                continue
-            sel = [c[ok] for c in coords]
-            amp = np.ones(int(ok.sum()), dtype=complex)
-            for j, f in enumerate(state.factors):
-                amp *= f[sel[j]]
-            for row, c in zip(zip(*(s.tolist() for s in sel)), amp.tolist()):
-                kept[tuple(row)] = c
-        return kept
+        pts = lattice_solver(
+            [ivec for ivec, _ in conditions], [len(f) for f in state.factors]
+        )([rhs for _, rhs in conditions])
+        amp = np.ones(len(pts), dtype=complex)
+        for j, f in enumerate(state.factors):
+            amp *= f[pts[:, j]]
+        return dict(zip(map(tuple, pts.tolist()), amp.tolist()))
     kept = {}
     for k, c in state.coeffs.items():
         if all(
@@ -271,21 +246,77 @@ def _project_conditions(
     return kept
 
 
+def _offsets(total: int, lo: Sequence[int], hi: Sequence[int]):
+    """Integer vectors e with sum |e_n| == total and lo_n <= e_n <= hi_n."""
+    if len(lo) == 1:
+        yield from ((v,) for v in sorted({-total, total}) if lo[0] <= v <= hi[0])
+        return
+    for v in range(max(lo[0], -total), min(hi[0], total) + 1):
+        for rest in _offsets(total - abs(v), lo[1:], hi[1:]):
+            yield (v,) + rest
+
+
 def _nearest_misses(state: FockState, conditions, count: int = 3):
-    """Support points closest to satisfying the conditions, for diagnostics."""
-    try:
-        items = _sparse_items(state)
-    except ResourceLimitError:
-        return ()
-    scored = []
-    for k, c in items:
-        miss = sum(
-            abs(sum(iv * kj for iv, kj in zip(ivec, k)) - rhs)
-            for ivec, rhs in conditions
+    """Support points closest to satisfying the conditions, for diagnostics.
+
+    Points rank by (miss, -|c|, k), miss being sum_n |ivec_n . k - rhs_n|. A
+    product state is searched on the lattice: every point with miss L solves
+    ivec . k = rhs + e for one offset e with |e|_1 = L, each e_n confined to
+    the range ivec_n . k - rhs_n takes over the box, so L grows until enough
+    nonzero points are found or no larger miss exists.
+    """
+    def miss(k):
+        return sum(
+            abs(sum(iv * kj for iv, kj in zip(ivec, k)) - rhs) for ivec, rhs in conditions
         )
-        scored.append((miss, -abs(c), k))
+
+    if not state.is_product:
+        scored = sorted((miss(k), -abs(c), k) for k, c in state.coeffs.items())
+        return tuple(k for _, _, k in scored[:count])
+    extents = [len(f) for f in state.factors]
+    top = [n - 1 for n in extents]
+    lo = [sum(min(iv, 0) * t for iv, t in zip(ivec, top)) - rhs for ivec, rhs in conditions]
+    hi = [sum(max(iv, 0) * t for iv, t in zip(ivec, top)) - rhs for ivec, rhs in conditions]
+    points = lattice_solver([ivec for ivec, _ in conditions], extents)
+    rhs = np.array([rhs for _, rhs in conditions], dtype=np.int64)[:, None]
+    scored = []
+    for total in range(sum(max(-a, b) for a, b in zip(lo, hi)) + 1):
+        shell = np.array(list(_offsets(total, lo, hi)), dtype=np.int64).reshape(-1, len(lo))
+        for k in map(tuple, points(rhs + shell.T).tolist()):
+            c = state.coefficient(k)
+            if c != 0:
+                scored.append((total, -abs(c), k))
+        if len(scored) >= count:
+            break
     scored.sort()
     return tuple(k for _, _, k in scored[:count])
+
+
+def _solvable(state: FockState, ivec, rhs) -> bool:
+    """Whether some index of the state's support satisfies ivec . k == rhs alone."""
+    if not state.is_product:
+        return any(sum(iv * kj for iv, kj in zip(ivec, k)) == rhs for k in state.coeffs)
+    modes = [j for j, iv in enumerate(ivec) if iv]
+    extents = [len(state.factors[j]) for j in modes]
+    return len(lattice_solver([[ivec[j] for j in modes]], extents)([rhs])) > 0
+
+
+def _condition_text(conditions, cutoff) -> str:
+    """'k1 + 2 k2 = 7 with k1 = 0, k2 <= 40': the equations and their modes' box."""
+    eqs = []
+    modes = set()
+    for ivec, rhs in conditions:
+        terms = ""
+        for j, iv in enumerate(ivec):
+            if iv:
+                modes.add(j)
+                sign = ("-" if iv < 0 else "") if not terms else (" - " if iv < 0 else " + ")
+                terms += f"{sign}{'' if abs(iv) == 1 else f'{abs(iv)} '}k{j + 1}"
+        eqs.append(f"{terms or '0'} = {rhs}")
+    box = ", ".join(
+        f"k{j + 1} = 0" if cutoff[j] == 0 else f"k{j + 1} <= {cutoff[j]}" for j in sorted(modes)
+    )
+    return " and ".join(eqs) + (f" with {box}" if box else "")
 
 
 def average_project(state: FockState, target: TargetEigenvalue) -> FockState:
@@ -293,7 +324,11 @@ def average_project(state: FockState, target: TargetEigenvalue) -> FockState:
 
     Keeps exactly the lattice points whose component eigenvalues all equal
     the target's (integer test int_weights_n . k == sign_n N_n); the result
-    is an exact joint eigenvector.
+    is an exact joint eigenvector. A product state's kept points are
+    enumerated as the solutions of those equations inside its per-mode
+    cutoffs, without scanning the cutoff box. An empty result raises
+    EmptyProjectionError naming an equation with no solution in the state's
+    support and the support points that miss the equations least.
     """
     if state.hbar != target.hbar:
         raise ValidationError("state and target disagree on hbar")
@@ -306,10 +341,12 @@ def average_project(state: FockState, target: TargetEigenvalue) -> FockState:
     ]
     kept = _project_conditions(state, conditions)
     if not kept:
+        alone = [c for c in conditions if not _solvable(state, *c)]
         nearest = _nearest_misses(state, conditions)
         raise EmptyProjectionError(
-            "projection onto the joint eigenspace is zero; nearest lattice "
-            f"points in the state support: {list(nearest)}",
+            "projection onto the joint eigenspace is zero: "
+            f"{_condition_text(alone[:1] or conditions, state.cutoff)} has no "
+            f"solution in the state support; nearest lattice points: {list(nearest)}",
             nearest=nearest,
         )
     return FockState(
@@ -670,6 +707,14 @@ def _poly_sparse(
     return total
 
 
+def _check_block(rows: int, cols: int) -> None:
+    """Refuse a rows x cols character block before it is allocated."""
+    if rows * cols > _BLOCK_CAP:
+        raise ResourceLimitError(
+            f"character expectation needs a {rows} x {cols} block, over {_BLOCK_CAP} elements"
+        )
+
+
 def _char_product(bra: FockState, ket: FockState, chars, hbar: float, d: int) -> complex:
     total = 0j
     for coeff, w in chars:
@@ -677,6 +722,7 @@ def _char_product(bra: FockState, ket: FockState, chars, hbar: float, d: int) ->
         term = coeff
         for j in range(d):
             fa, fb = bra.factors[j], ket.factors[j]
+            _check_block(len(fa), len(fb))
             D = _displacement_matrix(betas[j], range(len(fa)), range(len(fb)))
             term *= complex(np.conjugate(fa) @ D @ fb)
         total += term
@@ -695,6 +741,7 @@ def _char_sparse(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -
             for j in range(d):
                 fa = bra.factors[j]
                 cols = _index_range(kk[:, j])
+                _check_block(len(fa), len(cols))
                 D = _displacement_matrix(betas[j], range(len(fa)), cols)
                 row = np.conjugate(fa) @ D
                 term *= row[kk[:, j] - cols.start]
@@ -703,13 +750,13 @@ def _char_sparse(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -
     bkeys = list(bra.coeffs.keys())
     bvals = np.array([bra.coeffs[k] for k in bkeys])
     mm = np.array(bkeys, dtype=int).reshape(len(bkeys), d)
-    if len(bkeys) * len(keys) > 1 << 24:
-        raise ResourceLimitError("character expectation between these states is too large")
+    _check_block(len(bkeys), len(keys))
     for coeff, w in chars:
         betas = _char_betas(w, hbar, d)
         block = np.ones((len(bkeys), len(keys)), dtype=complex)
         for j in range(d):
             rows, cols = _index_range(mm[:, j]), _index_range(kk[:, j])
+            _check_block(len(rows), len(cols))
             D = _displacement_matrix(betas[j], rows, cols)
             block *= D[np.ix_(mm[:, j] - rows.start, kk[:, j] - cols.start)]
         total += coeff * complex(np.conjugate(bvals) @ block @ vals)
@@ -791,7 +838,9 @@ def evolve(state: FockState, decomp: HarmonicDecomposition, t: float) -> FockSta
 def dump_state(f, state: FockState, config_digest: str = "") -> None:
     from .reporting import write_csv
 
-    items = sorted(_sparse_items(state))
+    if state.is_product:
+        raise ValidationError("dump_state writes sparse states; project a product state first")
+    items = sorted(state.coeffs.items())
     d = state.dims
     columns = [f"k{j + 1}" for j in range(d)] + ["re", "im"]
     rows = [list(k) + [c.real, c.imag] for k, c in items]

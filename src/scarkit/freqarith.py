@@ -8,13 +8,16 @@ the periodic decomposition omega = sum_n v_n * nu_n to component periods and
 semigroup conductors, is computed from the rational coordinate matrix,
 never from floating point values. Floats only enter when a real number is
 actually needed (periods, eigenvalues), and generator values are kept as
-high-precision decimals so those floats are correctly rounded.
+high-precision decimals so those floats are correctly rounded. The same
+exact row reduction drives lattice_solver, which lists the integer points
+of an affine lattice inside a box without scanning the box.
 
 Row and component indices are 0-based throughout.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -22,6 +25,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import (
     ConductorUnresolvedError,
@@ -35,6 +40,7 @@ GenCoords = tuple[Fraction, ...]
 
 _EVAL_PRECISION = 50
 _MIN_GENERATOR_CAP = 10**6
+_LATTICE_CAP = 1 << 26
 
 
 def sqrt_decimal(n: int, digits: int = 40) -> Decimal:
@@ -224,6 +230,80 @@ def _span_solver(rows: Sequence[GenCoords]) -> Callable[[Sequence[Fraction]], tu
         return tuple(coeffs)
 
     return solve
+
+
+def lattice_solver(
+    rows: Sequence[Sequence[int]], extents: Sequence[int]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Enumerator of the k with rows . k == rhs and 0 <= k_j < extents[j].
+
+    Returns a function that takes one or more right-hand sides, as the
+    columns of an integer array with one row per row of `rows`, and returns
+    every k that solves one of them, as an (n, d) int64 array in row-major
+    order. The rows are reduced over Q once: a maximal independent set of r
+    of them fixes r pivot coordinates through a nonsingular block B, chosen
+    so the box of the remaining, free coordinates is smallest. The free
+    coordinates run over their extents, the largest free axis vectorized
+    and the others looped, so the free box is never held in memory; for
+    each free point the pivots are M (rhs - F k_free) / D in int64, with D
+    the common denominator of B^{-1} and M = D B^{-1}, and the point is kept
+    when the division is exact, the pivots lie inside their extents and
+    every row, dependent ones included, holds. A free box above
+    _LATTICE_CAP points, or a right-hand side that could overflow int64,
+    raises ResourceLimitError before anything is enumerated.
+    """
+    d = len(extents)
+    A = np.array(rows, dtype=np.int64).reshape(-1, d)
+    rows = [[Fraction(int(v)) for v in row] for row in rows]
+    keep = list(independent_rows(rows))
+    R = [rows[i] for i in keep]
+    r = len(keep)
+    size, piv = min(
+        (math.prod(extents[j] for j in range(d) if j not in piv), piv)
+        for piv in itertools.combinations(range(d), r)
+        if len(independent_rows([[row[j] for row in R] for j in piv])) == r
+    )
+    if size > _LATTICE_CAP:
+        raise ResourceLimitError(
+            f"lattice enumeration over {size} free points exceeds budget {_LATTICE_CAP}"
+        )
+    free = sorted((j for j in range(d) if j not in piv), key=lambda j: extents[j])
+    outer, vec = free[:-1], free[-1:]
+    solve = _span_solver([[row[j] for row in R] for j in piv])
+    inv_cols = [solve([Fraction(int(i == c)) for i in range(r)]) for c in range(r)]
+    D = math.lcm(*(x.denominator for col in inv_cols for x in col))
+    M_int = [[int(inv_cols[c][i] * D) for c in range(r)] for i in range(r)]
+    M = np.array(M_int, dtype=np.int64).reshape(r, r)
+    F = np.array([[int(row[j]) for j in free] for row in R], dtype=np.int64).reshape(r, len(free))
+    F_outer = F[:, : len(outer)]
+    T = np.arange(extents[vec[0]])[None, :] if vec else np.zeros((0, 1), dtype=np.int64)
+    y_vec = (F[:, len(outer):] @ T)[:, None, :]
+    piv_ext = np.array([extents[j] for j in piv], dtype=np.int64)[:, None, None]
+    reach = [sum(abs(int(row[j])) * (extents[j] - 1) for j in free) for row in R]
+    step = max(1, (1 << 16) // T.shape[1])
+
+    def points(rhs) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=np.int64).reshape(len(A), -1)
+        b = rhs[keep]
+        y_max = [int(v) + ri for v, ri in zip(np.abs(b).max(axis=1, initial=0), reach)]
+        if any(sum(abs(m) * y for m, y in zip(mrow, y_max)) >= 1 << 62 for mrow in M_int):
+            raise ResourceLimitError("lattice enumeration would overflow int64")
+        chunks = [np.zeros((0, d), dtype=np.int64)]
+        for o in itertools.product(*(range(extents[j]) for j in outer)):
+            base = b - (F_outer @ np.array(o, dtype=np.int64))[:, None]
+            for c0 in range(0, base.shape[1], step):
+                num = np.tensordot(M, base[:, c0 : c0 + step, None] - y_vec, axes=1)
+                kp = num // D
+                hit = np.nonzero(((kp * D == num) & (kp >= 0) & (kp < piv_ext)).all(axis=0))
+                pts = np.empty((len(hit[0]), d), dtype=np.int64)
+                pts[:, list(piv)] = kp[:, hit[0], hit[1]].T
+                pts[:, outer] = o
+                pts[:, vec] = T[:, hit[1]].T
+                chunks.append(pts[(A @ pts.T == rhs[:, c0 + hit[0]]).all(axis=0)])
+        pts = np.concatenate(chunks)
+        return pts[np.lexsort(pts.T[::-1])]
+
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .errors import DomainError, OverlappingToriError, ScarkitError, ValidationE
 from .fockstate import (
     FockState,
     ScarState,
-    _sparse_items,
     expectation,
     normalize_scar,
 )
@@ -185,7 +184,9 @@ def residuals(
     E = tuple(float(v) for v in E)
     if len(E) != decomp.d_omega:
         raise ValidationError("energy vector must have one entry per component")
-    items = _sparse_items(state)
+    if state.is_product:
+        raise ValidationError("residuals needs a sparse state; project a product state first")
+    items = list(state.coeffs.items())
     norm2 = sum(abs(c) ** 2 for _, c in items)
     if norm2 == 0.0:
         raise ValidationError("state has no mass")

@@ -264,7 +264,7 @@ def test_sweep_failed_step_exits_4(workdir, monkeypatch):
 
 def test_resource_limit_exits_5(workdir, capsys):
     cfg = workdir / "tiny.cfg"
-    cfg.write_text(BASE_CFG.replace("hbar_start = 0.2", "hbar_start = 1e-5"))
+    cfg.write_text(BASE_CFG.replace("hbar_start = 0.2", "hbar_start = 1e-7"))
     rc = main(["dump", str(cfg), "--out", str(workdir / "t")])
     assert rc == 5
     assert "ResourceLimitError" in capsys.readouterr().err

@@ -8,18 +8,23 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 from scipy.stats import poisson
 
 from scarkit.errors import (
     EmptyProjectionError,
     NumericalError,
+    ResourceLimitError,
     ValidationError,
 )
 from scarkit.fockstate import (
     FockState,
     _char_betas,
     _displacement_matrix,
+    _nearest_misses,
+    _project_conditions,
     _weyl_band,
     average_project,
     coherent,
@@ -32,7 +37,7 @@ from scarkit.fockstate import (
     normalize_scar,
 )
 from scarkit.freqarith import FrequencySpec, GeneratorBasis, decompose, sqrt_decimal
-from scarkit.phasespace import PhasePoint, sigma_membership
+from scarkit.phasespace import PhasePoint, component_energies, sigma_membership
 from scarkit.spectral import decompose_eigenvalue, eigenvalue, select_target
 from scarkit.symbols import character, mode_energy, momentum, monomial, position
 
@@ -228,6 +233,144 @@ def test_empty_projection_reports_nearest(dec12):
     with pytest.raises(EmptyProjectionError) as err:
         average_project(state, target)
     assert (0, 0) in err.value.nearest
+
+
+_BOX_CHUNK = 1 << 18
+
+
+def _box_scan_project(state, conditions):
+    """Reference: scan every point of a product state's cutoff box in chunks."""
+    sizes = [len(f) for f in state.factors]
+    total = math.prod(sizes)
+    kept = {}
+    for start in range(0, total, _BOX_CHUNK):
+        idx = np.arange(start, min(start + _BOX_CHUNK, total))
+        coords = np.unravel_index(idx, sizes)
+        ok = np.ones(len(idx), dtype=bool)
+        for ivec, rhs in conditions:
+            dot = np.zeros(len(idx), dtype=np.int64)
+            for j, iv in enumerate(ivec):
+                if iv:
+                    dot += iv * coords[j]
+            ok &= dot == rhs
+        if not ok.any():
+            continue
+        sel = [c[ok] for c in coords]
+        amp = np.ones(int(ok.sum()), dtype=complex)
+        for j, f in enumerate(state.factors):
+            amp *= f[sel[j]]
+        for row, c in zip(zip(*(s.tolist() for s in sel)), amp.tolist()):
+            kept[tuple(row)] = c
+    return kept
+
+
+def _box_nearest(state, conditions, count=3):
+    """Reference: rank every nonzero box point by (miss, -|c|, k)."""
+    scored = []
+    for k in itertools.product(*(range(len(f)) for f in state.factors)):
+        c = 1.0 + 0j
+        for j, f in enumerate(state.factors):
+            c *= complex(f[k[j]])
+        if c != 0:
+            miss = sum(
+                abs(sum(iv * kj for iv, kj in zip(ivec, k)) - rhs)
+                for ivec, rhs in conditions
+            )
+            scored.append((miss, -abs(c), k))
+    scored.sort()
+    return tuple(k for _, _, k in scored[:count])
+
+
+def _bits(kept):
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in kept.items()]
+
+
+@st.composite
+def _condition_systems(draw):
+    d = draw(st.integers(1, 4))
+    extents = draw(st.lists(st.sampled_from([1, 1, 2, 3, 5, 8]), min_size=d, max_size=d))
+    m = draw(st.integers(1, 3))
+    coeff = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(coeff, min_size=d, max_size=d), min_size=m, max_size=m))
+    point = [draw(st.integers(0, e - 1)) for e in extents]
+    shift = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 4]), min_size=m, max_size=m))
+    rhs = [sum(a * k for a, k in zip(row, point)) + s for row, s in zip(rows, shift)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    return extents, list(zip(map(tuple, rows), rhs)), seed
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_condition_systems())
+def test_lattice_projection_matches_box_scan(system):
+    # same kept keys in the same order with the same value bits, and the
+    # same nearest points, over random integer systems: coefficients beyond
+    # +-1, negative signs, dependent rows, unexcited modes, infeasible rhs
+    extents, conditions, seed = system
+    rng = np.random.default_rng(seed)
+    factors = []
+    for e in extents:
+        f = rng.normal(size=e) + 1j * rng.normal(size=e)
+        f[rng.random(e) < 0.15] = 0.0
+        factors.append(f)
+    state = FockState(
+        hbar=0.1,
+        dims=len(extents),
+        cutoff=tuple(e - 1 for e in extents),
+        tail_bound=0.0,
+        factors=tuple(factors),
+    )
+    assert _bits(_project_conditions(state, conditions)) == _bits(
+        _box_scan_project(state, conditions)
+    )
+    assert _nearest_misses(state, conditions) == _box_nearest(state, conditions)
+
+
+def _masked_point(decomp, mask, t):
+    """Point with the two excited modes of `mask` at angle t*pi/2, total energy 1."""
+    a, b = [j for j, m in enumerate(mask) if m]
+    x = [0.0] * decomp.dims
+    x[a], x[b] = math.cos(t * math.pi / 2), math.sin(t * math.pi / 2)
+    z = PhasePoint(tuple(x), (0.0,) * decomp.dims)
+    scale = sum(component_energies(decomp, z)) ** -0.5
+    return PhasePoint(tuple(v * scale for v in x), (0.0,) * decomp.dims)
+
+
+@pytest.mark.parametrize(
+    "spec,mask,t,hbar,condition",
+    [
+        ("1,2,sqrt2", (0, 1, 1), 0.5, 0.1, "k1 + 2 k2 = 5 with k1 = 0, k2 <= 22"),
+        ("1,2,sqrt2", (0, 1, 1), 0.5, 0.07, "k1 + 2 k2 = 7 with k1 = 0, k2 <= 26"),
+        ("1,2,sqrt2", (0, 1, 1), 0.5, 0.05, "k1 + 2 k2 = 11 with k1 = 0, k2 <= 30"),
+        ("1,2sqrt2,1+sqrt2", (0, 1, 1), 0.9, 0.1, None),
+        ("1,2sqrt2,1+sqrt2", (0, 1, 1), 0.05, 0.07, None),
+        ("1,2sqrt2,1+sqrt2", (0, 1, 1), 0.9, 0.05, None),
+        ("1,2sqrt2,1+sqrt2", (1, 1, 0), 0.4, 0.1, None),
+        ("1,2sqrt2,1+sqrt2", (1, 1, 0), 0.4, 0.07, None),
+        ("1,2sqrt2,1+sqrt2", (1, 1, 0), 0.4, 0.05, None),
+    ],
+)
+def test_unexcited_mode_parity_empties_projection(dec_chain, spec, mask, t, hbar, condition):
+    # at full rank the full-system ladders can demand a parity the unexcited
+    # mode cannot supply; the error names the condition and the nearest points
+    decomp = dec_chain if spec == "1,2sqrt2,1+sqrt2" else make_dec(
+        [[F(1), F(0)], [F(2), F(0)], [F(0), F(1)]], ("one", "sqrt2")
+    )
+    z0 = _masked_point(decomp, mask, t)
+    E = component_energies(decomp, z0)
+    assert gram(z0, decomp).system is decomp
+    with pytest.raises(EmptyProjectionError) as err:
+        normalize_scar(decomp, z0, E, hbar)
+    target = select_target(decomp, E, hbar)
+    conditions = [
+        (comp.int_weights, target.signs[n] * target.N[n])
+        for n, comp in enumerate(decomp.components)
+    ]
+    psi = coherent(z0, hbar)
+    assert len(err.value.nearest) == 3
+    assert err.value.nearest == _box_nearest(psi, conditions)
+    assert "has no solution in the state support" in str(err.value)
+    if condition is not None:
+        assert condition in str(err.value)
 
 
 def test_gram_full_rank_frozen(dec12):
@@ -699,6 +842,20 @@ def test_sparse_character_matches_dense_reference():
                 block *= D[np.ix_(mm[:, j], kk[:, j])]
             want += coeff * complex(np.conjugate(bvals) @ block @ kvals)
         assert expectation(bra, ket, sym) == want
+
+
+def test_character_blocks_over_budget_raise():
+    # one mode with cutoff 5505: a product bra against the product ket or a
+    # sparse ket spanning 5001 indices, and two sparse states spanning 5001
+    # indices, each need a block of more than 2^24 elements
+    hbar = 1e-4
+    psi = coherent(PhasePoint(x=(1.0,), xi=(0.0,)), hbar)
+    assert psi.cutoff == (5505,)
+    wide = FockState(hbar, 1, (5000,), 0.0, coeffs={(0,): 0.6 + 0j, (5000,): 0.8 + 0j})
+    ch = character(1, (0.3, 0.1))
+    for bra, ket in ((psi, psi), (psi, wide), (wide, psi), (wide, wide)):
+        with pytest.raises(ResourceLimitError, match="block"):
+            expectation(bra, ket, ch)
 
 
 def test_expectation_consistent_across_representations(dec12):

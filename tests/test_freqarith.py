@@ -7,6 +7,7 @@ import pytest
 
 from scarkit.errors import (
     DomainError,
+    ResourceLimitError,
     SpecParseError,
     ValidationError,
 )
@@ -16,6 +17,7 @@ from scarkit.freqarith import (
     conductor,
     decompose,
     format_frequency_spec,
+    lattice_solver,
     parse_frequency_spec,
     period_of,
     rational_span,
@@ -346,3 +348,22 @@ def test_sqrt_decimal_precision():
     assert abs(val * val - 2) < Decimal("1e-38")
     with pytest.raises(DomainError):
         sqrt_decimal(0)
+
+
+def test_lattice_solver_takes_several_right_hand_sides():
+    # k1 + 2 k2 = b over a 4 x 3 box, for b = 0..4 at once; b = 5 is
+    # dependent-row inconsistent (the second row is twice the first)
+    points = lattice_solver([[1, 2], [2, 4]], [4, 3])
+    got = points([[0, 1, 2, 3, 4, 5], [0, 2, 4, 6, 8, 11]]).tolist()
+    want = sorted(
+        [k1, k2] for k1 in range(4) for k2 in range(3) if k1 + 2 * k2 <= 4
+    )
+    assert got == want
+
+
+def test_lattice_solver_refuses_large_free_box_and_int64_overflow():
+    with pytest.raises(ResourceLimitError, match="budget"):
+        lattice_solver([[1, 0, 0]], [10, 10000, 10000])
+    points = lattice_solver([[1, 2**50]], [2**20, 2**20])
+    with pytest.raises(ResourceLimitError, match="overflow"):
+        points([0])

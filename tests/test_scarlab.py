@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -106,13 +107,21 @@ def test_residuals_on_exact_eigenstate(dec12):
 
 
 def test_residuals_detect_noninvariant_state(dec12):
-    from scarkit.fockstate import coherent
+    from scarkit.fockstate import FockState, coherent, dump_state
 
     z0 = PhasePoint(x=(0.8, 0.4), xi=(0.0, 0.0))
     psi = coherent(z0, 0.1)
     E = tuple(float(v) for v in (0.5, 0.5))
-    _, inv = residuals(dec12, psi, E, probes=(position(2, 0),))
+    box = itertools.product(*(range(c + 1) for c in psi.cutoff))
+    coeffs = {k: psi.coefficient(k) for k in box}
+    sparse = FockState(psi.hbar, psi.dims, psi.cutoff, psi.tail_bound, coeffs)
+    _, inv = residuals(dec12, sparse, E, probes=(position(2, 0),))
     assert inv[0] > 0.1  # <x1> genuinely rotates along the flow
+    # residuals and dump_state take sparse states only
+    with pytest.raises(ValidationError, match="sparse"):
+        residuals(dec12, psi, E, probes=(position(2, 0),))
+    with pytest.raises(ValidationError, match="sparse"):
+        dump_state(io.StringIO(), psi)
 
 
 def test_convex_scar_single_point_is_build_scar(dec11):
@@ -174,6 +183,36 @@ def test_polynomial_residuals_at_deep_hbar(dec12):
     conc, inv = residuals(dec12, scar.state, E, probes=probes)
     assert all(math.isfinite(v) for v in conc + inv)
     assert max(inv) <= 1e-10
+
+
+def test_default_probe_residuals_at_hbar_2_pow_minus_14(dec12):
+    # per-mode cutoffs above the old 20000 cap; the support-1 scar keeps every
+    # character block small
+    E = (0.5, 0.5)
+    scar = build_scar(dec12, torus_point(dec12, E), E, 0.2 * 2**-14)
+    assert scar.state.cutoff == (42411, 30185)
+    assert len(scar.state.coeffs) == 1
+    conc, inv = residuals(dec12, scar.state, E)
+    assert all(math.isfinite(v) for v in conc + inv)
+    assert max(inv) <= 1e-10
+
+
+def test_d3_scar_at_hbar_2_pow_minus_10():
+    # a cutoff box of 3.1e9 points; k1 + 2 k2 = N_1, k3 = N_2 leaves k2 free,
+    # so the projection visits 976 lattice points
+    d3 = make_dec([[F(1), F(0)], [F(2), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
+    E = (0.6, 0.4)
+    scar = build_scar(d3, torus_point(d3, E), E, 0.2 * 2**-10)
+    c1, c2, c3 = scar.state.cutoff
+    N1, N2 = scar.target.N
+    assert scar.target.signs == (1, 1) and N2 <= c3
+    want = [(N1 - 2 * k2, k2, N2) for k2 in range(c2 + 1) if 0 <= N1 - 2 * k2 <= c1]
+    assert list(scar.state.coeffs) == sorted(want)
+    assert len(want) == 353
+    for k in scar.state.coeffs:
+        for n, comp in enumerate(d3.components):
+            dot = sum(iv * kj for iv, kj in zip(comp.int_weights, k))
+            assert dot == scar.target.signs[n] * scar.target.N[n]
 
 
 def test_sweep_config_validation(dec12):
