@@ -232,6 +232,30 @@ def _span_solver(rows: Sequence[GenCoords]) -> Callable[[Sequence[Fraction]], tu
     return solve
 
 
+@lru_cache(maxsize=64)
+def _pivot_blocks(rows: tuple[tuple[int, ...], ...], d: int):
+    """Exact reduction of integer rows, shared by every box they are enumerated in.
+
+    Returns (keep, blocks): keep indexes the first maximal Q-independent
+    rows, r of them; each block (piv, D, M) is a choice of r pivot columns
+    whose r x r block B of the kept rows is nonsingular, with D the common
+    denominator of B^{-1} and M = D B^{-1} as nested integer tuples.
+    """
+    keep = independent_rows([[Fraction(v) for v in row] for row in rows])
+    r = len(keep)
+    blocks = []
+    for piv in itertools.combinations(range(d), r):
+        cols = [[Fraction(rows[i][j]) for i in keep] for j in piv]
+        if len(independent_rows(cols)) < r:
+            continue
+        solve = _span_solver(cols)
+        inv = [solve([Fraction(int(i == c)) for i in range(r)]) for c in range(r)]
+        D = math.lcm(*(x.denominator for col in inv for x in col))
+        M = tuple(tuple(int(col[i] * D) for col in inv) for i in range(r))
+        blocks.append((piv, D, M))
+    return keep, tuple(blocks)
+
+
 def lattice_solver(
     rows: Sequence[Sequence[int]], extents: Sequence[int]
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -240,9 +264,10 @@ def lattice_solver(
     Returns a function that takes one or more right-hand sides, as the
     columns of an integer array with one row per row of `rows`, and returns
     every k that solves one of them, as an (n, d) int64 array in row-major
-    order. The rows are reduced over Q once: a maximal independent set of r
-    of them fixes r pivot coordinates through a nonsingular block B, chosen
-    so the box of the remaining, free coordinates is smallest. The free
+    order. The rows are reduced over Q once per row set (_pivot_blocks): a
+    maximal independent set of r of them fixes r pivot coordinates through a
+    nonsingular block B, chosen so the box of the remaining, free
+    coordinates is smallest. The free
     coordinates run over their extents, the largest free axis vectorized
     and the others looped, so the free box is never held in memory; for
     each free point the pivots are M (rhs - F k_free) / D in int64, with D
@@ -254,14 +279,13 @@ def lattice_solver(
     """
     d = len(extents)
     A = np.array(rows, dtype=np.int64).reshape(-1, d)
-    rows = [[Fraction(int(v)) for v in row] for row in rows]
-    keep = list(independent_rows(rows))
-    R = [rows[i] for i in keep]
+    keep, blocks = _pivot_blocks(tuple(tuple(int(v) for v in row) for row in A), d)
+    keep = list(keep)
+    R = A[keep]
     r = len(keep)
-    size, piv = min(
-        (math.prod(extents[j] for j in range(d) if j not in piv), piv)
-        for piv in itertools.combinations(range(d), r)
-        if len(independent_rows([[row[j] for row in R] for j in piv])) == r
+    size, piv, D, M_int = min(
+        (math.prod(extents[j] for j in range(d) if j not in piv), piv, D, M)
+        for piv, D, M in blocks
     )
     if size > _LATTICE_CAP:
         raise ResourceLimitError(
@@ -269,12 +293,8 @@ def lattice_solver(
         )
     free = sorted((j for j in range(d) if j not in piv), key=lambda j: extents[j])
     outer, vec = free[:-1], free[-1:]
-    solve = _span_solver([[row[j] for row in R] for j in piv])
-    inv_cols = [solve([Fraction(int(i == c)) for i in range(r)]) for c in range(r)]
-    D = math.lcm(*(x.denominator for col in inv_cols for x in col))
-    M_int = [[int(inv_cols[c][i] * D) for c in range(r)] for i in range(r)]
     M = np.array(M_int, dtype=np.int64).reshape(r, r)
-    F = np.array([[int(row[j]) for j in free] for row in R], dtype=np.int64).reshape(r, len(free))
+    F = R[:, free].reshape(r, len(free))
     F_outer = F[:, : len(outer)]
     T = np.arange(extents[vec[0]])[None, :] if vec else np.zeros((0, 1), dtype=np.int64)
     y_vec = (F[:, len(outer):] @ T)[:, None, :]

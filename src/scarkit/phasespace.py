@@ -4,13 +4,14 @@ energy-vector feasibility, and Husimi evaluation.
 The flow of component n rotates mode j at angular rate pivot_n * weights[n][j],
 so every H_j = (x_j^2 + xi_j^2)/2 is conserved by every component flow and the
 closure of a trajectory is the torus of points sharing all mode energies that
-the integer-weight lattice allows. Orbit averages over the period box
-[0, T_1) x ... x [0, T_{d_omega}) use equispaced tensor quadrature, which is
-exact for trigonometric polynomials; point counts come from the symbol degree
-and the integer weights, not from guesses.
+the integer-weight lattice allows. Orbit averages are exact finite Fourier
+sums over that lattice's kernel: monomials expand binomially and characters
+by Jacobi-Anger, truncated where the Bessel bound falls below 1e-17, so no
+quadrature grid and no convergence check is involved.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,12 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotInSigmaError, ResourceLimitError, ValidationError
-from .freqarith import HarmonicDecomposition, _span_solver
-from .symbols import Symbol
+from scipy.special import jv
 
-_CHUNK = 1 << 18
-_CHAR_POINTS = 256
+from .errors import NotInSigmaError, ValidationError
+from .freqarith import HarmonicDecomposition, _span_solver, lattice_solver
+from .symbols import Symbol
 
 
 @dataclass(frozen=True)
@@ -93,68 +93,67 @@ def component_energies(decomp: HarmonicDecomposition, z: PhasePoint) -> tuple[fl
 # ---------------------------------------------------------------------------
 # orbit averages
 
-def _axis_counts(decomp: HarmonicDecomposition, a: Symbol, points: int | None) -> list[int]:
-    if points is not None:
-        if points < 1:
-            raise ValidationError("points per axis must be positive")
-        return [int(points)] * decomp.d_omega
-    counts = []
-    for comp in decomp.components:
-        if a.is_polynomial:
-            maxk = max(abs(v) for v in comp.int_weights)
-            counts.append(2 * max(a.degree, 1) * maxk + 16)
-        else:
-            counts.append(_CHAR_POINTS)
-    return counts
+def _mode_series(a: Symbol, z: Sequence[complex]):
+    """Each term of a as (coeff, its factors' Fourier series in the mode angles).
+
+    Turning mode j by theta sends z_j to z_j u, u = e^{-i theta}; entry m of
+    mode j's series, counted from its centre, multiplies u^m. There
+    x = (z u + conj(z)/u)/2 and xi = (z u - conj(z)/u)/2i, so a monomial is a
+    finite product. A character's factor e^{i Im(z conj(w_c) u)} is, by
+    Jacobi-Anger (DLMF 10.12), sum_m J_m(rho) e^{i m beta} u^m with
+    rho e^{i beta} = z conj(w_c), cut at the first |m| = R where
+    (rho/2)^R / R! < 1e-17 bounds |J_m| (DLMF 10.14.4).
+    """
+    d = a.dims
+    terms = []
+    for mono, coeff in a.poly.items():
+        series = []
+        for j, zj in enumerate(z):
+            x = np.array([zj.conjugate() / 2, 0, zj / 2])
+            xi = np.array([1j * zj.conjugate() / 2, 0, -1j * zj / 2])
+            s = np.ones(1, dtype=complex)
+            for factor in [x] * mono[j] + [xi] * mono[d + j]:
+                s = np.convolve(s, factor)
+            series.append(s)
+        terms.append((coeff, series))
+    for coeff, w in a.chars:
+        series = []
+        for j, zj in enumerate(z):
+            zeta = zj * complex(w[j], -w[d + j])
+            bound, R = 1.0, 0
+            while bound >= 1e-17:
+                R += 1
+                bound *= abs(zeta) / (2.0 * R)
+            m = np.arange(1 - R, R)
+            series.append(jv(m, abs(zeta)) * np.exp(1j * m * cmath.phase(zeta)))
+        terms.append((coeff, series))
+    return terms
 
 
-def _grid_mean(decomp: HarmonicDecomposition, a: Symbol, z0: PhasePoint, counts) -> complex:
-    rates = flow_rates(decomp)
-    periods = [c.period for c in decomp.components]
-    total = math.prod(counts)
-    if total > 1 << 26:
-        raise ResourceLimitError(f"orbit grid of {total} points exceeds budget")
-    x0 = np.asarray(z0.x)
-    xi0 = np.asarray(z0.xi)
-    acc = 0j
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        coords = np.unravel_index(idx, counts)
-        theta = np.zeros((len(idx), decomp.dims))
-        for n in range(decomp.d_omega):
-            tau_n = coords[n] * (periods[n] / counts[n])
-            theta += tau_n[:, None] * rates[n][None, :]
-        c, s = np.cos(theta), np.sin(theta)
-        x = x0 * c + xi0 * s
-        xi = -x0 * s + xi0 * c
-        acc += complex(np.sum(a.evaluate(x, xi)))
-    return acc / total
-
-
-def orbit_average(
-    decomp: HarmonicDecomposition,
-    a: Symbol,
-    z0: PhasePoint,
-    points: int | None = None,
-):
+def orbit_average(decomp: HarmonicDecomposition, a: Symbol, z0: PhasePoint):
     """Mean of a over the closure of the multi-flow orbit through z0.
 
-    Polynomial symbols get per-axis counts 2*deg*max|k| + 16, exact for the
-    induced trigonometric degree. Characters use 256 points per axis plus a
-    doubled-count consistency check, since their averages have no assumed
-    closed form. Returns a float when the imaginary part is negligible.
+    Every term of a factorizes over modes into Fourier series in the mode
+    angles (_mode_series). Flow n turns mode j int_weights_n[j] times per
+    period, so the mean sums the kernel lattice, the m with
+    int_weights_n . m = 0 for every n, enumerated by lattice_solver on the
+    box shifted by the per-mode radius. Monomials are exact; characters drop
+    Bessel terms below 1e-17. Returns a float if the imaginary part is tiny.
     """
     if z0.dims != decomp.dims:
         raise ValidationError("point dimension does not match the decomposition")
-    counts = _axis_counts(decomp, a, points)
-    val = _grid_mean(decomp, a, z0, counts)
-    if not a.is_polynomial and points is None:
-        check = _grid_mean(decomp, a, z0, [2 * m for m in counts])
-        if abs(check - val) > 1e-8 * (1.0 + abs(check)):
-            raise ResourceLimitError(
-                "orbit average of character symbol did not converge at 256 points/axis"
-            )
-        val = check
+    terms = _mode_series(a, z0.to_complex())
+    radius = [max((len(s[j]) // 2 for _, s in terms), default=0) for j in range(decomp.dims)]
+    rows = [c.int_weights for c in decomp.components]
+    k = lattice_solver(rows, [2 * r + 1 for r in radius])(np.array(rows) @ radius)
+    val = 0j
+    for coeff, series in terms:
+        prod = np.full(len(k), coeff)
+        for j, s in enumerate(series):
+            padded = np.zeros(2 * radius[j] + 1, dtype=complex)
+            padded[radius[j] - len(s) // 2 :][: len(s)] = s
+            prod *= padded[k[:, j]]
+        val += prod.sum()
     if abs(val.imag) <= 1e-12 * (1.0 + abs(val.real)):
         return float(val.real)
     return val

@@ -9,13 +9,14 @@ whole pipeline over a geometric hbar schedule and fits log-log rates.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OverlappingToriError, ScarkitError, ValidationError
+from .errors import DomainError, NumericalError, OverlappingToriError, ScarkitError, ValidationError
 from .fockstate import (
     FockState,
     ScarState,
@@ -35,6 +36,7 @@ from .symbols import Symbol, character, mode_energy, position
 
 LEVEL_SET_TOL = 1e-10
 SEPARATION_TOL = 1e-8
+FIT_DROP = 2  # largest hbar values fit_loglog leaves out as pre-asymptotic
 
 
 def default_probes(decomp: HarmonicDecomposition, seed: int = 0) -> tuple[Symbol, ...]:
@@ -205,14 +207,14 @@ def residuals(
     bases = [expectation(state, state, a, _moments=moments) for a in probes]
     invariance = []
     for n, comp in enumerate(decomp.components):
-        worst = 0.0
+        defects = [0.0]
         for a, base in zip(probes, bases):
             for i in range(1, t_points):
                 t = comp.period * i / t_points
                 thetas = [rates[n][j] * t for j in range(decomp.dims)]
                 moved = expectation(state, state, a.rotate(thetas), _moments=moments)
-                worst = max(worst, abs(moved - base) / norm2)
-        invariance.append(worst)
+                defects.append(abs(moved - base) / norm2)
+        invariance.append(float(np.max(defects)))  # NaN propagates; builtin max drops it
     return tuple(concentration), tuple(invariance)
 
 
@@ -305,6 +307,11 @@ class ConvergenceReport:
         for name in sorted(self.fitted_slopes):
             s = self.fitted_slopes[name]
             line = f"slope {name} = {s:.4f}"
+            if math.isnan(s) and (points := len(self.residual_series(name)[0])) < FIT_DROP + 2:
+                line += (
+                    f"  ({points} point(s); fewer than two remain after dropping "
+                    f"the {FIT_DROP} largest hbar)"
+                )
             if bands and name in bands:
                 lo, hi = bands[name]
                 ok = name not in failed
@@ -316,7 +323,7 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def fit_loglog(hbars, values, drop: int = 2, floor: float = 1e-14) -> float:
+def fit_loglog(hbars, values, drop: int = FIT_DROP, floor: float = 1e-14) -> float:
     """Least-squares slope of log(value) against log(hbar).
 
     Drops the `drop` largest hbar entries (pre-asymptotic regime) and floors
@@ -339,6 +346,30 @@ def _gap_rows(state, z0_refs, probes, hbar):
     return rows
 
 
+_ROW_KERNELS = {
+    "c_hbar": "gram normalization",
+    "norm": "state norm",
+    "concentration": "component eigenvalues",
+    "invariance": "flowed probe expectations",
+}
+
+
+def _require_finite(rows, probes) -> None:
+    """Raise NumericalError at the first row with a non-finite value, reference or residual."""
+    for hbar, name, *entries in rows:
+        for field, v in zip(("value", "reference", "residual"), entries):
+            if cmath.isfinite(v):
+                continue
+            probe = next((a for a in probes if name.endswith(f":{a.label}")), None)
+            if probe is None:
+                kernel = _ROW_KERNELS[name.split(":")[0]]
+            else:
+                kernel = ("character" if probe.chars else "polynomial") + " expectation"
+            raise NumericalError(
+                f"non-finite {field} {v} in row {name} at hbar={hbar:.6g} ({kernel} kernel)"
+            )
+
+
 def _residual_rows(decomp, state, E, probes, t_points, hbar):
     conc, inv = residuals(decomp, state, E, probes=probes, t_points=t_points)
     rows = []
@@ -353,8 +384,9 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
     """Run the experiment at every hbar and fit per-observable rates.
 
     Rows for each hbar are computed in schedule order; a ScarkitError at
-    one hbar is recorded and the sweep continues, any other exception
-    propagates.
+    one hbar, including the NumericalError raised for a row with a
+    non-finite entry, is recorded and the sweep continues, any other
+    exception propagates.
     """
     decomp = config.decomposition
     E = config.E
@@ -437,6 +469,7 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
                     decomp, scar.state, E, probes, config.t_points, hbar
                 )
             )
+        _require_finite(rows, probes)
         return rows
 
     rows: list[tuple[float, str, complex, complex, float]] = []
@@ -459,7 +492,7 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
         ("E", " ".join(repr(v) for v in E)),
         ("z0", f"convex over {len(config.points)} tori" if config.points else z0_desc),
         ("seed", str(config.seed)),
-        ("slope_fit", "drops the 2 largest hbar values"),
+        ("slope_fit", f"drops the {FIT_DROP} largest hbar values"),
         ("tail_tol", repr(config.tail_tol)),
     )
     return ConvergenceReport(

@@ -262,6 +262,45 @@ def test_sweep_failed_step_exits_4(workdir, monkeypatch):
     assert summary.count("NumericalError: injected") == 5
 
 
+def test_sweep_non_finite_row_exits_4(workdir, monkeypatch):
+    from scarkit import scarlab
+
+    monkeypatch.setattr(scarlab, "expectation", lambda *args, **kwargs: complex(math.nan))
+    rc = main(["sweep", str(workdir / "run.cfg"), "--out", str(workdir / "nan")])
+    assert rc == 4
+    _, rows = read_csv(workdir / "nan" / "rows.csv")
+    assert rows == []
+    summary = (workdir / "nan" / "summary.txt").read_text()
+    assert summary.count("NumericalError: non-finite value (nan+0j) in row gap:x1") == 5
+    assert "(polynomial expectation kernel)" in summary
+
+
+def test_sweep_summary_says_why_slopes_are_nan(workdir):
+    cfg = workdir / "short.cfg"
+    cfg.write_text(BASE_CFG.replace("hbar_count = 5", "hbar_count = 3"))
+    rc = main(["sweep", str(cfg), "--out", str(workdir / "short")])
+    assert rc == 4  # the c_hbar band fails on a NaN slope
+    _, srows = read_csv(workdir / "short" / "slopes.csv")
+    assert {r[1] for r in srows} == {"nan"}
+    lines = (workdir / "short" / "summary.txt").read_text().splitlines()
+    slope_lines = [ln for ln in lines if ln.startswith("slope ")]
+    assert slope_lines and all(
+        "(3 point(s); fewer than two remain after dropping the 2 largest hbar)" in ln
+        for ln in slope_lines
+    )
+
+
+def test_sweep_three_independent_generators(tmp_path):
+    # omega = (1, sqrt2, sqrt3), d_omega = 3, default probes with characters
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "sqrt2sqrt3.cfg"
+    rc = main(["sweep", str(cfg), "--out", str(tmp_path / "d3")])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "d3" / "rows.csv")
+    assert {float(r[0]) for r in rows} == {0.2, 0.1, 0.05, 0.025, 0.0125}
+    assert {r[1] for r in rows} >= {"gap:char1", "gap:char2", "invariance:3"}
+    assert all(math.isfinite(float(v)) for r in rows for v in (r[0], *r[2:]))
+
+
 def test_resource_limit_exits_5(workdir, capsys):
     cfg = workdir / "tiny.cfg"
     cfg.write_text(BASE_CFG.replace("hbar_start = 0.2", "hbar_start = 1e-7"))

@@ -3,8 +3,11 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import j0
 
 from scarkit.errors import NotInSigmaError, ValidationError
@@ -12,11 +15,12 @@ from scarkit.freqarith import FrequencySpec, GeneratorBasis, decompose, sqrt_dec
 from scarkit.phasespace import (
     PhasePoint,
     component_energies,
+    flow_rates,
     multi_flow,
     orbit_average,
     sigma_membership,
 )
-from scarkit.symbols import character, mode_energy, parse_symbol, position
+from scarkit.symbols import MAX_DEGREE, Symbol, character, mode_energy, parse_symbol, position
 
 F = Fraction
 
@@ -29,6 +33,54 @@ def spec_1_sqrt2():
 def spec_2_3():
     basis = GeneratorBasis(("one",), (Decimal(1),))
     return FrequencySpec.build(basis, [[F(2)], [F(3)]])
+
+
+def make_dec(coords, gens):
+    table = {"one": Decimal(1), "sqrt2": sqrt_decimal(2), "sqrt3": sqrt_decimal(3)}
+    basis = GeneratorBasis(tuple(gens), tuple(table[g] for g in gens))
+    return decompose(FrequencySpec.build(basis, [[F(v) for v in row] for row in coords]))
+
+
+# omega = (1, sqrt2), (1, 1, sqrt2), (1, 2, sqrt2), (2, 3), (1, sqrt2, sqrt3)
+AVERAGE_SPECS = (
+    make_dec([[1, 0], [0, 1]], ("one", "sqrt2")),
+    make_dec([[1, 0], [1, 0], [0, 1]], ("one", "sqrt2")),
+    make_dec([[1, 0], [2, 0], [0, 1]], ("one", "sqrt2")),
+    make_dec([[2], [3]], ("one",)),
+    make_dec([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ("one", "sqrt2", "sqrt3")),
+)
+
+
+def grid_average(decomp, a, z0, points=None):
+    """Equispaced tensor quadrature over the period box [0, T_1) x ... x [0, T_dw).
+
+    Polynomials get 2*deg*max|k| + 16 points per axis, exact for the induced
+    trigonometric degree; a symbol with characters needs `points` per axis.
+    """
+    if points is None:
+        assert a.is_polynomial
+        counts = [
+            2 * max(a.degree, 1) * max(abs(v) for v in c.int_weights) + 16
+            for c in decomp.components
+        ]
+    else:
+        counts = [points] * decomp.d_omega
+    rates = flow_rates(decomp)
+    periods = [c.period for c in decomp.components]
+    total = math.prod(counts)
+    x0 = np.asarray(z0.x)
+    xi0 = np.asarray(z0.xi)
+    acc = 0j
+    for start in range(0, total, 1 << 18):
+        idx = np.arange(start, min(start + (1 << 18), total))
+        coords = np.unravel_index(idx, counts)
+        theta = np.zeros((len(idx), decomp.dims))
+        for n in range(decomp.d_omega):
+            tau_n = coords[n] * (periods[n] / counts[n])
+            theta += tau_n[:, None] * rates[n][None, :]
+        c, s = np.cos(theta), np.sin(theta)
+        acc += complex(np.sum(a.evaluate(x0 * c + xi0 * s, -x0 * s + xi0 * c)))
+    return acc / total
 
 
 @pytest.fixture(scope="module")
@@ -123,11 +175,13 @@ def test_orbit_average_resonant_monomial(dec23):
 
 
 def test_orbit_average_doubling_is_stable(dec12):
+    # the quadrature converges at 48 points per axis; the lattice sum agrees
+    # with it there and at twice the count
     z = PhasePoint((0.9, -0.6), (0.1, 1.4))
     a = parse_symbol("x1^2*xi2^2 + H1", 2)
-    v1 = orbit_average(dec12, a, z, points=48)
-    v2 = orbit_average(dec12, a, z, points=96)
-    assert abs(v1 - v2) < 1e-12 * (1 + abs(v1))
+    val = orbit_average(dec12, a, z)
+    for points in (48, 96):
+        assert abs(grid_average(dec12, a, z, points) - val) < 1e-12 * (1 + abs(val))
 
 
 def test_orbit_average_character_matches_bessel_product(dec12):
@@ -143,6 +197,87 @@ def test_orbit_average_character_matches_bessel_product(dec12):
         zj = math.hypot(z.x[j], z.xi[j])
         oracle *= j0(wj * zj)
     assert val == pytest.approx(oracle, abs=1e-9)
+
+
+def test_orbit_average_j0_product_for_three_independent_modes():
+    # omega = (1, sqrt2, sqrt3): the kernel lattice is {0}, so each mode
+    # averages over its own circle and the mean is prod_j J0(|w_j| |z_j|)
+    dec = AVERAGE_SPECS[4]
+    assert dec.d_omega == 3
+    z = PhasePoint((1.2, -0.5, 0.3), (0.4, 0.9, -1.6))
+    w = (0.7, -0.3, 0.2, 0.9, 0.5, -0.8)
+    oracle = math.prod(
+        j0(math.hypot(w[j], w[3 + j]) * math.hypot(z.x[j], z.xi[j])) for j in range(3)
+    )
+    assert orbit_average(dec, character(3, w), z) == pytest.approx(oracle, abs=1e-15)
+
+
+def test_orbit_average_character_matches_mpmath_bessel_sum():
+    # omega = (2, 3): one flow turns mode 1 twice and mode 2 three times per
+    # period, sigma_j(theta) = rho_j cos(theta - phi_j) on each circle, and
+    # Jacobi-Anger leaves the frequencies n = t (3, -2):
+    #   sum_t i^(3t) J_3t(rho_1) e^(-3it phi_1) i^(-2t) J_-2t(rho_2) e^(2it phi_2)
+    dec = AVERAGE_SPECS[3]
+    z = PhasePoint((1.9, -0.7), (1.1, 1.6))
+    w = (1.7, -1.4, 1.2, 1.7)
+    with mpmath.workdps(50):
+        rho, phi = [], []
+        for j in range(2):
+            x, xi = mpmath.mpf(z.x[j]), mpmath.mpf(z.xi[j])
+            wx, wxi = mpmath.mpf(w[j]), mpmath.mpf(w[2 + j])
+            A = xi * wx - x * wxi  # sigma_j at theta = 0
+            B = -x * wx - xi * wxi  # its derivative in theta
+            rho.append(mpmath.hypot(A, B))
+            phi.append(mpmath.atan2(B, A))
+        oracle = mpmath.fsum(
+            mpmath.j ** (3 * t) * mpmath.besselj(3 * t, rho[0]) * mpmath.expj(-3 * t * phi[0])
+            * mpmath.j ** (-2 * t) * mpmath.besselj(-2 * t, rho[1]) * mpmath.expj(2 * t * phi[1])
+            for t in range(-30, 31)
+        )
+        assert min(rho) > 3.5  # several t contribute
+        oracle = complex(oracle)
+    val = orbit_average(dec, character(2, w), z)
+    assert abs(complex(val) - oracle) < 1e-15
+    assert abs(oracle - math.prod(j0(float(r)) for r in rho)) > 1e-2  # resonance matters
+
+
+@st.composite
+def average_cases(draw):
+    n = draw(st.integers(0, len(AVERAGE_SPECS) - 1))
+    dec = AVERAGE_SPECS[n]
+    d = dec.dims
+    coord = st.floats(-1.2, 1.2, allow_nan=False)
+    z = PhasePoint(
+        tuple(draw(coord) for _ in range(d)), tuple(draw(coord) for _ in range(d))
+    )
+    coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    poly = {}
+    for _ in range(draw(st.integers(0, 3))):
+        powers, budget = [], MAX_DEGREE
+        for _ in range(2 * d):
+            powers.append(draw(st.integers(0, min(3, budget))))
+            budget -= powers[-1]
+        poly[tuple(powers)] = draw(coeff)
+    chars = tuple(
+        (draw(coeff), tuple(draw(st.floats(-1.0, 1.0)) for _ in range(2 * d)))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    return dec, Symbol(d, poly, chars), z
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(average_cases())
+def test_orbit_average_matches_grid_quadrature(case):
+    dec, a, z = case
+    # the grid is exact for monomials; with characters, 128 points per axis
+    # (48 at d_omega = 3) leave only Bessel terms of order >= 30 aliased
+    points = None if a.is_polynomial else (128 if dec.d_omega <= 2 else 48)
+    ref = grid_average(dec, a, z, points)
+    r = [abs(v) for v in z.to_complex()]
+    scale = sum(abs(c) * math.prod(r[j % dec.dims] ** p for j, p in enumerate(m))
+                for m, c in a.poly.items())
+    scale += sum(abs(c) for c, _ in a.chars)
+    assert abs(complex(orbit_average(dec, a, z)) - ref) <= 1e-12 * (1.0 + scale)
 
 
 def test_orbit_average_invariant_under_flow(dec12, dec23):

@@ -9,6 +9,7 @@ import pytest
 from scarkit import scarlab
 from scarkit.errors import (
     DomainError,
+    NumericalError,
     OverlappingToriError,
     ValidationError,
 )
@@ -285,6 +286,50 @@ def test_sweep_records_only_scarkit_errors(dec12, monkeypatch):
     monkeypatch.setattr(scarlab, "build_scar", programming_error)
     with pytest.raises(TypeError, match="injected"):
         sweep(cfg)
+
+
+def test_sweep_rejects_non_finite_rows(dec12, monkeypatch):
+    cfg = SweepConfig(dec12, (0.5, 0.5), hbars=(0.2, 0.1))
+    monkeypatch.setattr(scarlab, "expectation", lambda *args, **kwargs: complex(math.nan))
+    report = sweep(cfg)
+    assert report.rows == ()
+    assert [h for h, _ in report.errors] == [0.2, 0.1]
+    for h, msg in report.errors:
+        assert msg == (
+            f"NumericalError: non-finite value (nan+0j) in row gap:x1 at hbar={h:.6g} "
+            "(polynomial expectation kernel)"
+        )
+
+
+def test_invariance_keeps_a_non_finite_defect(dec12, monkeypatch):
+    # base values are finite, every flowed probe is NaN: the defect is NaN, not 0
+    state = build_scar(dec12, torus_point(dec12, (0.5, 0.5)), (0.5, 0.5), 0.1).state
+    probes = default_probes(dec12)
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(1)
+        return 1.0 if len(calls) <= len(probes) else math.nan
+
+    monkeypatch.setattr(scarlab, "expectation", fake)
+    _, inv = residuals(dec12, state, (0.5, 0.5), probes=probes)
+    assert all(math.isnan(v) for v in inv)
+    with pytest.raises(NumericalError, match=r"row invariance:1 at hbar=0.1 \(flowed probe"):
+        scarlab._require_finite(scarlab._residual_rows(dec12, state, (0.5, 0.5), probes, 16, 0.1), probes)
+
+
+def test_summary_says_why_a_slope_is_nan():
+    report = ConvergenceReport(
+        hbars=(0.2, 0.1, 0.05),
+        rows=tuple((h, "c_hbar", 1 + 0j, 1 + 0j, h) for h in (0.2, 0.1, 0.05)),
+        fitted_slopes={"c_hbar": fit_loglog((0.2, 0.1, 0.05), (0.2, 0.1, 0.05))},
+        metadata=(),
+    )
+    line = next(ln for ln in report.summary().splitlines() if ln.startswith("slope c_hbar"))
+    assert line == (
+        "slope c_hbar = nan  (3 point(s); fewer than two remain after dropping "
+        "the 2 largest hbar)"
+    )
 
 
 def test_sweep_convex_mode_rows(dec11):
