@@ -47,10 +47,9 @@ from .errors import (
 )
 from .freqarith import (
     HarmonicDecomposition,
-    _span_solver,
-    independent_rows,
     lattice_solver,
     periodic_component,
+    span_solver,
 )
 from .phasespace import PhasePoint, component_energies
 from .spectral import (
@@ -402,18 +401,12 @@ def gram(z0: PhasePoint, decomp: HarmonicDecomposition) -> GramResult:
         raise ValidationError("point dimension does not match the decomposition")
     excited = tuple(xv != 0.0 or pv != 0.0 for xv, pv in zip(z0.x, z0.xi))
     projected = [_projected_weights(c, excited) for c in decomp.components]
-    retained = independent_rows(projected)
+    retained, solve = span_solver(projected)
     d0 = len(retained)
     dropped = tuple(n for n in range(decomp.d_omega) if n not in retained)
-    transfer = []
+    transfer = [solve(projected[n]) for n in dropped]
     system = decomp
     if dropped:
-        solve = _span_solver([projected[n] for n in retained])
-        for n in dropped:
-            b = solve(projected[n])
-            if b is None:  # impossible: retained rows span all projections
-                raise ValidationError("projected weights escaped the retained span")
-            transfer.append(b)
         # effective frequency of retained l folds in every dropped n via b_{n,l}
         reduced = []
         for pos, l in enumerate(retained):
@@ -781,32 +774,24 @@ def expectation(
         raise ValidationError("states live in different spaces")
     if a.dims != bra.dims:
         raise ValidationError("symbol mode count does not match the states")
+    if ket.is_product and not bra.is_product:
+        # flip through Op(conj a) = Op(a)^dagger; the moments are then those
+        # of the flipped pair, the same every call
+        return expectation(ket, bra, a.conj(), _moments=_moments).conjugate()
     hbar = bra.hbar
     d = bra.dims
     moments = {} if _moments is None else _moments
     total = 0j
     if a.poly:
-        if bra.is_product and ket.is_product:
+        if ket.is_product:
             total += _poly_product(bra, ket, a.poly)
-        elif not ket.is_product:
+        else:
             total += _poly_sparse(bra, ket.coeffs, a.poly, hbar, d, moments)
-        else:
-            # ket is product, bra sparse: flip through Op(conj a) = Op(a)^dagger;
-            # the moments are then those of the flipped pair, the same every call
-            conj_poly = {m: c.conjugate() for m, c in a.poly.items()}
-            flipped = _poly_sparse(ket, bra.coeffs, conj_poly, hbar, d, moments)
-            total += np.conjugate(flipped)
     if a.chars:
-        if bra.is_product and ket.is_product:
+        if ket.is_product:
             total += _char_product(bra, ket, a.chars, hbar, d)
-        elif not ket.is_product:
-            total += _char_sparse(bra, ket.coeffs, a.chars, hbar, d)
         else:
-            conj_chars = tuple(
-                (c.conjugate(), tuple(-v for v in w)) for c, w in a.chars
-            )
-            flipped = _char_sparse(ket, bra.coeffs, conj_chars, hbar, d)
-            total += np.conjugate(flipped)
+            total += _char_sparse(bra, ket.coeffs, a.chars, hbar, d)
     return complex(total)
 
 

@@ -8,9 +8,12 @@ the periodic decomposition omega = sum_n v_n * nu_n to component periods and
 semigroup conductors, is computed from the rational coordinate matrix,
 never from floating point values. Floats only enter when a real number is
 actually needed (periods, eigenvalues), and generator values are kept as
-high-precision decimals so those floats are correctly rounded. The same
-exact row reduction drives lattice_solver, which lists the integer points
-of an affine lattice inside a box without scanning the box.
+high-precision decimals so those floats are correctly rounded. One exact
+row reduction, span_solver, decides every rank, span and basis question:
+the pivots and weights of decompose, the rank of a projected weight system,
+and the nonsingular column blocks (_pivot_blocks) behind both the vertices
+of the attainable simplex and lattice_solver, which lists the integer
+points of an affine lattice inside a box without scanning the box.
 
 Row and component indices are 0-based throughout.
 """
@@ -147,89 +150,49 @@ class FrequencySpec:
 # ---------------------------------------------------------------------------
 # exact rational linear algebra
 
-def _reduce(vec: list[Fraction], echelon: list[tuple[int, list[Fraction]]]):
-    """Reduce vec against an echelon basis (rows normalized to leading 1)."""
-    for lead, row in echelon:
-        c = vec[lead]
-        if c:
-            for i in range(lead, len(vec)):
-                vec[i] -= c * row[i]
-    return vec
+def span_solver(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[tuple[int, ...], Callable[[Sequence[Fraction]], tuple[Fraction, ...] | None]]:
+    """Exact row reduction of the rows, in order, over Q.
 
-
-def _leading_index(vec: Sequence[Fraction]) -> int | None:
-    for i, x in enumerate(vec):
-        if x:
-            return i
-    return None
-
-
-def independent_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
-    """Indices of the first maximal Q-independent subset of the rows.
-
-    Exact row reduction; ties break toward the earliest row.
+    Returns (kept, solve). A row that depends on earlier ones is skipped, so
+    kept indexes the first maximal Q-independent subset of the rows, ties
+    going to the earliest row. solve(v) returns the coefficients c with
+    v = sum_i c_i rows[kept[i]], or None when v is outside their span.
     """
-    echelon: list[tuple[int, list[Fraction]]] = []
-    pivots: list[int] = []
-    for j, row in enumerate(rows):
-        vec = _reduce(list(row), echelon)
-        lead = _leading_index(vec)
-        if lead is None:
-            continue
-        inv = vec[lead]
-        echelon.append((lead, [x / inv for x in vec]))
-        echelon.sort(key=lambda e: e[0])
-        pivots.append(j)
-    return tuple(pivots)
-
-
-def rational_span(spec: FrequencySpec) -> tuple[int, tuple[int, ...]]:
-    """Rank of the frequencies over Q and the first rows that realize it.
-
-    Returns (d_omega, pivot_indices); ties break toward the earliest row, so
-    pivot frequencies are the first maximal Q-independent subset of omega.
-    """
-    pivots = independent_rows(spec.coords)
-    return len(pivots), pivots
-
-
-def _span_solver(rows: Sequence[GenCoords]) -> Callable[[Sequence[Fraction]], tuple[Fraction, ...] | None]:
-    """Exact solver expressing vectors as combinations of the given rows.
-
-    Returns a function mapping vec -> coefficients c with vec = sum c_n rows[n],
-    or None when vec is outside the span. Rows must be Q-independent.
-    """
-    echelon: list[tuple[int, list[Fraction], list[Fraction]]] = []
     n = len(rows)
-    for idx, row in enumerate(rows):
-        vec = list(row)
-        combo = [Fraction(0)] * n
-        combo[idx] = Fraction(1)
+    # (lead, row, combo): row = sum_i combo[i] rows[i] with row[lead] = 1 and
+    # row zero at every earlier entry's lead, so one pass in order clears them
+    echelon: list[tuple[int, list[Fraction], list[Fraction]]] = []
+    kept: list[int] = []
+
+    def reduce(vec, combo):
+        # subtracts multiples of the echelon rows from vec, clearing every
+        # lead, and the same multiples of their combos from combo
+        vec = [_as_fraction(x) for x in vec]
         for lead, erow, ecombo in echelon:
             c = vec[lead]
             if c:
                 vec = [a - c * b for a, b in zip(vec, erow)]
                 combo = [a - c * b for a, b in zip(combo, ecombo)]
-        lead = _leading_index(vec)
+        return vec, combo
+
+    for idx, row in enumerate(rows):
+        vec, combo = reduce(row, [Fraction(int(i == idx)) for i in range(n)])
+        lead = next((i for i, x in enumerate(vec) if x), None)
         if lead is None:
-            raise ValidationError("solver rows must be linearly independent")
+            continue
         inv = vec[lead]
         echelon.append((lead, [x / inv for x in vec], [x / inv for x in combo]))
-        echelon.sort(key=lambda e: e[0])
+        kept.append(idx)
 
     def solve(target: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-        vec = [_as_fraction(x) for x in target]
-        coeffs = [Fraction(0)] * n
-        for lead, erow, ecombo in echelon:
-            c = vec[lead]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, erow)]
-                coeffs = [a + c * b for a, b in zip(coeffs, ecombo)]
+        vec, combo = reduce(target, [Fraction(0)] * n)
         if any(vec):
             return None
-        return tuple(coeffs)
+        return tuple(-combo[i] for i in kept)
 
-    return solve
+    return tuple(kept), solve
 
 
 @lru_cache(maxsize=64)
@@ -241,15 +204,14 @@ def _pivot_blocks(rows: tuple[tuple[int, ...], ...], d: int):
     whose r x r block B of the kept rows is nonsingular, with D the common
     denominator of B^{-1} and M = D B^{-1} as nested integer tuples.
     """
-    keep = independent_rows([[Fraction(v) for v in row] for row in rows])
+    keep, _ = span_solver(rows)
     r = len(keep)
     blocks = []
     for piv in itertools.combinations(range(d), r):
-        cols = [[Fraction(rows[i][j]) for i in keep] for j in piv]
-        if len(independent_rows(cols)) < r:
+        independent, solve = span_solver([[rows[i][j] for i in keep] for j in piv])
+        if len(independent) < r:
             continue
-        solve = _span_solver(cols)
-        inv = [solve([Fraction(int(i == c)) for i in range(r)]) for c in range(r)]
+        inv = [solve([int(i == c) for i in range(r)]) for c in range(r)]
         D = math.lcm(*(x.denominator for col in inv for x in col))
         M = tuple(tuple(int(col[i] * D) for col in inv) for i in range(r))
         blocks.append((piv, D, M))
@@ -435,19 +397,14 @@ def periodic_component(
 def decompose(spec: FrequencySpec) -> HarmonicDecomposition:
     """Split omega into d_omega periodic components with exact weights.
 
-    Pivot frequencies are the first Q-independent rows of the spec; the
-    rational weights solve omega_j = sum_n weights[n][j]... more precisely
-    omega = sum_n pivot_n * weights_n with weights_n[pivot_row_n] = 1.
+    One exact reduction of the coordinate rows (span_solver) picks the pivot
+    frequencies, the first Q-independent rows, and expresses every omega_j
+    over them, so omega = sum_n pivot_n * weights_n with
+    weights_n[pivot_row_n] = 1.
     """
-    d_omega, pivots = rational_span(spec)
-    solve = _span_solver([spec.coords[p] for p in pivots])
+    pivots, solve = span_solver(spec.coords)
     # columns of the weight matrix: coefficients of each omega_j over the pivots
-    cols = []
-    for j, row in enumerate(spec.coords):
-        coeffs = solve(row)
-        if coeffs is None:  # impossible: pivots span all rows
-            raise ValidationError(f"frequency {j} escaped the pivot span")
-        cols.append(coeffs)
+    cols = [solve(row) for row in spec.coords]
     components = tuple(
         periodic_component(
             n,

@@ -12,10 +12,8 @@ quadrature grid and no convergence check is involved.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +21,7 @@ import numpy as np
 from scipy.special import jv
 
 from .errors import NotInSigmaError, ValidationError
-from .freqarith import HarmonicDecomposition, _span_solver, lattice_solver
+from .freqarith import HarmonicDecomposition, _pivot_blocks, lattice_solver
 from .symbols import Symbol
 
 
@@ -166,14 +164,11 @@ def orbit_average(decomp: HarmonicDecomposition, a: Symbol, z0: PhasePoint):
 class EnergyVector:
     """A d_omega-vector of component energies with a feasibility witness.
 
-    witness_h solves omega.h = 1, pivot_n * weights_n . h = values[n], h >= 0;
-    `exact` marks witnesses certified by rational arithmetic (requires the
-    ratios values[n]/pivot_n as exact rationals).
+    witness_h solves omega.h = 1, pivot_n * weights_n . h = values[n], h >= 0.
     """
 
     values: tuple[float, ...]
     witness_h: tuple[float, ...]
-    exact: bool
 
     def torus_point(self) -> PhasePoint:
         d = len(self.witness_h)
@@ -183,93 +178,32 @@ class EnergyVector:
 
 
 def sigma_membership(
-    decomp: HarmonicDecomposition,
-    E: Sequence[float],
-    exact_ratios: Sequence[Fraction] | None = None,
-    interior: bool = True,
-    tol: float = 1e-10,
+    decomp: HarmonicDecomposition, E: Sequence[float], tol: float = 1e-10
 ) -> EnergyVector:
     """Decide whether E is an attainable energy vector and produce a witness.
 
-    Solves the linear system weights_n . h = E_n / pivot_n over h >= 0 by
-    enumerating basic solutions (vertex enumeration; d <= 4 keeps this tiny)
-    and returns the mean of the feasible vertices (interior=True) or the
-    first one. The coefficient matrix is exact; when `exact_ratios` supplies
-    E_n / pivot_n as rationals the whole decision is exact and the witness
-    carries exact=True.
+    Solves pivot_n * weights_n . h = E_n over h >= 0 by enumerating basic
+    solutions (vertex enumeration; d <= 4 keeps this tiny) and returns the
+    mean of the distinct feasible vertices. Which column bases are
+    nonsingular is decided exactly, by the row reduction of the integer
+    weights (freqarith._pivot_blocks); each basic solution is then solved
+    in floats and kept when it is nonnegative and reproduces E within tol.
     """
     comps = decomp.components
     d = decomp.dims
-    dw = decomp.d_omega
     E = tuple(float(v) for v in E)
-    if len(E) != dw:
+    if len(E) != decomp.d_omega:
         raise ValidationError("energy vector must have one entry per component")
     if abs(sum(E) - 1.0) > tol:
         raise NotInSigmaError(
             f"component energies sum to {sum(E)!r}, not 1: not an attainable vector"
         )
-    if exact_ratios is not None:
-        ratios = [Fraction(r) for r in exact_ratios]
-        if len(ratios) != dw:
-            raise ValidationError("need one exact ratio per component")
-        for n, r in enumerate(ratios):
-            if abs(float(r) * comps[n].pivot - E[n]) > tol * (1.0 + abs(E[n])):
-                raise ValidationError(
-                    f"exact ratio {r} disagrees with E[{n}] = {E[n]!r}"
-                )
-        vertices = _exact_vertices(comps, ratios, d, dw)
-        exact = True
-    else:
-        vertices = _float_vertices(comps, E, d, dw, tol)
-        exact = False
-    if not vertices:
-        raise NotInSigmaError(
-            "no nonnegative action vector h reproduces these component energies"
-        )
-    if interior:
-        h = tuple(float(sum(col)) / len(vertices) for col in zip(*vertices))
-    else:
-        h = tuple(float(v) for v in vertices[0])
-    h = tuple(0.0 if abs(v) < tol else v for v in h)
-    return EnergyVector(values=E, witness_h=h, exact=exact)
-
-
-def _exact_vertices(comps, ratios, d, dw):
-    rows = [c.weights for c in comps]
-    vertices = []
-    for basis in itertools.combinations(range(d), dw):
-        solve = _basis_solver(rows, basis)
-        if solve is None:
-            continue
-        hb = solve(ratios)
-        if hb is None or any(v < 0 for v in hb):
-            continue
-        h = [Fraction(0)] * d
-        for col, v in zip(basis, hb):
-            h[col] = v
-        if h not in vertices:
-            vertices.append(h)
-    return vertices
-
-
-def _basis_solver(rows, basis):
-    sub = [tuple(row[c] for c in basis) for row in rows]
-    try:
-        solver = _span_solver([tuple(col) for col in zip(*sub)])
-    except ValidationError:
-        return None
-    return solver
-
-
-def _float_vertices(comps, E, d, dw, tol):
     A = np.array([[c.pivot * float(w) for w in c.weights] for c in comps])
     b = np.asarray(E, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(A))))
+    _, blocks = _pivot_blocks(tuple(c.int_weights for c in comps), d)
     vertices = []
-    for basis in itertools.combinations(range(d), dw):
+    for basis, _, _ in blocks:
         sub = A[:, basis]
-        if abs(np.linalg.det(sub)) < 1e-12 * scale**dw:
-            continue
         hb = np.linalg.solve(sub, b)
         if np.any(hb < -tol):
             continue
@@ -280,7 +214,13 @@ def _float_vertices(comps, E, d, dw, tol):
         h[list(basis)] = np.clip(hb, 0.0, None)
         if not any(np.allclose(h, v, atol=tol) for v in vertices):
             vertices.append(h)
-    return [tuple(float(v) for v in h) for h in vertices]
+    if not vertices:
+        raise NotInSigmaError(
+            "no nonnegative action vector h reproduces these component energies"
+        )
+    h = tuple(float(sum(col)) / len(vertices) for col in zip(*vertices))
+    h = tuple(0.0 if abs(v) < tol else v for v in h)
+    return EnergyVector(values=E, witness_h=h)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .symbols import Symbol, character, mode_energy, position
 LEVEL_SET_TOL = 1e-10
 SEPARATION_TOL = 1e-8
 FIT_DROP = 2  # largest hbar values fit_loglog leaves out as pre-asymptotic
+T_POINTS = 16  # invariance t-grid points per component period
 
 
 def default_probes(decomp: HarmonicDecomposition, seed: int = 0) -> tuple[Symbol, ...]:
@@ -172,13 +173,13 @@ def residuals(
     state: FockState,
     E,
     probes=None,
-    t_points: int = 16,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(concentration, invariance), one entry per periodic component.
 
     concentration_n = <(Op(Hcal_n) - E_n)^2> via the diagonal ladder action;
-    invariance_n = max over probes and a t-grid of one component period of
-    |<Op(a o flow_n(t))> - <Op(a)>|, exact Egorov making 16 points enough.
+    invariance_n = max over probes and a T_POINTS t-grid of one component
+    period of |<Op(a o flow_n(t))> - <Op(a)>|, exact Egorov making 16 points
+    enough.
     A flowed polynomial probe stays in the same few monomials, so the state's
     polynomial moments are cached in one map across the base values and every
     rotated probe: each monomial is applied to the state once per call.
@@ -209,8 +210,8 @@ def residuals(
     for n, comp in enumerate(decomp.components):
         defects = [0.0]
         for a, base in zip(probes, bases):
-            for i in range(1, t_points):
-                t = comp.period * i / t_points
+            for i in range(1, T_POINTS):
+                t = comp.period * i / T_POINTS
                 thetas = [rates[n][j] * t for j in range(decomp.dims)]
                 moved = expectation(state, state, a.rotate(thetas), _moments=moments)
                 defects.append(abs(moved - base) / norm2)
@@ -237,7 +238,6 @@ class SweepConfig:
     probes: tuple[Symbol, ...] = ()
     seed: int = 0
     tail_tol: float = 1e-12
-    t_points: int = 16
 
     def __post_init__(self):
         object.__setattr__(self, "E", tuple(float(v) for v in self.E))
@@ -370,8 +370,8 @@ def _require_finite(rows, probes) -> None:
             )
 
 
-def _residual_rows(decomp, state, E, probes, t_points, hbar):
-    conc, inv = residuals(decomp, state, E, probes=probes, t_points=t_points)
+def _residual_rows(decomp, state, E, probes, hbar):
+    conc, inv = residuals(decomp, state, E, probes=probes)
     rows = []
     for n, v in enumerate(conc):
         rows.append((hbar, f"concentration:{n + 1}", complex(v), 0j, v))
@@ -442,16 +442,7 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
                                 abs(val),
                             )
                         )
-            rows.extend(
-                _residual_rows(
-                    decomp,
-                    combined,
-                    E,
-                    probes,
-                    config.t_points,
-                    hbar,
-                )
-            )
+            rows.extend(_residual_rows(decomp, combined, E, probes, hbar))
         else:
             scar = build_scar(decomp, z0, E, hbar, config.tail_tol)
             rows.append(
@@ -464,11 +455,7 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
                 )
             )
             rows.extend(_gap_rows(scar.state, single_refs, probes, hbar))
-            rows.extend(
-                _residual_rows(
-                    decomp, scar.state, E, probes, config.t_points, hbar
-                )
-            )
+            rows.extend(_residual_rows(decomp, scar.state, E, probes, hbar))
         _require_finite(rows, probes)
         return rows
 

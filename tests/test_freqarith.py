@@ -4,6 +4,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scarkit.errors import (
     DomainError,
@@ -20,8 +23,8 @@ from scarkit.freqarith import (
     lattice_solver,
     parse_frequency_spec,
     period_of,
-    rational_span,
     semigroup_witness,
+    span_solver,
     sqrt_decimal,
 )
 
@@ -69,7 +72,58 @@ def lcm_period(v, nu):
 
 def test_span_rational_pair_is_one_dimensional():
     spec = make_spec([(2,), (3,)], labels=("one",))
-    assert rational_span(spec) == (1, (0,))
+    assert span_solver(spec.coords)[0] == (0,)
+
+
+_small = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _combine(cs, rows, m):
+    return tuple(sum((c * r[j] for c, r in zip(cs, rows)), F(0)) for j in range(m))
+
+
+@st.composite
+def _span_cases(draw):
+    # rows mix fresh rows, zero rows, and combinations (copies included) of
+    # earlier rows; v is either a combination of the rows or a fresh vector
+    m = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("fresh", "zero", "combo")))
+        if kind == "zero":
+            rows.append((F(0),) * m)
+        elif kind == "combo" and rows:
+            cs = draw(st.lists(_small, min_size=len(rows), max_size=len(rows)))
+            rows.append(_combine(cs, rows, m))
+        else:
+            rows.append(tuple(draw(st.lists(_small, min_size=m, max_size=m))))
+    if rows and draw(st.booleans()):
+        cs = draw(st.lists(_small, min_size=len(rows), max_size=len(rows)))
+        v = _combine(cs, rows, m)
+    else:
+        v = tuple(draw(st.lists(_small, min_size=m, max_size=m)))
+    return m, rows, v
+
+
+def _rank(rows, m):
+    entries = [sympy.Rational(x.numerator, x.denominator) for r in rows for x in r]
+    return sympy.Matrix(len(rows), m, entries).rank()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_span_cases())
+def test_span_solver_matches_sympy(case):
+    m, rows, v = case
+    kept, solve = span_solver(rows)
+    # greedy earliest-first basis: row i is kept iff it raises the prefix rank
+    ranks = [_rank(rows[:i], m) for i in range(len(rows) + 1)]
+    assert kept == tuple(i for i in range(len(rows)) if ranks[i + 1] > ranks[i])
+    coeffs = solve(v)
+    if _rank(rows + [v], m) > ranks[-1]:
+        assert coeffs is None
+    else:
+        assert coeffs is not None and len(coeffs) == len(kept)
+        assert _combine(coeffs, [rows[i] for i in kept], m) == v
 
 
 def test_decompose_rational_pair():
@@ -129,13 +183,13 @@ def test_d_omega_invariant_under_permutation_and_scaling():
         ]
         rows = [r if any(r) else (F(1), F(0)) for r in rows]
         spec = make_spec(rows, labels=("one", "sqrt2"))
-        base = rational_span(spec)[0]
+        base = decompose(spec).d_omega
         perm = rows[:]
         rng.shuffle(perm)
-        assert rational_span(make_spec(perm, labels=("one", "sqrt2")))[0] == base
+        assert decompose(make_spec(perm, labels=("one", "sqrt2"))).d_omega == base
         s = F(rng.randint(1, 5), rng.randint(1, 5))
         scaled = [tuple(s * c for c in r) for r in rows]
-        assert rational_span(make_spec(scaled, labels=("one", "sqrt2")))[0] == base
+        assert decompose(make_spec(scaled, labels=("one", "sqrt2"))).d_omega == base
 
 
 def test_decompose_reconstructs_random_specs():

@@ -316,21 +316,10 @@ def test_sigma_membership_square_cases(dec12):
     assert ev2.witness_h == pytest.approx((0.5, 0.5 / math.sqrt(2.0)))
 
 
-def test_sigma_membership_exact_path(dec12):
-    ev = sigma_membership(
-        dec12, (1.0, 0.0), exact_ratios=(F(1), F(0))
-    )
-    assert ev.exact and ev.witness_h == pytest.approx((1.0, 0.0))
-    loose = sigma_membership(dec12, (1.0, 0.0))
-    assert not loose.exact
-
-
 def test_sigma_membership_underdetermined(dec23):
     ev = sigma_membership(dec23, (1.0,))
     # vertices (1/2, 0) and (0, 1/3); the witness is their midpoint
     assert ev.witness_h == pytest.approx((0.25, 1.0 / 6.0))
-    first = sigma_membership(dec23, (1.0,), interior=False)
-    assert first.witness_h in ((0.5, 0.0), (0.0, 1.0 / 3.0))
     e = component_energies(dec23, ev.torus_point())
     assert e[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -342,9 +331,13 @@ def test_sigma_membership_rejects_bad_sums(dec12):
         sigma_membership(dec12, (1.5, -0.5))
 
 
-def test_sigma_membership_exact_rejects_inconsistent_ratio(dec12):
-    with pytest.raises(ValidationError):
-        sigma_membership(dec12, (1.0, 0.0), exact_ratios=(F(1, 2), F(0)))
+def test_sigma_membership_keeps_a_tiny_determinant_basis():
+    # omega = (1, 10^-13): the basis {h_2} has determinant 10^-13 but is
+    # exactly nonsingular, so both vertices (1, 0) and (0, 10^13) count
+    basis = GeneratorBasis(("one",), (Decimal(1),))
+    dec = decompose(FrequencySpec.build(basis, [[F(1)], [F(1, 10**13)]]))
+    ev = sigma_membership(dec, (1.0,))
+    assert ev.witness_h == pytest.approx((0.5, 5e12), rel=1e-12)
 
 
 def test_energy_vector_requires_membership_shape(dec12):

@@ -315,7 +315,7 @@ def test_invariance_keeps_a_non_finite_defect(dec12, monkeypatch):
     _, inv = residuals(dec12, state, (0.5, 0.5), probes=probes)
     assert all(math.isnan(v) for v in inv)
     with pytest.raises(NumericalError, match=r"row invariance:1 at hbar=0.1 \(flowed probe"):
-        scarlab._require_finite(scarlab._residual_rows(dec12, state, (0.5, 0.5), probes, 16, 0.1), probes)
+        scarlab._require_finite(scarlab._residual_rows(dec12, state, (0.5, 0.5), probes, 0.1), probes)
 
 
 def test_summary_says_why_a_slope_is_nan():
