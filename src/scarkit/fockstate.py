@@ -22,11 +22,15 @@ element raises NumericalError.
 Product states (coherent) keep per-mode factor vectors and use factorized
 fast paths; projected states are sparse coefficient maps.
 
-Polynomial moments <bra|Op(x^a xi^b)|ket> of a sparse ket are cached per
-state pair in a map the caller owns: expectation starts a fresh one per call,
-and scarlab.residuals keeps one per state across every probe and rotation, so
-each monomial is applied once however often the flowed probes repeat it.
-Every moment is computed by the same code in the same order either way.
+flowed_expectations evaluates one symbol at a whole grid of flow angles on
+a sparse state, for scarlab.residuals. Its polynomial values are the
+coefficient arrays of Symbol.rotation_table times moments <psi|Op(x^a xi^b)|psi>
+read from a map the caller keeps per state, so each monomial is applied once
+however often the angles repeat it; expectation starts a fresh map per call,
+and every moment is computed by the same code either way. Its character
+values take one _displacement_matrix call per mode for a group of angles, at
+most _PASS_CAP elements, with each value keeping the bits of its one-angle
+evaluation.
 """
 from __future__ import annotations
 
@@ -62,6 +66,7 @@ from .symbols import Symbol
 
 _MODE_CUTOFF_CAP = 1 << 20
 _BLOCK_CAP = 1 << 24
+_PASS_CAP = 1 << 12  # elements per angle-batched character pass (angles x block)
 
 FockIndex = tuple[int, ...]
 
@@ -593,27 +598,48 @@ def _weyl_band(cols: np.ndarray, a: int, b: int, hbar: float) -> np.ndarray:
     return out / 2.0**a
 
 
-def _displacement_matrix(beta: complex, rows: range, cols: range) -> np.ndarray:
+def _displacement_matrix(beta, rows: range, cols: range) -> np.ndarray:
     """<m|D(beta)|n> for m in rows, n in cols; exact per element.
 
     Cahill-Glauber form sqrt(p!/(p+q)!) e^{-|beta|^2/2} L_p^q(|beta|^2) times
     beta^q (m >= n) or (-conj beta)^q, with p = min(m, n), q = |m - n|. Each
-    element depends only on (m, n), so a window of the dense block has the
-    same bits as the dense block sliced. The Laguerre factor overflows once
-    p and q are both large; any non-finite element raises NumericalError.
+    element depends only on (m, n, beta), so a window of the dense block has
+    the same bits as the dense block sliced, and a stack of betas (any array
+    shape, leading the result's axes) has the bits of one call per beta.
+    Equal inputs are evaluated once: the real factor depends on (p, q),
+    which (m, n) and (n, m) share, so a square window evaluates its upper
+    triangle only, and the phase depends on the offset m - n alone. The
+    Laguerre factor overflows once p and q are both large; any non-finite
+    element raises NumericalError.
     """
+    beta = np.asarray(beta, dtype=complex)[..., None]
+    # |beta|^2 by Python's abs and pow: numpy's complex abs rounds differently
+    mag2 = np.array([abs(b) ** 2 for b in beta.ravel().tolist()]).reshape(beta.shape)
     m = np.arange(rows.start, rows.stop)[:, None]
     n = np.arange(cols.start, cols.stop)[None, :]
-    p = np.minimum(m, n)
-    q = np.abs(m - n)
-    mag2 = abs(beta) ** 2
+    offset = m - n
+    if rows == cols:
+        upper = np.triu_indices(len(rows))
+        p, q = m[upper[0], 0], -offset[upper]
+    else:
+        p, q = np.minimum(m, n).ravel(), np.abs(offset).ravel()
     lag = eval_genlaguerre(p, q, mag2)
     pref = np.exp(0.5 * (gammaln(p + 1) - gammaln(p + q + 1)) - mag2 / 2.0)
-    base = np.where(m >= n, beta, -np.conjugate(beta)) ** q
-    out = pref * lag * base
-    if not np.isfinite(out).all():
+    real = pref * lag
+    if rows == cols:
+        full = np.empty(beta.shape[:-1] + offset.shape)
+        full[..., upper[0], upper[1]] = full[..., upper[1], upper[0]] = real
+        real = full
+    else:
+        real = real.reshape(beta.shape[:-1] + offset.shape)
+    steps = np.arange(offset.min(), offset.max() + 1)
+    phase = np.where(steps >= 0, beta, -np.conjugate(beta)) ** np.abs(steps)
+    out = real * phase[..., offset - steps[0]]
+    finite = np.isfinite(out).reshape(mag2.size, -1).all(axis=1)
+    if not finite.all():
         raise NumericalError(
-            f"displacement kernel: non-finite <m|D(beta)|n> at |beta|^2 = {mag2:.6g} "
+            "displacement kernel: non-finite <m|D(beta)|n> at |beta|^2 = "
+            f"{mag2.ravel()[np.argmin(finite)]:.6g} "
             f"with p up to {int(p.max())} and q up to {int(q.max())}"
         )
     return out
@@ -679,12 +705,13 @@ def _apply_monomial(coeffs: dict, mono, hbar: float, dims: int) -> dict:
 
 def _poly_sparse(
     bra: FockState, ket_coeffs: dict, poly, hbar: float, dims: int, moments: dict
-) -> complex:
+):
     """sum over poly of coeff * <bra|Op(mono)|ket>, each moment read from `moments`.
 
     `moments` maps a monomial to its moment for this one (bra, ket) pair; a
     missing moment is computed and stored, so a caller that keeps the map
-    applies every monomial once however many symbols it evaluates.
+    applies every monomial once however many symbols it evaluates. With
+    coefficient arrays (a rotation table) the result is one value per entry.
     """
     coefficient = bra.coefficient if bra.is_product else (lambda k: bra.coeffs.get(k, 0j))
     total = 0j
@@ -723,76 +750,120 @@ def _char_product(bra: FockState, ket: FockState, chars, hbar: float, d: int) ->
 
 
 def _char_sparse(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -> complex:
+    if not bra.is_product:
+        stacked = [(coeff, np.array([w])) for coeff, w in chars]
+        return _char_pair(bra.coeffs, ket_coeffs, stacked, hbar, d)[0]
     keys = list(ket_coeffs.keys())
     vals = np.array([ket_coeffs[k] for k in keys])
     kk = np.array(keys, dtype=int).reshape(len(keys), d)
     total = 0j
-    if bra.is_product:
-        for coeff, w in chars:
-            betas = _char_betas(w, hbar, d)
-            term = np.ones(len(keys), dtype=complex)
-            for j in range(d):
-                fa = bra.factors[j]
-                cols = _index_range(kk[:, j])
-                _check_block(len(fa), len(cols))
-                D = _displacement_matrix(betas[j], range(len(fa)), cols)
-                row = np.conjugate(fa) @ D
-                term *= row[kk[:, j] - cols.start]
-            total += coeff * np.sum(term * vals)
-        return complex(total)
-    bkeys = list(bra.coeffs.keys())
-    bvals = np.array([bra.coeffs[k] for k in bkeys])
-    mm = np.array(bkeys, dtype=int).reshape(len(bkeys), d)
-    _check_block(len(bkeys), len(keys))
     for coeff, w in chars:
         betas = _char_betas(w, hbar, d)
-        block = np.ones((len(bkeys), len(keys)), dtype=complex)
+        term = np.ones(len(keys), dtype=complex)
         for j in range(d):
-            rows, cols = _index_range(mm[:, j]), _index_range(kk[:, j])
-            _check_block(len(rows), len(cols))
-            D = _displacement_matrix(betas[j], rows, cols)
-            block *= D[np.ix_(mm[:, j] - rows.start, kk[:, j] - cols.start)]
-        total += coeff * complex(np.conjugate(bvals) @ block @ vals)
+            fa = bra.factors[j]
+            cols = _index_range(kk[:, j])
+            _check_block(len(fa), len(cols))
+            D = _displacement_matrix(betas[j], range(len(fa)), cols)
+            row = np.conjugate(fa) @ D
+            term *= row[kk[:, j] - cols.start]
+        total += coeff * np.sum(term * vals)
     return complex(total)
 
 
-def expectation(
-    bra: FockState, ket: FockState, a: Symbol, *, _moments: dict | None = None
-) -> complex:
+def _char_pair(bra_coeffs: dict, ket_coeffs: dict, chars, hbar: float, d: int) -> list[complex]:
+    """sum_c coeff_c <bra|Op(exp(i sigma(z, w_c,i)))|ket> for each row i of the stacks.
+
+    chars pairs each coefficient with an (A, 2d) stack of parameters, one row
+    per angle. Every cap is checked before anything is allocated: the bra x
+    ket block and each mode's window as one angle needs them, then a pass
+    takes as many angles as fit in _PASS_CAP elements (at least one). Per
+    mode, one _displacement_matrix call gives the window for every angle of
+    the pass, and a mode whose beta is the same at every angle (one the flow
+    leaves alone) is evaluated once for all passes. Windows are gathered on
+    the support pair, multiplied in mode order and contracted per angle.
+    """
+    bkeys, keys = list(bra_coeffs), list(ket_coeffs)
+    bconj = np.conjugate(np.array([bra_coeffs[k] for k in bkeys]))
+    vals = np.array([ket_coeffs[k] for k in keys])
+    mm = np.array(bkeys, dtype=int).reshape(len(bkeys), d)
+    kk = np.array(keys, dtype=int).reshape(len(keys), d)
+    _check_block(len(bkeys), len(keys))
+    windows = [(_index_range(mm[:, j]), _index_range(kk[:, j])) for j in range(d)]
+    for rows, cols in windows:
+        _check_block(len(rows), len(cols))
+    per_angle = max([len(bkeys) * len(keys)] + [len(r) * len(c) for r, c in windows])
+    step = max(1, _PASS_CAP // per_angle)
+
+    def gathered(j: int, beta) -> np.ndarray:
+        rows, cols = windows[j]
+        D = _displacement_matrix(beta, rows, cols)
+        return D[..., (mm[:, j] - rows.start)[:, None], kk[:, j] - cols.start]
+
+    totals = [0j] * (len(chars[0][1]) if chars else 0)
+    for coeff, stack in chars:
+        betas = np.array([_char_betas(w, hbar, d) for w in stack.tolist()])
+        fixed = [
+            gathered(j, betas[0, j]) if (betas[:, j] == betas[0, j]).all() else None
+            for j in range(d)
+        ]
+        for lo in range(0, len(betas), step):
+            part = betas[lo : lo + step]
+            block = np.ones((len(part), len(bkeys), len(keys)), dtype=complex)
+            for j in range(d):
+                block *= gathered(j, part[:, j]) if fixed[j] is None else fixed[j]
+            for i, angle in enumerate(block, lo):
+                totals[i] += coeff * complex(bconj @ angle @ vals)
+    return totals
+
+
+def expectation(bra: FockState, ket: FockState, a: Symbol) -> complex:
     """<bra, Op_hbar(a) ket>, exact up to the states' tail bounds.
 
     Character terms evaluate <m|D(beta)|n> only for m and n inside the bra's
     and the ket's per-mode index ranges; NumericalError is raised when one of
     those elements is not finite (large m and n at once).
-
-    `_moments` is private to scarkit: a map from monomial to moment that the
-    caller owns and reuses for one fixed (bra, ket) pair, so that a sparse
-    state's polynomial moments are computed once across many symbols
-    (scarlab.residuals keeps one per state). Left out, a fresh map is used.
     """
     if bra.hbar != ket.hbar or bra.dims != ket.dims:
         raise ValidationError("states live in different spaces")
     if a.dims != bra.dims:
         raise ValidationError("symbol mode count does not match the states")
     if ket.is_product and not bra.is_product:
-        # flip through Op(conj a) = Op(a)^dagger; the moments are then those
-        # of the flipped pair, the same every call
-        return expectation(ket, bra, a.conj(), _moments=_moments).conjugate()
+        return expectation(ket, bra, a.conj()).conjugate()  # Op(conj a) = Op(a)^dagger
     hbar = bra.hbar
     d = bra.dims
-    moments = {} if _moments is None else _moments
     total = 0j
     if a.poly:
         if ket.is_product:
             total += _poly_product(bra, ket, a.poly)
         else:
-            total += _poly_sparse(bra, ket.coeffs, a.poly, hbar, d, moments)
+            total += _poly_sparse(bra, ket.coeffs, a.poly, hbar, d, {})
     if a.chars:
         if ket.is_product:
             total += _char_product(bra, ket, a.chars, hbar, d)
         else:
             total += _char_sparse(bra, ket.coeffs, a.chars, hbar, d)
     return complex(total)
+
+
+def flowed_expectations(state: FockState, a: Symbol, thetas, moments: dict) -> np.ndarray:
+    """<state, Op_hbar(a o rotation by thetas[i]) state> for every row of thetas.
+
+    thetas has shape (A, d) and the state is sparse; a is expanded once by
+    Symbol.rotation_table. Polynomial values are its coefficient arrays
+    times the moments in `moments`, a map from monomial to moment that the
+    caller keeps for this state: a missing moment is computed and stored, so
+    each monomial is applied once however many rotations repeat it.
+    Characters go through _char_pair, one displacement evaluation per mode
+    for every angle of a pass.
+    """
+    poly, chars = a.rotation_table(thetas)
+    total = np.zeros(len(thetas), dtype=complex)
+    if poly:
+        total += _poly_sparse(state, state.coeffs, poly, state.hbar, state.dims, moments)
+    if chars:
+        total += _char_pair(state.coeffs, state.coeffs, chars, state.hbar, state.dims)
+    return total
 
 
 # ---------------------------------------------------------------------------

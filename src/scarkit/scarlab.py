@@ -21,6 +21,7 @@ from .fockstate import (
     FockState,
     ScarState,
     expectation,
+    flowed_expectations,
     normalize_scar,
 )
 from .freqarith import HarmonicDecomposition
@@ -180,9 +181,12 @@ def residuals(
     invariance_n = max over probes and a T_POINTS t-grid of one component
     period of |<Op(a o flow_n(t))> - <Op(a)>|, exact Egorov making 16 points
     enough.
-    A flowed polynomial probe stays in the same few monomials, so the state's
-    polynomial moments are cached in one map across the base values and every
-    rotated probe: each monomial is applied to the state once per call.
+    Each (component, probe) pair is one call of flowed_expectations over all
+    T_POINTS - 1 angles: the probe's rotation is expanded once with
+    coefficient arrays over the angles, and every flowed value still goes
+    through the kernels at the rotated symbol. The state's polynomial moments
+    are cached in one map across the base values and every angle, so each
+    monomial is applied to the state once per call.
     """
     E = tuple(float(v) for v in E)
     if len(E) != decomp.d_omega:
@@ -205,16 +209,15 @@ def residuals(
         probes = default_probes(decomp)
     rates = flow_rates(decomp)
     moments: dict = {}
-    bases = [expectation(state, state, a, _moments=moments) for a in probes]
+    bases = [flowed_expectations(state, a, [[0.0] * decomp.dims], moments) for a in probes]
     invariance = []
     for n, comp in enumerate(decomp.components):
+        times = [comp.period * i / T_POINTS for i in range(1, T_POINTS)]
+        thetas = [[rates[n][j] * t for j in range(decomp.dims)] for t in times]
         defects = [0.0]
         for a, base in zip(probes, bases):
-            for i in range(1, T_POINTS):
-                t = comp.period * i / T_POINTS
-                thetas = [rates[n][j] * t for j in range(decomp.dims)]
-                moved = expectation(state, state, a.rotate(thetas), _moments=moments)
-                defects.append(abs(moved - base) / norm2)
+            moved = flowed_expectations(state, a, thetas, moments)
+            defects.extend(np.abs(moved - base) / norm2)
         invariance.append(float(np.max(defects)))  # NaN propagates; builtin max drops it
     return tuple(concentration), tuple(invariance)
 

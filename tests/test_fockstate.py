@@ -31,6 +31,7 @@ from scarkit.fockstate import (
     dump_state,
     evolve,
     expectation,
+    flowed_expectations,
     gram,
     inner,
     load_state,
@@ -790,6 +791,9 @@ def test_displacement_window_is_dense_block_slice():
         c0, c1 = sorted(rng.integers(0, kmax + 1, size=2))
         window = _displacement_matrix(beta, range(r0, r1 + 1), range(c0, c1 + 1))
         assert window.tobytes() == dense[r0 : r1 + 1, c0 : c1 + 1].tobytes()
+        # a square window evaluates its upper triangle and mirrors it
+        square = _displacement_matrix(beta, range(r0, r1 + 1), range(r0, r1 + 1))
+        assert square.tobytes() == dense[r0 : r1 + 1, r0 : r1 + 1].tobytes()
 
 
 @pytest.mark.parametrize("m,n", [(1200, 1190), (1190, 1200), (1500, 1500)])
@@ -856,6 +860,82 @@ def test_character_blocks_over_budget_raise():
     for bra, ket in ((psi, psi), (psi, wide), (wide, psi), (wide, wide)):
         with pytest.raises(ResourceLimitError, match="block"):
             expectation(bra, ket, ch)
+
+
+def test_stacked_displacement_equals_per_beta_calls():
+    rng = np.random.default_rng(17)
+    betas = rng.normal(scale=0.5, size=(3, 5)) + 1j * rng.normal(scale=0.5, size=(3, 5))
+    betas[0, 0] = 0.0
+    for rows, cols in (
+        (range(0, 40), range(0, 40)),
+        (range(7, 30), range(12, 61)),
+        (range(5, 6), range(9, 10)),
+    ):
+        stack = _displacement_matrix(betas, rows, cols)
+        assert stack.shape == (3, 5, len(rows), len(cols))
+        flat = _displacement_matrix(betas.ravel(), rows, cols)
+        for (i, k), beta in np.ndenumerate(betas):
+            one = _displacement_matrix(complex(beta), rows, cols)
+            assert stack[i, k].tobytes() == one.tobytes()
+            assert flat[5 * i + k].tobytes() == one.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_stacked_displacement_non_finite_element_raises():
+    with pytest.raises(NumericalError, match=r"\|beta\|\^2 = 0.000121 with p up to 600"):
+        _displacement_matrix([0.011, 0.02], range(600, 601), range(1200, 1201))
+
+
+def _flow_grid(dims, count=15):
+    rng = random.Random(8)
+    return [[rng.uniform(-9.0, 9.0) for _ in range(dims)] for _ in range(count)]
+
+
+def test_flowed_expectations_match_rotated_probes(monkeypatch):
+    from scarkit import fockstate
+
+    rng = np.random.default_rng(23)
+    state = _random_sparse(rng, 0.05, 3, 30, 25)
+    thetas = _flow_grid(2)
+    sym = (
+        monomial(2, [2, 0, 1, 0], 0.4)
+        + mode_energy(2, 1)
+        + character(2, (0.3, -0.2, 0.5, 0.1), 0.7)
+        + character(2, (-0.4, 0.1, 0.2, 0.6), -0.2j)
+    )
+    # the second grid leaves mode 2 alone, so its window is evaluated once for every angle
+    for grid in (thetas, [[t[0], 0.0] for t in thetas]):
+        got = flowed_expectations(state, sym, grid, {})
+        for theta, value in zip(grid, got):
+            want = expectation(state, state, sym.rotate(theta))
+            assert value == pytest.approx(want, rel=1e-13, abs=1e-15)
+        # a pass holds as many angles as _PASS_CAP allows; the split leaves every value alone
+        for cap in (1, 2 * 25 * 25, 7 * 25 * 25):
+            monkeypatch.setattr(fockstate, "_PASS_CAP", cap)
+            assert flowed_expectations(state, sym, grid, {}).tobytes() == got.tobytes()
+        monkeypatch.undo()
+
+
+def test_flowed_character_over_budget_raises_before_allocating(monkeypatch):
+    from scarkit import fockstate
+
+    rng = np.random.default_rng(29)
+    state = _random_sparse(rng, 0.05, 3, 30, 25)
+    ch = character(2, (0.3, -0.2, 0.5, 0.1))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("displacement elements evaluated past the cap")
+
+    monkeypatch.setattr(fockstate, "_displacement_matrix", forbidden)
+    n = len(state.coeffs)
+    monkeypatch.setattr(fockstate, "_BLOCK_CAP", n * n - 1)
+    with pytest.raises(ResourceLimitError, match=f"character expectation needs a {n} x {n} block"):
+        flowed_expectations(state, ch, _flow_grid(2), {})
+    # a 2 x 2 block fits, a 27-wide window does not
+    monkeypatch.setattr(fockstate, "_BLOCK_CAP", 26 * 26)
+    wide = FockState(0.05, 2, (40, 40), 0.0, coeffs={(0, 0): 0.6 + 0j, (26, 1): 0.8 + 0j})
+    with pytest.raises(ResourceLimitError, match="27 x 27 block"):
+        flowed_expectations(wide, ch, _flow_grid(2), {})
 
 
 def test_expectation_consistent_across_representations(dec12):

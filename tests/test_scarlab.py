@@ -4,6 +4,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from scarkit import scarlab
@@ -32,7 +33,7 @@ F = Fraction
 
 
 def make_dec(coords, gens):
-    table = {"one": Decimal(1), "sqrt2": sqrt_decimal(2)}
+    table = {"one": Decimal(1), "sqrt2": sqrt_decimal(2), "sqrt3": sqrt_decimal(3)}
     basis = GeneratorBasis(tuple(gens), tuple(table[g] for g in gens))
     return decompose(FrequencySpec.build(basis, coords))
 
@@ -307,13 +308,15 @@ def test_invariance_keeps_a_non_finite_defect(dec12, monkeypatch):
     probes = default_probes(dec12)
     calls = []
 
-    def fake(*args, **kwargs):
-        calls.append(1)
-        return 1.0 if len(calls) <= len(probes) else math.nan
+    def fake(state, a, thetas, moments):
+        calls.append(len(thetas))
+        return np.full(len(thetas), 1.0 if len(calls) <= len(probes) else math.nan, dtype=complex)
 
-    monkeypatch.setattr(scarlab, "expectation", fake)
+    monkeypatch.setattr(scarlab, "flowed_expectations", fake)
     _, inv = residuals(dec12, state, (0.5, 0.5), probes=probes)
     assert all(math.isnan(v) for v in inv)
+    # one pass per probe for the base values, then one per (component, probe)
+    assert calls == [1] * len(probes) + [scarlab.T_POINTS - 1] * (dec12.d_omega * len(probes))
     with pytest.raises(NumericalError, match=r"row invariance:1 at hbar=0.1 \(flowed probe"):
         scarlab._require_finite(scarlab._residual_rows(dec12, state, (0.5, 0.5), probes, 0.1), probes)
 
@@ -412,7 +415,8 @@ def test_report_invariant_hbars_decreasing():
 
 
 # ---------------------------------------------------------------------------
-# residuals caches each polynomial moment of its state once per call
+# residuals flows each probe in one batched pass per component and caches
+# each polynomial moment of its state once per call
 
 
 def _reference_residuals(decomp, state, E, probes, t_points=16):
@@ -488,12 +492,53 @@ def moment_cases():
 
 
 @pytest.mark.parametrize("case", range(3), ids=["full-rank-d3", "rank-deficient", "convex"])
-def test_residuals_bit_identical_to_uncached_reference(moment_cases, case):
+def test_residuals_agree_with_uncached_reference(moment_cases, case):
     _, decomp, state, E = moment_cases[case]
     probes = _moment_probes(decomp, seed=4)
     got = residuals(decomp, state, E, probes=probes)
     want = _reference_residuals(decomp, state, E, probes)
-    assert got == want  # exact equality, float for float
+    assert got[0] == want[0]  # concentration: exact equality, float for float
+    assert max(got[1]) <= 1e-14 and max(want[1]) <= 1e-14
+
+
+def _noninvariant_state(decomp, kind):
+    """A sparse state whose flowed probes move: a coherent copy or random levels."""
+    from scarkit.fockstate import FockState, coherent
+
+    d = decomp.dims
+    if kind == "coherent":
+        # the coherent state of test_residuals_detect_noninvariant_state, one more mode at d = 3
+        z0 = PhasePoint(x=(0.8, 0.4, 0.3)[:d], xi=(0.0,) * d)
+        psi = coherent(z0, 0.1, tail_tol=1e-12 if d == 2 else 1e-3)
+        box = itertools.product(*(range(c + 1) for c in psi.cutoff))
+        coeffs = {k: psi.coefficient(k) for k in box}
+        return FockState(psi.hbar, d, psi.cutoff, psi.tail_bound, coeffs)
+    rng = np.random.default_rng(31)
+    keys = {tuple(int(v) for v in rng.integers(0, 7, size=d)) for _ in range(40)}
+    coeffs = {k: complex(*rng.normal(size=2)) for k in sorted(keys)}
+    return FockState(0.1, d, (6,) * d, 0.0, coeffs)
+
+
+_NONINVARIANT_SPECS = {
+    1: ([[F(2)], [F(3)]], ("one",)),
+    2: ([[F(1), F(0)], [F(0), F(1)]], ("one", "sqrt2")),
+    3: ([[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]], ("one", "sqrt2", "sqrt3")),
+}
+
+
+@pytest.mark.parametrize("kind", ["coherent", "random"])
+@pytest.mark.parametrize("d_omega", [1, 2, 3])
+def test_residuals_agree_with_reference_on_noninvariant_states(d_omega, kind):
+    decomp = make_dec(*_NONINVARIANT_SPECS[d_omega])
+    assert decomp.d_omega == d_omega
+    state = _noninvariant_state(decomp, kind)
+    E = tuple(0.5 for _ in range(d_omega))
+    probes = _moment_probes(decomp, seed=4)
+    got = residuals(decomp, state, E, probes=probes)
+    want = _reference_residuals(decomp, state, E, probes)
+    assert got[0] == want[0]
+    assert min(want[1]) >= 1e-2
+    assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("case", range(3), ids=["full-rank-d3", "rank-deficient", "convex"])
