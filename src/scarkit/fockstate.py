@@ -14,11 +14,14 @@ and amplitudes are evaluated at the kept points only. Sparse states test
 each stored index.
 
 Expectations are exact matrix-element sums: polynomial symbols through the
-banded action of Op(x^a xi^b), which moves an index by at most a + b and is
-evaluated for all of a mode's support indices at once, characters through
-displacement-operator matrix elements, evaluated per mode only over the
-index range [min, max] of each state's support in that mode; a non-finite
-element raises NumericalError.
+banded action of Op(x^a xi^b), which moves an index by at most a + b,
+characters through displacement-operator matrix elements, evaluated per
+mode only over the index range [min, max] of each state's support in that
+mode; a non-finite element raises NumericalError. A moment
+<bra|Op(x^a xi^b)|ket> on a sparse ket is one array kernel (_moment): the
+ket support as an (S, d) key array, each acted-on mode's band rows combined
+over the small box of offsets, the bra read at k + offset (a sparse bra
+through sorted integer codes, a product bra from its factors), one sum.
 Product states (coherent) keep per-mode factor vectors and use factorized
 fast paths; projected states are sparse coefficient maps.
 
@@ -26,11 +29,11 @@ flowed_expectations evaluates one symbol at a whole grid of flow angles on
 a sparse state, for scarlab.residuals. Its polynomial values are the
 coefficient arrays of Symbol.rotation_table times moments <psi|Op(x^a xi^b)|psi>
 read from a map the caller keeps per state, so each monomial is applied once
-however often the angles repeat it; expectation starts a fresh map per call,
-and every moment is computed by the same code either way. Its character
-values take one _displacement_matrix call per mode for a group of angles, at
-most _PASS_CAP elements, with each value keeping the bits of its one-angle
-evaluation.
+per sweep step however often the probes and angles repeat it; expectation
+starts a fresh map per call, and every moment is computed by the same
+kernel either way. Its character values take one _displacement_matrix call
+per mode for a group of angles, at most _PASS_CAP elements, with each value
+keeping the bits of its one-angle evaluation.
 """
 from __future__ import annotations
 
@@ -681,26 +684,73 @@ def _poly_product(bra: FockState, ket: FockState, poly) -> complex:
     return total
 
 
-def _apply_monomial(coeffs: dict, mono, hbar: float, dims: int) -> dict:
-    out = coeffs
+def _support_arrays(coeffs: dict, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """A sparse map as an (S, dims) int64 key array and its (S,) amplitudes."""
+    keys = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), dims)
+    return keys, np.array(list(coeffs.values()), dtype=complex)
+
+
+def _bra_lookup(bra: FockState):
+    """Function from an (..., d) array of indices to the bra's coefficients there.
+
+    A product bra gathers from its factors; a sparse bra looks up integer
+    codes of its bounding box, sorted once, with searchsorted. Indices
+    outside the bra's support, negative ones included, read 0.
+    """
+    if bra.is_product:
+        def lookup(idx):
+            out = np.ones(idx.shape[:-1], dtype=complex)
+            for j, f in enumerate(bra.factors):
+                k = idx[..., j]
+                inside = (k >= 0) & (k < len(f))
+                out *= np.where(inside, f[np.where(inside, k, 0)], 0)
+            return out
+        return lookup
+    if not bra.coeffs:
+        return lambda idx: np.zeros(idx.shape[:-1], dtype=complex)
+    keys, vals = _support_arrays(bra.coeffs, bra.dims)
+    lo, hi = keys.min(axis=0), keys.max(axis=0)
+    extents = [int(e) for e in hi - lo + 1]
+    if math.prod(extents) >= 2**63:
+        raise ResourceLimitError(
+            f"support box {extents} has more points than an int64 code can number"
+        )
+    strides = np.array([math.prod(extents[j + 1 :]) for j in range(bra.dims)], dtype=np.int64)
+    codes = (keys - lo) @ strides
+    order = np.argsort(codes, kind="stable")  # the sort lattice_solver already pages in
+    codes, vals = codes[order], vals[order]
+
+    def lookup(idx):
+        inside = ((idx >= lo) & (idx <= hi)).all(axis=-1)
+        code = (idx - lo) @ strides
+        pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+        return np.where(inside & (codes[pos] == code), vals[pos], 0)
+    return lookup
+
+
+def _moment(lookup, keys: np.ndarray, vals: np.ndarray, mono, hbar: float) -> complex:
+    """<bra|Op(x^a xi^b)|ket> for a ket with support keys and amplitudes vals.
+
+    Each mode the monomial acts on contributes its _weyl_band rows; their
+    outer product over the box of offsets is the matrix element from k to
+    k + offset, and the bra is read at those indices by `lookup`
+    (_bra_lookup). One sum over support and box gives the moment.
+    """
+    dims = keys.shape[1]
+    weight = vals[:, None]
+    shifts = np.zeros((1, dims), dtype=np.int64)
     for j in range(dims):
         a, b = mono[j], mono[dims + j]
         if a == 0 and b == 0:
             continue
         r = a + b
-        cols = sorted({k[j] for k in out})
-        band = _weyl_band(np.array(cols), a, b, hbar)
-        hits: dict[int, list[tuple[int, complex]]] = {}
-        for col, row in zip(cols, band):
-            nz = np.nonzero(row)[0]
-            hits[col] = list(zip((nz + (col - r)).tolist(), row[nz].tolist()))
-        nxt: dict[FockIndex, complex] = {}
-        for k, c in out.items():
-            for m, wv in hits[k[j]]:
-                key = k[:j] + (m,) + k[j + 1 :]
-                nxt[key] = nxt.get(key, 0j) + wv * c
-        out = nxt
-    return out
+        step = np.zeros((2 * r + 1, dims), dtype=np.int64)
+        step[:, j] = np.arange(-r, r + 1)
+        shifts = (shifts[:, None, :] + step[None, :, :]).reshape(-1, dims)
+        band = _weyl_band(keys[:, j], a, b, hbar)
+        weight = (weight[:, :, None] * band[:, None, :]).reshape(len(keys), len(shifts))
+    bra = lookup(keys[:, None, :] + shifts[None, :, :])
+    return complex(np.sum(np.conjugate(bra) * weight))
 
 
 def _poly_sparse(
@@ -709,21 +759,20 @@ def _poly_sparse(
     """sum over poly of coeff * <bra|Op(mono)|ket>, each moment read from `moments`.
 
     `moments` maps a monomial to its moment for this one (bra, ket) pair; a
-    missing moment is computed and stored, so a caller that keeps the map
-    applies every monomial once however many symbols it evaluates. With
-    coefficient arrays (a rotation table) the result is one value per entry.
+    missing moment is computed by _moment and stored, so a caller that keeps
+    the map for a sweep step applies every monomial once per step however
+    many symbols it evaluates. With coefficient arrays (a rotation table)
+    the result is one value per entry.
     """
-    coefficient = bra.coefficient if bra.is_product else (lambda k: bra.coeffs.get(k, 0j))
+    missing = [mono for mono in poly if mono not in moments]
+    if missing:
+        lookup = _bra_lookup(bra)
+        keys, vals = _support_arrays(ket_coeffs, dims)
+        for mono in missing:
+            moments[mono] = _moment(lookup, keys, vals, mono, hbar)
     total = 0j
     for mono, coeff in poly.items():
-        acc = moments.get(mono)
-        if acc is None:
-            applied = _apply_monomial(ket_coeffs, mono, hbar, dims)
-            acc = 0j
-            for k, c in applied.items():
-                acc += np.conjugate(coefficient(k)) * c
-            moments[mono] = acc
-        total += coeff * acc
+        total += coeff * moments[mono]
     return total
 
 
@@ -753,13 +802,11 @@ def _char_sparse(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -
     if not bra.is_product:
         stacked = [(coeff, np.array([w])) for coeff, w in chars]
         return _char_pair(bra.coeffs, ket_coeffs, stacked, hbar, d)[0]
-    keys = list(ket_coeffs.keys())
-    vals = np.array([ket_coeffs[k] for k in keys])
-    kk = np.array(keys, dtype=int).reshape(len(keys), d)
+    kk, vals = _support_arrays(ket_coeffs, d)
     total = 0j
     for coeff, w in chars:
         betas = _char_betas(w, hbar, d)
-        term = np.ones(len(keys), dtype=complex)
+        term = np.ones(len(kk), dtype=complex)
         for j in range(d):
             fa = bra.factors[j]
             cols = _index_range(kk[:, j])
@@ -783,16 +830,14 @@ def _char_pair(bra_coeffs: dict, ket_coeffs: dict, chars, hbar: float, d: int) -
     leaves alone) is evaluated once for all passes. Windows are gathered on
     the support pair, multiplied in mode order and contracted per angle.
     """
-    bkeys, keys = list(bra_coeffs), list(ket_coeffs)
-    bconj = np.conjugate(np.array([bra_coeffs[k] for k in bkeys]))
-    vals = np.array([ket_coeffs[k] for k in keys])
-    mm = np.array(bkeys, dtype=int).reshape(len(bkeys), d)
-    kk = np.array(keys, dtype=int).reshape(len(keys), d)
-    _check_block(len(bkeys), len(keys))
+    mm, bvals = _support_arrays(bra_coeffs, d)
+    kk, vals = _support_arrays(ket_coeffs, d)
+    bconj = np.conjugate(bvals)
+    _check_block(len(mm), len(kk))
     windows = [(_index_range(mm[:, j]), _index_range(kk[:, j])) for j in range(d)]
     for rows, cols in windows:
         _check_block(len(rows), len(cols))
-    per_angle = max([len(bkeys) * len(keys)] + [len(r) * len(c) for r, c in windows])
+    per_angle = max([len(mm) * len(kk)] + [len(r) * len(c) for r, c in windows])
     step = max(1, _PASS_CAP // per_angle)
 
     def gathered(j: int, beta) -> np.ndarray:
@@ -809,7 +854,7 @@ def _char_pair(bra_coeffs: dict, ket_coeffs: dict, chars, hbar: float, d: int) -
         ]
         for lo in range(0, len(betas), step):
             part = betas[lo : lo + step]
-            block = np.ones((len(part), len(bkeys), len(keys)), dtype=complex)
+            block = np.ones((len(part), len(mm), len(kk)), dtype=complex)
             for j in range(d):
                 block *= gathered(j, part[:, j]) if fixed[j] is None else fixed[j]
             for i, angle in enumerate(block, lo):
@@ -853,7 +898,8 @@ def flowed_expectations(state: FockState, a: Symbol, thetas, moments: dict) -> n
     Symbol.rotation_table. Polynomial values are its coefficient arrays
     times the moments in `moments`, a map from monomial to moment that the
     caller keeps for this state: a missing moment is computed and stored, so
-    each monomial is applied once however many rotations repeat it.
+    each monomial is applied once per sweep step however many probes and
+    rotations repeat it.
     Characters go through _char_pair, one displacement evaluation per mode
     for every angle of a pass.
     """

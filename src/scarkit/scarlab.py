@@ -10,6 +10,7 @@ whole pipeline over a geometric hbar schedule and fits log-log rates.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from .phasespace import (
     orbit_average,
     sigma_membership,
 )
-from .spectral import component_eigenvalue
 from .symbols import Symbol, character, mode_energy, position
 
 LEVEL_SET_TOL = 1e-10
@@ -169,11 +169,34 @@ def convex_scar(
     return combined
 
 
+def _component_eigenvalues(decomp: HarmonicDecomposition, keys: np.ndarray, n: int, hbar: float):
+    """component_eigenvalue(decomp, k, n, hbar) for every row k of keys, bit for bit.
+
+    The exact ratio weights_n . k + trace_n / 2 is num / den over the common
+    denominator den. num is computed in int64 and stays below 2^53, so one
+    correctly rounded division gives the float of the Fraction.
+    """
+    comp = decomp.components[n]
+    half = comp.zero_point_q / 2
+    den = math.lcm(half.denominator, *(w.denominator for w in comp.weights))
+    weights = [int(w * den) for w in comp.weights]
+    shift = int(half * den)
+    top = keys.max(axis=0, initial=0).tolist()
+    if max(den, sum(abs(w) * k for w, k in zip(weights, top)) + abs(shift)) >= 2**53:
+        raise NumericalError(
+            f"component {n + 1} eigenvalue numerators exceed 2^53 over common denominator {den}"
+        )
+    num = keys @ np.array(weights, dtype=np.int64) + shift
+    return (hbar * comp.pivot * (num / den)).tolist()
+
+
 def residuals(
     decomp: HarmonicDecomposition,
     state: FockState,
     E,
     probes=None,
+    *,
+    bases: list | None = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(concentration, invariance), one entry per periodic component.
 
@@ -181,12 +204,13 @@ def residuals(
     invariance_n = max over probes and a T_POINTS t-grid of one component
     period of |<Op(a o flow_n(t))> - <Op(a)>|, exact Egorov making 16 points
     enough.
-    Each (component, probe) pair is one call of flowed_expectations over all
-    T_POINTS - 1 angles: the probe's rotation is expanded once with
-    coefficient arrays over the angles, and every flowed value still goes
-    through the kernels at the rotated symbol. The state's polynomial moments
-    are cached in one map across the base values and every angle, so each
-    monomial is applied to the state once per call.
+    Each probe's base value <Op(a)> is angle 0 of flowed_expectations, and
+    each (component, probe) pair is one more call over all T_POINTS - 1
+    angles; every flowed value still goes through the kernels at the
+    rotated symbol. One moment map serves the base values and every angle,
+    so each monomial is applied to the state once per sweep step: a list
+    passed as `bases` receives the base values, unnormalized and in probe
+    order, and sweep reads its gap rows from it.
     """
     E = tuple(float(v) for v in E)
     if len(E) != decomp.d_omega:
@@ -197,28 +221,31 @@ def residuals(
     norm2 = sum(abs(c) ** 2 for _, c in items)
     if norm2 == 0.0:
         raise ValidationError("state has no mass")
-    hbar = state.hbar
+    keys = np.array([k for k, _ in items], dtype=np.int64).reshape(len(items), decomp.dims)
     concentration = []
     for n in range(decomp.d_omega):
         acc = 0.0
-        for k, c in items:
-            lam = component_eigenvalue(decomp, k, n, hbar)
+        for (_, c), lam in zip(items, _component_eigenvalues(decomp, keys, n, state.hbar)):
             acc += abs(c) ** 2 * (lam - E[n]) ** 2
         concentration.append(acc / norm2)
     if probes is None:
         probes = default_probes(decomp)
     rates = flow_rates(decomp)
     moments: dict = {}
-    bases = [flowed_expectations(state, a, [[0.0] * decomp.dims], moments) for a in probes]
+    base_values = [
+        flowed_expectations(state, a, [[0.0] * decomp.dims], moments) for a in probes
+    ]
     invariance = []
     for n, comp in enumerate(decomp.components):
         times = [comp.period * i / T_POINTS for i in range(1, T_POINTS)]
         thetas = [[rates[n][j] * t for j in range(decomp.dims)] for t in times]
         defects = [0.0]
-        for a, base in zip(probes, bases):
+        for a, base in zip(probes, base_values):
             moved = flowed_expectations(state, a, thetas, moments)
             defects.extend(np.abs(moved - base) / norm2)
         invariance.append(float(np.max(defects)))  # NaN propagates; builtin max drops it
+    if bases is not None:
+        bases.extend(complex(v[0]) for v in base_values)
     return tuple(concentration), tuple(invariance)
 
 
@@ -341,14 +368,6 @@ def fit_loglog(hbars, values, drop: int = FIT_DROP, floor: float = 1e-14) -> flo
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _gap_rows(state, z0_refs, probes, hbar):
-    rows = []
-    for a, ref in zip(probes, z0_refs):
-        val = expectation(state, state, a)
-        rows.append((hbar, f"gap:{a.label}", val, complex(ref), abs(val - ref)))
-    return rows
-
-
 _ROW_KERNELS = {
     "c_hbar": "gram normalization",
     "norm": "state norm",
@@ -373,8 +392,8 @@ def _require_finite(rows, probes) -> None:
             )
 
 
-def _residual_rows(decomp, state, E, probes, hbar):
-    conc, inv = residuals(decomp, state, E, probes=probes)
+def _residual_rows(decomp, state, E, probes, hbar, bases=None):
+    conc, inv = residuals(decomp, state, E, probes=probes, bases=bases)
     rows = []
     for n, v in enumerate(conc):
         rows.append((hbar, f"concentration:{n + 1}", complex(v), 0j, v))
@@ -399,7 +418,7 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
         averages = [
             [orbit_average(decomp, a, z) for a in probes] for z, _ in pts
         ]
-        combined_refs = [
+        refs = [
             sum(alpha * averages[i][p] for i, (_, alpha) in enumerate(pts))
             for p in range(len(probes))
         ]
@@ -407,58 +426,34 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
         z0 = config.z0
         if z0 is None:
             z0 = sigma_membership(decomp, E).torus_point()
-        single_refs = [orbit_average(decomp, a, z0) for a in probes]
+        refs = [orbit_average(decomp, a, z0) for a in probes]
         z0_desc = f"x={z0.x} xi={z0.xi}"
 
     def run_one(hbar: float) -> list[tuple[float, str, complex, complex, float]]:
         rows = []
         if config.points:
-            parts, alphas, combined = _convex_parts(
-                decomp, pts, E, hbar, config.tail_tol, config.seed
-            )
+            parts, _, state = _convex_parts(decomp, pts, E, hbar, config.tail_tol, config.seed)
             for j, part in enumerate(parts):
-                rows.append(
-                    (
-                        hbar,
-                        f"c_hbar:{j + 1}",
-                        complex(part.c_hbar),
-                        1 + 0j,
-                        abs(part.c_hbar - 1.0),
-                    )
-                )
-            nrm = combined.norm()
+                c = part.c_hbar
+                rows.append((hbar, f"c_hbar:{j + 1}", complex(c), 1 + 0j, abs(c - 1.0)))
+            nrm = state.norm()
             rows.append((hbar, "norm", complex(nrm), 1 + 0j, abs(nrm - 1.0)))
-            for p, a in enumerate(probes):
-                val = expectation(combined, combined, a) / nrm**2
-                ref = complex(combined_refs[p])
-                rows.append((hbar, f"gap:{a.label}", val, ref, abs(val - ref)))
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    for a in probes:
-                        val = expectation(parts[i].state, parts[j].state, a)
-                        rows.append(
-                            (
-                                hbar,
-                                f"cross:{i + 1}-{j + 1}:{a.label}",
-                                val,
-                                0j,
-                                abs(val),
-                            )
-                        )
-            rows.extend(_residual_rows(decomp, combined, E, probes, hbar))
         else:
             scar = build_scar(decomp, z0, E, hbar, config.tail_tol)
-            rows.append(
-                (
-                    hbar,
-                    "c_hbar",
-                    complex(scar.c_hbar),
-                    1 + 0j,
-                    abs(scar.c_hbar - 1.0),
-                )
-            )
-            rows.extend(_gap_rows(scar.state, single_refs, probes, hbar))
-            rows.extend(_residual_rows(decomp, scar.state, E, probes, hbar))
+            parts, state, c = (), scar.state, scar.c_hbar
+            rows.append((hbar, "c_hbar", complex(c), 1 + 0j, abs(c - 1.0)))
+        # the gap rows are the unrotated values residuals computes anyway
+        values: list[complex] = []
+        residual_rows = _residual_rows(decomp, state, E, probes, hbar, values)
+        if config.points:
+            values = [v / nrm**2 for v in values]
+        for a, val, ref in zip(probes, values, refs):
+            rows.append((hbar, f"gap:{a.label}", val, complex(ref), abs(val - ref)))
+        for i, j in itertools.combinations(range(len(parts)), 2):
+            for a in probes:
+                val = expectation(parts[i].state, parts[j].state, a)
+                rows.append((hbar, f"cross:{i + 1}-{j + 1}:{a.label}", val, 0j, abs(val)))
+        rows.extend(residual_rows)
         _require_finite(rows, probes)
         return rows
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scarkit
@@ -265,7 +266,11 @@ def test_sweep_failed_step_exits_4(workdir, monkeypatch):
 def test_sweep_non_finite_row_exits_4(workdir, monkeypatch):
     from scarkit import scarlab
 
-    monkeypatch.setattr(scarlab, "expectation", lambda *args, **kwargs: complex(math.nan))
+    # the gap rows are the unrotated values of the flowed probes
+    monkeypatch.setattr(
+        scarlab, "flowed_expectations",
+        lambda state, a, thetas, moments: np.full(len(thetas), math.nan, dtype=complex),
+    )
     rc = main(["sweep", str(workdir / "run.cfg"), "--out", str(workdir / "nan")])
     assert rc == 4
     _, rows = read_csv(workdir / "nan" / "rows.csv")

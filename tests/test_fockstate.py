@@ -736,6 +736,97 @@ def test_polynomial_expectation_matches_dense_reference():
     assert expectation(p, q, sym) == pytest.approx(want, rel=1e-13)
 
 
+def _walk_monomial(coeffs, mono, hbar, dims, magnitude=False):
+    """Op(mono) applied to a sparse map key by key, one mode at a time.
+
+    The dict walk the array kernel replaced, kept as its reference. With
+    `magnitude`, every band element enters as its absolute value.
+    """
+    out = coeffs
+    for j in range(dims):
+        a, b = mono[j], mono[dims + j]
+        if a == 0 and b == 0:
+            continue
+        r = a + b
+        cols = sorted({k[j] for k in out})
+        band = _weyl_band(np.array(cols), a, b, hbar)
+        if magnitude:
+            band = np.abs(band)
+        hits = {}
+        for col, row in zip(cols, band):
+            nz = np.nonzero(row)[0]
+            hits[col] = list(zip((nz + (col - r)).tolist(), row[nz].tolist()))
+        nxt = {}
+        for k, c in out.items():
+            for m, wv in hits[k[j]]:
+                key = k[:j] + (m,) + k[j + 1 :]
+                nxt[key] = nxt.get(key, 0j) + wv * c
+        out = nxt
+    return out
+
+
+@st.composite
+def _moment_pairs(draw):
+    """(bra, ket, powers): sparse kets on 0..6 per mode, monomials of degree 0 to 4.
+
+    The bra is a sparse map overlapping the ket's support, a sparse map on
+    indices the ket never holds, or a product state.
+    """
+    d = draw(st.integers(1, 3))
+    index = st.tuples(*[st.integers(0, 6)] * d)
+    amplitude = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    ket_keys = draw(st.lists(index, min_size=1, max_size=12, unique=True))
+    ket = FockState(0.1, d, (6,) * d, 0.0, {k: draw(amplitude) for k in ket_keys})
+    kind = draw(st.sampled_from(["overlap", "disjoint", "product"]))
+    if kind == "product":
+        factors = tuple(
+            np.array(draw(st.lists(amplitude, min_size=1, max_size=9)), dtype=complex)
+            for _ in range(d)
+        )
+        bra = FockState(0.1, d, tuple(len(f) - 1 for f in factors), 0.0, factors=factors)
+    else:
+        extra = draw(st.lists(index, max_size=12, unique=True))
+        if kind == "overlap":
+            keys = set(draw(st.lists(st.sampled_from(ket_keys), min_size=1))) | set(extra)
+        else:
+            keys = set(extra) - set(ket_keys)
+        keys = draw(st.permutations(sorted(keys))) or [tuple(7 + v for v in ket_keys[0])]
+        bra = FockState(0.1, d, (10,) * d, 0.0, {k: draw(amplitude) for k in keys})
+    degree = draw(st.integers(0, 4))
+    powers = [0] * (2 * d)
+    for _ in range(degree):
+        powers[draw(st.integers(0, 2 * d - 1))] += 1
+    return bra, ket, powers
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_moment_pairs())
+def test_moment_kernel_matches_dict_walk(pair):
+    # agreement is measured against sum |c_bra| |w| |c_ket|, since cross
+    # terms can cancel the moment itself far below its terms
+    bra, ket, powers = pair
+    d = ket.dims
+    mono = tuple(powers)
+    want = sum(
+        np.conjugate(bra.coefficient(k)) * c
+        for k, c in _walk_monomial(ket.coeffs, mono, ket.hbar, d).items()
+    )
+    moduli = {k: abs(c) for k, c in ket.coeffs.items()}
+    scale = sum(
+        abs(bra.coefficient(k)) * abs(c)
+        for k, c in _walk_monomial(moduli, mono, ket.hbar, d, magnitude=True).items()
+    )
+    got = expectation(bra, ket, monomial(d, powers))
+    assert abs(got - want) <= 1e-14 * scale
+
+
+def test_sparse_bra_past_int64_codes_raises():
+    far = (2**16,) * 4
+    bra = FockState(0.1, 4, far, 0.0, {(0,) * 4: 1.0 + 0j, far: 1.0 + 0j})
+    with pytest.raises(ResourceLimitError, match="int64 code"):
+        expectation(bra, bra, position(4, 0))
+
+
 def test_character_expectation_ground_and_coherent():
     w = (0.7, -0.4)
     sym = character(1, w)

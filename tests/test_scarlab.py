@@ -291,7 +291,11 @@ def test_sweep_records_only_scarkit_errors(dec12, monkeypatch):
 
 def test_sweep_rejects_non_finite_rows(dec12, monkeypatch):
     cfg = SweepConfig(dec12, (0.5, 0.5), hbars=(0.2, 0.1))
-    monkeypatch.setattr(scarlab, "expectation", lambda *args, **kwargs: complex(math.nan))
+    # the gap rows are the unrotated values of the flowed probes
+    monkeypatch.setattr(
+        scarlab, "flowed_expectations",
+        lambda state, a, thetas, moments: np.full(len(thetas), math.nan, dtype=complex),
+    )
     report = sweep(cfg)
     assert report.rows == ()
     assert [h for h, _ in report.errors] == [0.2, 0.1]
@@ -416,7 +420,8 @@ def test_report_invariant_hbars_decreasing():
 
 # ---------------------------------------------------------------------------
 # residuals flows each probe in one batched pass per component and caches
-# each polynomial moment of its state once per call
+# each polynomial moment of its state once per call; sweep reads its gap
+# rows from the same pass
 
 
 def _reference_residuals(decomp, state, E, probes, t_points=16):
@@ -447,6 +452,33 @@ def _reference_residuals(decomp, state, E, probes, t_points=16):
                 worst = max(worst, abs(moved - base) / norm2)
         invariance.append(worst)
     return tuple(concentration), tuple(invariance)
+
+
+@pytest.mark.parametrize(
+    "coords,gens",
+    [
+        ([[F(1)], [F(2, 3)], [F(5, 7)]], ("one",)),
+        ([[F(1), F(0)], [F(3, 5), F(0)], [F(1, 4), F(1, 3)]], ("one", "sqrt2")),
+    ],
+)
+def test_component_eigenvalues_are_the_fraction_floats(coords, gens):
+    from scarkit.spectral import component_eigenvalue
+
+    decomp = make_dec(coords, gens)
+    keys = np.random.default_rng(5).integers(0, 10**6, size=(300, decomp.dims))
+    keys[0] = 0
+    for n in range(decomp.d_omega):
+        got = scarlab._component_eigenvalues(decomp, keys, n, 0.0123)
+        want = [component_eigenvalue(decomp, k, n, 0.0123) for k in keys.tolist()]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_component_eigenvalue_numerators_past_2_pow_53_raise():
+    decomp = make_dec([[F(1)], [F(2, 3)], [F(5, 7)]], ("one",))  # numerators 21 k1 + 14 k2 + 15 k3 + 25
+    keys = np.array([[0, 0, 2**53 // 15 - 2], [0, 0, 2**53 // 15]])
+    scarlab._component_eigenvalues(decomp, keys[:1], 0, 0.1)
+    with pytest.raises(NumericalError, match=r"exceed 2\^53"):
+        scarlab._component_eigenvalues(decomp, keys, 0, 0.1)
 
 
 def _moment_probes(decomp, seed):
@@ -549,13 +581,13 @@ def test_residuals_applies_each_monomial_once(moment_cases, case, monkeypatch):
     _, decomp, state, E = moment_cases[case]
     probes = _moment_probes(decomp, seed=4)
     applied = []
-    original = fockstate._apply_monomial
+    original = fockstate._moment
 
-    def counting(coeffs, mono, hbar, dims):
+    def counting(lookup, keys, vals, mono, hbar):
         applied.append(mono)
-        return original(coeffs, mono, hbar, dims)
+        return original(lookup, keys, vals, mono, hbar)
 
-    monkeypatch.setattr(fockstate, "_apply_monomial", counting)
+    monkeypatch.setattr(fockstate, "_moment", counting)
     residuals(decomp, state, E, probes=probes)
     rates = flow_rates(decomp)
     distinct = {m for a in probes for m in a.poly}
@@ -569,3 +601,42 @@ def test_residuals_applies_each_monomial_once(moment_cases, case, monkeypatch):
     assert len(applied) == len(set(applied))
     assert set(applied) <= distinct
     assert len(applied) < rotations  # without the cache there is one per rotated monomial
+
+
+@pytest.mark.parametrize("convex", [False, True], ids=["single", "convex"])
+def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
+    # gap and residual rows share one moment map per state and step; only the
+    # cross rows (bra != ket) still go through expectation
+    from scarkit import fockstate
+
+    if convex:
+        decomp = make_dec([[F(1)], [F(1)]], ("one",))
+        za = PhasePoint(x=(math.sqrt(1.5), math.sqrt(0.5)), xi=(0.0, 0.0))
+        zb = PhasePoint(x=(math.sqrt(0.5), math.sqrt(1.5)), xi=(0.0, 0.0))
+        points = ((za, 0.5), (zb, 0.5))
+        cfg = SweepConfig(decomp, (1.0,), (0.1, 0.05), points=points, probes=_moment_probes(decomp, 4))
+    else:
+        decomp = make_dec([[F(1), F(0)], [F(2), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
+        cfg = SweepConfig(decomp, (0.6, 0.4), (0.1, 0.05), probes=_moment_probes(decomp, 4))
+    probes = cfg.probes
+    applied = []
+    original = fockstate._moment
+
+    def counting(lookup, keys, vals, mono, hbar):
+        applied.append((hbar, keys.tobytes(), vals.tobytes(), mono))
+        return original(lookup, keys, vals, mono, hbar)
+
+    diagonal = []  # per expectation call: whether bra is ket
+    monkeypatch.setattr(fockstate, "_moment", counting)
+    monkeypatch.setattr(
+        scarlab, "expectation", lambda bra, ket, a: diagonal.append(bra is ket) or 0j
+    )
+    report = sweep(cfg)
+    assert report.errors == ()
+    assert len(applied) == len(set(applied))  # one evaluation per (step, state, monomial)
+    base = {m for a in probes for m in a.poly}
+    for h in cfg.hbars:
+        # one state per step, the one of the gap and residual rows
+        assert len({(keys, vals) for hh, keys, vals, _ in applied if hh == h}) == 1
+        assert base <= {m for hh, _, _, m in applied if hh == h}
+    assert diagonal == [False] * (len(probes) * len(cfg.hbars) if convex else 0)
