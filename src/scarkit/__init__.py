@@ -83,6 +83,7 @@ from .spectral import (
     EigenLevel,
     TargetEigenvalue,
     component_eigenvalue,
+    component_eigenvalues,
     component_ratio,
     decompose_eigenvalue,
     eigenvalue,
@@ -133,6 +134,7 @@ __all__ = [
     "character",
     "coherent",
     "component_eigenvalue",
+    "component_eigenvalues",
     "component_energies",
     "component_ratio",
     "conductor",

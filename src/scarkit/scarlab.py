@@ -33,6 +33,7 @@ from .phasespace import (
     orbit_average,
     sigma_membership,
 )
+from .spectral import component_eigenvalues
 from .symbols import Symbol, character, mode_energy, position
 
 LEVEL_SET_TOL = 1e-10
@@ -169,34 +170,13 @@ def convex_scar(
     return combined
 
 
-def _component_eigenvalues(decomp: HarmonicDecomposition, keys: np.ndarray, n: int, hbar: float):
-    """component_eigenvalue(decomp, k, n, hbar) for every row k of keys, bit for bit.
-
-    The exact ratio weights_n . k + trace_n / 2 is num / den over the common
-    denominator den. num is computed in int64 and stays below 2^53, so one
-    correctly rounded division gives the float of the Fraction.
-    """
-    comp = decomp.components[n]
-    half = comp.zero_point_q / 2
-    den = math.lcm(half.denominator, *(w.denominator for w in comp.weights))
-    weights = [int(w * den) for w in comp.weights]
-    shift = int(half * den)
-    top = keys.max(axis=0, initial=0).tolist()
-    if max(den, sum(abs(w) * k for w, k in zip(weights, top)) + abs(shift)) >= 2**53:
-        raise NumericalError(
-            f"component {n + 1} eigenvalue numerators exceed 2^53 over common denominator {den}"
-        )
-    num = keys @ np.array(weights, dtype=np.int64) + shift
-    return (hbar * comp.pivot * (num / den)).tolist()
-
-
 def residuals(
     decomp: HarmonicDecomposition,
     state: FockState,
     E,
     probes=None,
     *,
-    bases: list | None = None,
+    _bases: list | None = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(concentration, invariance), one entry per periodic component.
 
@@ -208,9 +188,10 @@ def residuals(
     each (component, probe) pair is one more call over all T_POINTS - 1
     angles; every flowed value still goes through the kernels at the
     rotated symbol. One moment map serves the base values and every angle,
-    so each monomial is applied to the state once per sweep step: a list
-    passed as `bases` receives the base values, unnormalized and in probe
-    order, and sweep reads its gap rows from it.
+    so each monomial is applied to the state once per sweep step.
+    `_bases` is internal to sweep, not part of the interface: a list passed
+    there receives the base values, unnormalized and in probe order, and
+    sweep reads its polynomial gap rows from it.
     """
     E = tuple(float(v) for v in E)
     if len(E) != decomp.d_omega:
@@ -225,7 +206,7 @@ def residuals(
     concentration = []
     for n in range(decomp.d_omega):
         acc = 0.0
-        for (_, c), lam in zip(items, _component_eigenvalues(decomp, keys, n, state.hbar)):
+        for (_, c), lam in zip(items, component_eigenvalues(decomp, keys, n, state.hbar)):
             acc += abs(c) ** 2 * (lam - E[n]) ** 2
         concentration.append(acc / norm2)
     if probes is None:
@@ -244,8 +225,8 @@ def residuals(
             moved = flowed_expectations(state, a, thetas, moments)
             defects.extend(np.abs(moved - base) / norm2)
         invariance.append(float(np.max(defects)))  # NaN propagates; builtin max drops it
-    if bases is not None:
-        bases.extend(complex(v[0]) for v in base_values)
+    if _bases is not None:
+        _bases.extend(complex(v[0]) for v in base_values)
     return tuple(concentration), tuple(invariance)
 
 
@@ -393,7 +374,7 @@ def _require_finite(rows, probes) -> None:
 
 
 def _residual_rows(decomp, state, E, probes, hbar, bases=None):
-    conc, inv = residuals(decomp, state, E, probes=probes, bases=bases)
+    conc, inv = residuals(decomp, state, E, probes=probes, _bases=bases)
     rows = []
     for n, v in enumerate(conc):
         rows.append((hbar, f"concentration:{n + 1}", complex(v), 0j, v))
@@ -442,12 +423,15 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
             scar = build_scar(decomp, z0, E, hbar, config.tail_tol)
             parts, state, c = (), scar.state, scar.c_hbar
             rows.append((hbar, "c_hbar", complex(c), 1 + 0j, abs(c - 1.0)))
-        # the gap rows are the unrotated values residuals computes anyway
-        values: list[complex] = []
-        residual_rows = _residual_rows(decomp, state, E, probes, hbar, values)
-        if config.points:
-            values = [v / nrm**2 for v in values]
-        for a, val, ref in zip(probes, values, refs):
+        # a polynomial probe's gap value is the unrotated value residuals
+        # computes anyway; characters have no moment map to share, so a probe
+        # carrying any goes through expectation whole
+        bases: list[complex] = []
+        residual_rows = _residual_rows(decomp, state, E, probes, hbar, bases)
+        for a, base, ref in zip(probes, bases, refs):
+            val = expectation(state, state, a) if a.chars else base
+            if config.points:
+                val /= nrm**2
             rows.append((hbar, f"gap:{a.label}", val, complex(ref), abs(val - ref)))
         for i, j in itertools.combinations(range(len(parts)), 2):
             for a in probes:

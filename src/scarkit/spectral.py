@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     BelowConductorError,
     DomainError,
+    NumericalError,
     ResourceLimitError,
     ValidationError,
 )
@@ -53,6 +56,39 @@ def component_eigenvalue(
     if hbar <= 0:
         raise ValidationError("hbar must be positive")
     return hbar * decomp.components[n].pivot * float(component_ratio(decomp, k, n))
+
+
+def component_eigenvalues(
+    decomp: HarmonicDecomposition, keys: np.ndarray, n: int, hbar: float
+) -> list[float]:
+    """component_eigenvalue(decomp, k, n, hbar) for every row k of keys, bit for bit.
+
+    keys is an (S, dims) int64 array of lattice indices. The exact ratio
+    weights_n . k + trace_n / 2 is num / den over the common denominator den;
+    num is computed in int64 and stays below 2^53, so one correctly rounded
+    division gives the float of the Fraction. NumericalError is raised when
+    a numerator bound or den reaches 2^53.
+    """
+    if not 0 <= n < decomp.d_omega:
+        raise ValidationError(f"component index {n} out of range")
+    if hbar <= 0:
+        raise ValidationError("hbar must be positive")
+    if keys.ndim != 2 or keys.shape[1] != decomp.dims:
+        raise ValidationError(f"lattice indices need {decomp.dims} entries")
+    if keys.min(initial=0) < 0:
+        raise ValidationError("lattice index entries must be nonnegative")
+    comp = decomp.components[n]
+    half = comp.zero_point_q / 2
+    den = math.lcm(half.denominator, *(w.denominator for w in comp.weights))
+    weights = [int(w * den) for w in comp.weights]
+    shift = int(half * den)
+    top = keys.max(axis=0, initial=0).tolist()
+    if max(den, sum(abs(w) * k for w, k in zip(weights, top)) + abs(shift)) >= 2**53:
+        raise NumericalError(
+            f"component {n + 1} eigenvalue numerators exceed 2^53 over common denominator {den}"
+        )
+    num = keys @ np.array(weights, dtype=np.int64) + shift
+    return (hbar * comp.pivot * (num / den)).tolist()
 
 
 def decompose_eigenvalue(

@@ -454,33 +454,6 @@ def _reference_residuals(decomp, state, E, probes, t_points=16):
     return tuple(concentration), tuple(invariance)
 
 
-@pytest.mark.parametrize(
-    "coords,gens",
-    [
-        ([[F(1)], [F(2, 3)], [F(5, 7)]], ("one",)),
-        ([[F(1), F(0)], [F(3, 5), F(0)], [F(1, 4), F(1, 3)]], ("one", "sqrt2")),
-    ],
-)
-def test_component_eigenvalues_are_the_fraction_floats(coords, gens):
-    from scarkit.spectral import component_eigenvalue
-
-    decomp = make_dec(coords, gens)
-    keys = np.random.default_rng(5).integers(0, 10**6, size=(300, decomp.dims))
-    keys[0] = 0
-    for n in range(decomp.d_omega):
-        got = scarlab._component_eigenvalues(decomp, keys, n, 0.0123)
-        want = [component_eigenvalue(decomp, k, n, 0.0123) for k in keys.tolist()]
-        assert [v.hex() for v in got] == [v.hex() for v in want]
-
-
-def test_component_eigenvalue_numerators_past_2_pow_53_raise():
-    decomp = make_dec([[F(1)], [F(2, 3)], [F(5, 7)]], ("one",))  # numerators 21 k1 + 14 k2 + 15 k3 + 25
-    keys = np.array([[0, 0, 2**53 // 15 - 2], [0, 0, 2**53 // 15]])
-    scarlab._component_eigenvalues(decomp, keys[:1], 0, 0.1)
-    with pytest.raises(NumericalError, match=r"exceed 2\^53"):
-        scarlab._component_eigenvalues(decomp, keys, 0, 0.1)
-
-
 def _moment_probes(decomp, seed):
     """Default probes plus two mixed monomials and a polynomial-plus-character sum."""
     from scarkit.symbols import character, monomial
@@ -605,8 +578,9 @@ def test_residuals_applies_each_monomial_once(moment_cases, case, monkeypatch):
 
 @pytest.mark.parametrize("convex", [False, True], ids=["single", "convex"])
 def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
-    # gap and residual rows share one moment map per state and step; only the
-    # cross rows (bra != ket) still go through expectation
+    # gap and residual rows share one moment map per state and step; the gap
+    # rows of probes carrying characters, which have no moment map, and the
+    # cross rows (bra != ket) still go through expectation, stubbed here
     from scarkit import fockstate
 
     if convex:
@@ -626,10 +600,10 @@ def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
         applied.append((hbar, keys.tobytes(), vals.tobytes(), mono))
         return original(lookup, keys, vals, mono, hbar)
 
-    diagonal = []  # per expectation call: whether bra is ket
+    calls = []  # per expectation call: the probe and whether bra is ket
     monkeypatch.setattr(fockstate, "_moment", counting)
     monkeypatch.setattr(
-        scarlab, "expectation", lambda bra, ket, a: diagonal.append(bra is ket) or 0j
+        scarlab, "expectation", lambda bra, ket, a: calls.append((a.label, bra is ket)) or 0j
     )
     report = sweep(cfg)
     assert report.errors == ()
@@ -639,4 +613,8 @@ def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
         # one state per step, the one of the gap and residual rows
         assert len({(keys, vals) for hh, keys, vals, _ in applied if hh == h}) == 1
         assert base <= {m for hh, _, _, m in applied if hh == h}
-    assert diagonal == [False] * (len(probes) * len(cfg.hbars) if convex else 0)
+    step = [(a.label, True) for a in probes if a.chars]
+    assert len(step) == 3  # char1, char2 and the mixed probe
+    if convex:
+        step += [(a.label, False) for a in probes]
+    assert calls == step * len(cfg.hbars)

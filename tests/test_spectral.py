@@ -3,17 +3,20 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from scarkit.errors import (
     BelowConductorError,
     NotInSigmaError,
+    NumericalError,
     ResourceLimitError,
     ValidationError,
 )
 from scarkit.freqarith import FrequencySpec, GeneratorBasis, decompose, sqrt_decimal
 from scarkit.spectral import (
     component_eigenvalue,
+    component_eigenvalues,
     component_ratio,
     decompose_eigenvalue,
     eigenvalue,
@@ -53,6 +56,31 @@ def test_component_eigenvalue_frozen_values(dec12):
     assert component_eigenvalue(dec12, (2, 1), 1, 0.1) == pytest.approx(
         0.1 * math.sqrt(2) * 1.5, rel=1e-13
     )
+
+
+@pytest.mark.parametrize(
+    "coords,gens",
+    [
+        ([[F(1)], [F(2, 3)], [F(5, 7)]], ("one",)),
+        ([[F(1), F(0)], [F(3, 5), F(0)], [F(1, 4), F(1, 3)]], ("one", "sqrt2")),
+    ],
+)
+def test_component_eigenvalues_are_the_fraction_floats(coords, gens):
+    decomp = make_dec(coords, gens)
+    keys = np.random.default_rng(5).integers(0, 10**6, size=(300, decomp.dims))
+    keys[0] = 0
+    for n in range(decomp.d_omega):
+        got = component_eigenvalues(decomp, keys, n, 0.0123)
+        want = [component_eigenvalue(decomp, k, n, 0.0123) for k in keys.tolist()]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_component_eigenvalue_numerators_past_2_pow_53_raise():
+    decomp = make_dec([[F(1)], [F(2, 3)], [F(5, 7)]], ("one",))  # numerators 21 k1 + 14 k2 + 15 k3 + 25
+    keys = np.array([[0, 0, 2**53 // 15 - 2], [0, 0, 2**53 // 15]])
+    component_eigenvalues(decomp, keys[:1], 0, 0.1)
+    with pytest.raises(NumericalError, match=r"exceed 2\^53"):
+        component_eigenvalues(decomp, keys, 0, 0.1)
 
 
 def test_ground_state_energy_single_mode():
