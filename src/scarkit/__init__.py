@@ -83,7 +83,6 @@ from .spectral import (
     EigenLevel,
     TargetEigenvalue,
     component_eigenvalue,
-    component_eigenvalues,
     component_ratio,
     decompose_eigenvalue,
     eigenvalue,
@@ -134,7 +133,6 @@ __all__ = [
     "character",
     "coherent",
     "component_eigenvalue",
-    "component_eigenvalues",
     "component_energies",
     "component_ratio",
     "conductor",

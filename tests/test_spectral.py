@@ -83,6 +83,18 @@ def test_component_eigenvalue_numerators_past_2_pow_53_raise():
         component_eigenvalues(decomp, keys, 0, 0.1)
 
 
+def test_component_eigenvalues_reject_bad_input(dec12):
+    keys = np.array([[1, 2]])
+    for args, match in [
+        ((keys, 2, 0.1), "component index"),
+        ((keys, 0, 0.0), "hbar"),
+        ((keys[:, :1], 0, 0.1), "2 entries"),
+        ((-keys, 0, 0.1), "nonnegative"),
+    ]:
+        with pytest.raises(ValidationError, match=match):
+            component_eigenvalues(dec12, *args)
+
+
 def test_ground_state_energy_single_mode():
     dec = make_dec([[F(1)]], ("one",))
     assert component_eigenvalue(dec, (0,), 0, 0.37) == pytest.approx(0.37 / 2)
