@@ -31,9 +31,13 @@ coefficient arrays of Symbol.rotation_table times moments <psi|Op(x^a xi^b)|psi>
 read from a map the caller keeps per state, so each monomial is applied once
 per sweep step however often the probes and angles repeat it; expectation
 starts a fresh map per call, and every moment is computed by the same
-kernel either way. Its character values take one _displacement_matrix call
-per mode for a group of angles, at most _PASS_CAP elements, with each value
-keeping the bits of its one-angle evaluation.
+kernel either way. Its character values use rotation covariance: the flow
+is diagonal in the number basis, so <m|D(beta e^{i theta})|n> =
+e^{i (m - n) theta} <m|D(beta)|n>. One displacement window per (character,
+mode) at the unrotated beta gives the support block B, and angle theta is
+x_theta . B y_theta with x_theta = conj(b) e^{i (k - lo).theta} and
+y_theta = b e^{-i (k - lo).theta}, the phases measured from each mode's
+window start lo so that their arguments stay small at deep hbar.
 """
 from __future__ import annotations
 
@@ -69,7 +73,6 @@ from .symbols import Symbol
 
 _MODE_CUTOFF_CAP = 1 << 20
 _BLOCK_CAP = 1 << 24
-_PASS_CAP = 1 << 12  # elements per angle-batched character pass (angles x block)
 
 FockIndex = tuple[int, ...]
 
@@ -601,23 +604,20 @@ def _weyl_band(cols: np.ndarray, a: int, b: int, hbar: float) -> np.ndarray:
     return out / 2.0**a
 
 
-def _displacement_matrix(beta, rows: range, cols: range) -> np.ndarray:
+def _displacement_matrix(beta: complex, rows: range, cols: range) -> np.ndarray:
     """<m|D(beta)|n> for m in rows, n in cols; exact per element.
 
     Cahill-Glauber form sqrt(p!/(p+q)!) e^{-|beta|^2/2} L_p^q(|beta|^2) times
     beta^q (m >= n) or (-conj beta)^q, with p = min(m, n), q = |m - n|. Each
     element depends only on (m, n, beta), so a window of the dense block has
-    the same bits as the dense block sliced, and a stack of betas (any array
-    shape, leading the result's axes) has the bits of one call per beta.
-    Equal inputs are evaluated once: the real factor depends on (p, q),
-    which (m, n) and (n, m) share, so a square window evaluates its upper
-    triangle only, and the phase depends on the offset m - n alone. The
-    Laguerre factor overflows once p and q are both large; any non-finite
-    element raises NumericalError.
+    the same bits as the dense block sliced. Equal inputs are evaluated
+    once: the real factor depends on (p, q), which (m, n) and (n, m) share,
+    so a square window evaluates its upper triangle only, and the phase
+    depends on the offset m - n alone. The Laguerre factor overflows once p
+    and q are both large; any non-finite element raises NumericalError.
     """
-    beta = np.asarray(beta, dtype=complex)[..., None]
-    # |beta|^2 by Python's abs and pow: numpy's complex abs rounds differently
-    mag2 = np.array([abs(b) ** 2 for b in beta.ravel().tolist()]).reshape(beta.shape)
+    beta = complex(beta)
+    mag2 = abs(beta) ** 2  # Python's abs and pow: numpy's complex abs rounds differently
     m = np.arange(rows.start, rows.stop)[:, None]
     n = np.arange(cols.start, cols.stop)[None, :]
     offset = m - n
@@ -630,19 +630,17 @@ def _displacement_matrix(beta, rows: range, cols: range) -> np.ndarray:
     pref = np.exp(0.5 * (gammaln(p + 1) - gammaln(p + q + 1)) - mag2 / 2.0)
     real = pref * lag
     if rows == cols:
-        full = np.empty(beta.shape[:-1] + offset.shape)
-        full[..., upper[0], upper[1]] = full[..., upper[1], upper[0]] = real
+        full = np.empty(offset.shape)
+        full[upper[0], upper[1]] = full[upper[1], upper[0]] = real
         real = full
     else:
-        real = real.reshape(beta.shape[:-1] + offset.shape)
+        real = real.reshape(offset.shape)
     steps = np.arange(offset.min(), offset.max() + 1)
     phase = np.where(steps >= 0, beta, -np.conjugate(beta)) ** np.abs(steps)
-    out = real * phase[..., offset - steps[0]]
-    finite = np.isfinite(out).reshape(mag2.size, -1).all(axis=1)
-    if not finite.all():
+    out = real * phase[offset - steps[0]]
+    if not np.isfinite(out).all():
         raise NumericalError(
-            "displacement kernel: non-finite <m|D(beta)|n> at |beta|^2 = "
-            f"{mag2.ravel()[np.argmin(finite)]:.6g} "
+            f"displacement kernel: non-finite <m|D(beta)|n> at |beta|^2 = {mag2:.6g} "
             f"with p up to {int(p.max())} and q up to {int(q.max())}"
         )
     return out
@@ -800,8 +798,14 @@ def _char_product(bra: FockState, ket: FockState, chars, hbar: float, d: int) ->
 
 def _char_sparse(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -> complex:
     if not bra.is_product:
-        stacked = [(coeff, np.array([w])) for coeff, w in chars]
-        return _char_pair(bra.coeffs, ket_coeffs, stacked, hbar, d)[0]
+        mm, bvals = _support_arrays(bra.coeffs, d)
+        kk, vals = _support_arrays(ket_coeffs, d)
+        windows = _char_windows(mm, kk)
+        total = 0j
+        for coeff, w in chars:
+            block = _char_block(mm, kk, windows, _char_betas(w, hbar, d))
+            total += coeff * complex(np.conjugate(bvals) @ block @ vals)
+        return total
     kk, vals = _support_arrays(ket_coeffs, d)
     total = 0j
     for coeff, w in chars:
@@ -818,48 +822,26 @@ def _char_sparse(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -
     return complex(total)
 
 
-def _char_pair(bra_coeffs: dict, ket_coeffs: dict, chars, hbar: float, d: int) -> list[complex]:
-    """sum_c coeff_c <bra|Op(exp(i sigma(z, w_c,i)))|ket> for each row i of the stacks.
+def _char_windows(mm: np.ndarray, kk: np.ndarray) -> list[tuple[range, range]]:
+    """Per-mode (rows, cols) index windows of a bra and a ket support.
 
-    chars pairs each coefficient with an (A, 2d) stack of parameters, one row
-    per angle. Every cap is checked before anything is allocated: the bra x
-    ket block and each mode's window as one angle needs them, then a pass
-    takes as many angles as fit in _PASS_CAP elements (at least one). Per
-    mode, one _displacement_matrix call gives the window for every angle of
-    the pass, and a mode whose beta is the same at every angle (one the flow
-    leaves alone) is evaluated once for all passes. Windows are gathered on
-    the support pair, multiplied in mode order and contracted per angle.
+    Every cap is checked here, before anything is allocated: the bra x ket
+    block and each mode's displacement window.
     """
-    mm, bvals = _support_arrays(bra_coeffs, d)
-    kk, vals = _support_arrays(ket_coeffs, d)
-    bconj = np.conjugate(bvals)
     _check_block(len(mm), len(kk))
-    windows = [(_index_range(mm[:, j]), _index_range(kk[:, j])) for j in range(d)]
+    windows = [(_index_range(mm[:, j]), _index_range(kk[:, j])) for j in range(mm.shape[1])]
     for rows, cols in windows:
         _check_block(len(rows), len(cols))
-    per_angle = max([len(mm) * len(kk)] + [len(r) * len(c) for r, c in windows])
-    step = max(1, _PASS_CAP // per_angle)
+    return windows
 
-    def gathered(j: int, beta) -> np.ndarray:
-        rows, cols = windows[j]
-        D = _displacement_matrix(beta, rows, cols)
-        return D[..., (mm[:, j] - rows.start)[:, None], kk[:, j] - cols.start]
 
-    totals = [0j] * (len(chars[0][1]) if chars else 0)
-    for coeff, stack in chars:
-        betas = np.array([_char_betas(w, hbar, d) for w in stack.tolist()])
-        fixed = [
-            gathered(j, betas[0, j]) if (betas[:, j] == betas[0, j]).all() else None
-            for j in range(d)
-        ]
-        for lo in range(0, len(betas), step):
-            part = betas[lo : lo + step]
-            block = np.ones((len(part), len(mm), len(kk)), dtype=complex)
-            for j in range(d):
-                block *= gathered(j, part[:, j]) if fixed[j] is None else fixed[j]
-            for i, angle in enumerate(block, lo):
-                totals[i] += coeff * complex(bconj @ angle @ vals)
-    return totals
+def _char_block(mm: np.ndarray, kk: np.ndarray, windows, betas) -> np.ndarray:
+    """prod_j <mm[:, j]|D(betas[j])|kk[:, j]>: one window per mode, gathered on the supports."""
+    block = np.ones((len(mm), len(kk)), dtype=complex)
+    for j, (rows, cols) in enumerate(windows):
+        D = _displacement_matrix(betas[j], rows, cols)
+        block *= D[(mm[:, j] - rows.start)[:, None], kk[:, j] - cols.start]
+    return block
 
 
 def expectation(bra: FockState, ket: FockState, a: Symbol) -> complex:
@@ -900,15 +882,26 @@ def flowed_expectations(state: FockState, a: Symbol, thetas, moments: dict) -> n
     caller keeps for this state: a missing moment is computed and stored, so
     each monomial is applied once per sweep step however many probes and
     rotations repeat it.
-    Characters go through _char_pair, one displacement evaluation per mode
-    for every angle of a pass.
+    Characters are evaluated by rotation covariance: one displacement window
+    per (character, mode) at the unrotated parameters gives the support
+    block B, and each angle is one vector-matrix product x_theta . B y_theta
+    with the phases e^{+-i (k - lo).theta} folded into the state vectors.
     """
-    poly, chars = a.rotation_table(thetas)
+    poly, _ = a.rotation_table(thetas)
     total = np.zeros(len(thetas), dtype=complex)
     if poly:
         total += _poly_sparse(state, state.coeffs, poly, state.hbar, state.dims, moments)
-    if chars:
-        total += _char_pair(state.coeffs, state.coeffs, chars, state.hbar, state.dims)
+    if a.chars:
+        keys, vals = _support_arrays(state.coeffs, state.dims)
+        windows = _char_windows(keys, keys)
+        lo = np.array([rows.start for rows, _ in windows])
+        phase = np.exp(1j * ((keys - lo) @ np.asarray(thetas, dtype=float).T)).T  # (A, S)
+        xs = np.conjugate(vals) * phase
+        ys = vals * np.conjugate(phase)
+        for coeff, w in a.chars:
+            block = _char_block(keys, keys, windows, _char_betas(w, state.hbar, state.dims))
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                total[i] += coeff * complex(x @ block @ y)
     return total
 
 

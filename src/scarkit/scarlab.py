@@ -184,11 +184,12 @@ def residuals(
     invariance_n = max over probes and a T_POINTS t-grid of one component
     period of |<Op(a o flow_n(t))> - <Op(a)>|, exact Egorov making 16 points
     enough.
-    Each probe's base value <Op(a)> is angle 0 of flowed_expectations, and
-    each (component, probe) pair is one more call over all T_POINTS - 1
-    angles; every flowed value still goes through the kernels at the
-    rotated symbol. One moment map serves the base values and every angle,
-    so each monomial is applied to the state once per sweep step.
+    Each probe is one flowed_expectations call over one stacked grid: angle
+    0, which gives the base value <Op(a)>, then every component's
+    T_POINTS - 1 angles. So one displacement window per (character, mode)
+    serves the base value and every component, and one moment map serves
+    every probe and angle, so each monomial is applied to the state once
+    per sweep step.
     `_bases` is internal to sweep, not part of the interface: a list passed
     there receives the base values, unnormalized and in probe order, and
     sweep reads its polynomial gap rows from it.
@@ -212,21 +213,21 @@ def residuals(
     if probes is None:
         probes = default_probes(decomp)
     rates = flow_rates(decomp)
-    moments: dict = {}
-    base_values = [
-        flowed_expectations(state, a, [[0.0] * decomp.dims], moments) for a in probes
-    ]
-    invariance = []
+    thetas = [[0.0] * decomp.dims]
     for n, comp in enumerate(decomp.components):
         times = [comp.period * i / T_POINTS for i in range(1, T_POINTS)]
-        thetas = [[rates[n][j] * t for j in range(decomp.dims)] for t in times]
-        defects = [0.0]
-        for a, base in zip(probes, base_values):
-            moved = flowed_expectations(state, a, thetas, moments)
-            defects.extend(np.abs(moved - base) / norm2)
-        invariance.append(float(np.max(defects)))  # NaN propagates; builtin max drops it
-    if _bases is not None:
-        _bases.extend(complex(v[0]) for v in base_values)
+        thetas.extend([rates[n][j] * t for j in range(decomp.dims)] for t in times)
+    moments: dict = {}
+    defects = [[0.0] for _ in decomp.components]
+    for a in probes:
+        values = flowed_expectations(state, a, thetas, moments)
+        base = values[0]
+        for n, comp_defects in enumerate(defects):
+            moved = values[1 + n * (T_POINTS - 1) : 1 + (n + 1) * (T_POINTS - 1)]
+            comp_defects.extend(np.abs(moved - base) / norm2)
+        if _bases is not None:
+            _bases.append(complex(base))
+    invariance = [float(np.max(d)) for d in defects]  # NaN propagates; builtin max drops it
     return tuple(concentration), tuple(invariance)
 
 

@@ -1,3 +1,4 @@
+import cmath
 import io
 import itertools
 import math
@@ -908,8 +909,27 @@ def test_displacement_columns_are_unit_vectors(beta, rows, cols):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_displacement_non_finite_element_raises():
-    with pytest.raises(NumericalError, match="displacement kernel.*p up to 600"):
+    with pytest.raises(
+        NumericalError, match=r"displacement kernel.*\|beta\|\^2 = 0.000121 with p up to 600"
+    ):
         _displacement_matrix(0.011, range(600, 601), range(1200, 1201))
+
+
+@pytest.mark.parametrize(
+    "beta,rows,cols",
+    [
+        (0.3 + 0.2j, range(0, 200), range(40, 60)),
+        (0.011 + 0.004j, range(960, 1041), range(990, 1011)),
+    ],
+)
+def test_displacement_rotation_covariance(beta, rows, cols):
+    # <m|D(beta e^{i theta})|n> = e^{i (m - n) theta} <m|D(beta)|n>
+    base = _displacement_matrix(beta, rows, cols)
+    offset = np.arange(rows.start, rows.stop)[:, None] - np.arange(cols.start, cols.stop)[None, :]
+    for theta in (0.3, -1.7, 2.5, 3 * math.pi, -4 * math.pi):
+        rotated = _displacement_matrix(beta * cmath.exp(1j * theta), rows, cols)
+        want = np.exp(1j * offset * theta) * base
+        np.testing.assert_allclose(rotated, want, rtol=1e-13, atol=1e-13 * np.abs(base).max())
 
 
 def _random_sparse(rng, hbar, lo, hi, size):
@@ -953,38 +973,12 @@ def test_character_blocks_over_budget_raise():
             expectation(bra, ket, ch)
 
 
-def test_stacked_displacement_equals_per_beta_calls():
-    rng = np.random.default_rng(17)
-    betas = rng.normal(scale=0.5, size=(3, 5)) + 1j * rng.normal(scale=0.5, size=(3, 5))
-    betas[0, 0] = 0.0
-    for rows, cols in (
-        (range(0, 40), range(0, 40)),
-        (range(7, 30), range(12, 61)),
-        (range(5, 6), range(9, 10)),
-    ):
-        stack = _displacement_matrix(betas, rows, cols)
-        assert stack.shape == (3, 5, len(rows), len(cols))
-        flat = _displacement_matrix(betas.ravel(), rows, cols)
-        for (i, k), beta in np.ndenumerate(betas):
-            one = _displacement_matrix(complex(beta), rows, cols)
-            assert stack[i, k].tobytes() == one.tobytes()
-            assert flat[5 * i + k].tobytes() == one.tobytes()
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_stacked_displacement_non_finite_element_raises():
-    with pytest.raises(NumericalError, match=r"\|beta\|\^2 = 0.000121 with p up to 600"):
-        _displacement_matrix([0.011, 0.02], range(600, 601), range(1200, 1201))
-
-
 def _flow_grid(dims, count=15):
     rng = random.Random(8)
     return [[rng.uniform(-9.0, 9.0) for _ in range(dims)] for _ in range(count)]
 
 
-def test_flowed_expectations_match_rotated_probes(monkeypatch):
-    from scarkit import fockstate
-
+def test_flowed_expectations_match_rotated_probes():
     rng = np.random.default_rng(23)
     state = _random_sparse(rng, 0.05, 3, 30, 25)
     thetas = _flow_grid(2)
@@ -994,17 +988,25 @@ def test_flowed_expectations_match_rotated_probes(monkeypatch):
         + character(2, (0.3, -0.2, 0.5, 0.1), 0.7)
         + character(2, (-0.4, 0.1, 0.2, 0.6), -0.2j)
     )
-    # the second grid leaves mode 2 alone, so its window is evaluated once for every angle
+    # the second grid leaves mode 2 alone
     for grid in (thetas, [[t[0], 0.0] for t in thetas]):
         got = flowed_expectations(state, sym, grid, {})
         for theta, value in zip(grid, got):
             want = expectation(state, state, sym.rotate(theta))
             assert value == pytest.approx(want, rel=1e-13, abs=1e-15)
-        # a pass holds as many angles as _PASS_CAP allows; the split leaves every value alone
-        for cap in (1, 2 * 25 * 25, 7 * 25 * 25):
-            monkeypatch.setattr(fockstate, "_PASS_CAP", cap)
-            assert flowed_expectations(state, sym, grid, {}).tobytes() == got.tobytes()
-        monkeypatch.undo()
+
+
+def test_flowed_characters_match_direct_rotation_at_large_index():
+    # a random sparse state near k = 1000 is no joint eigenstate, so every
+    # flowed value depends on the phases e^{i (k - lo) theta} being right
+    rng = np.random.default_rng(31)
+    state = _random_sparse(rng, 0.01, 985, 1015, 30)
+    sym = character(2, (0.3, -0.2, 0.5, 0.1), 0.7) + character(2, (-0.4, 0.1, 0.2, 0.6), -0.2j)
+    grid = [[0.0, 0.0]] + _flow_grid(2, 12) + [[4 * math.pi, -4 * math.pi]]
+    got = flowed_expectations(state, sym, grid, {})
+    for theta, value in zip(grid, got):
+        want = expectation(state, state, sym.rotate(theta))
+        assert abs(value - want) <= 1e-12 * abs(want)
 
 
 def test_flowed_character_over_budget_raises_before_allocating(monkeypatch):

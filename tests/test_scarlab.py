@@ -314,13 +314,15 @@ def test_invariance_keeps_a_non_finite_defect(dec12, monkeypatch):
 
     def fake(state, a, thetas, moments):
         calls.append(len(thetas))
-        return np.full(len(thetas), 1.0 if len(calls) <= len(probes) else math.nan, dtype=complex)
+        out = np.full(len(thetas), math.nan, dtype=complex)
+        out[0] = 1.0
+        return out
 
     monkeypatch.setattr(scarlab, "flowed_expectations", fake)
     _, inv = residuals(dec12, state, (0.5, 0.5), probes=probes)
     assert all(math.isnan(v) for v in inv)
-    # one pass per probe for the base values, then one per (component, probe)
-    assert calls == [1] * len(probes) + [scarlab.T_POINTS - 1] * (dec12.d_omega * len(probes))
+    # one pass per probe: angle 0 for the base value, then every component's angles
+    assert calls == [1 + dec12.d_omega * (scarlab.T_POINTS - 1)] * len(probes)
     with pytest.raises(NumericalError, match=r"row invariance:1 at hbar=0.1 \(flowed probe"):
         scarlab._require_finite(scarlab._residual_rows(dec12, state, (0.5, 0.5), probes, 0.1), probes)
 
@@ -419,9 +421,9 @@ def test_report_invariant_hbars_decreasing():
 
 
 # ---------------------------------------------------------------------------
-# residuals flows each probe in one batched pass per component and caches
-# each polynomial moment of its state once per call; sweep reads its gap
-# rows from the same pass
+# residuals flows each probe in one pass over every component's angles and
+# caches each polynomial moment of its state once per call; sweep reads its
+# polynomial gap rows from the same pass
 
 
 def _reference_residuals(decomp, state, E, probes, t_points=16):
@@ -618,3 +620,27 @@ def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
     if convex:
         step += [(a.label, False) for a in probes]
     assert calls == step * len(cfg.hbars)
+
+
+@pytest.mark.parametrize("t_points", [16, 40])
+def test_flowed_characters_take_one_window_per_character_and_mode(
+    moment_cases, t_points, monkeypatch
+):
+    # rotation covariance: the flow only rephases each window, so the number
+    # of displacement windows does not grow with the angle grid
+    from scarkit import fockstate
+
+    _, decomp, state, E = moment_cases[0]
+    probes = default_probes(decomp)
+    windows = []
+    original = fockstate._displacement_matrix
+
+    def counting(beta, rows, cols):
+        windows.append(beta)
+        return original(beta, rows, cols)
+
+    monkeypatch.setattr(fockstate, "_displacement_matrix", counting)
+    monkeypatch.setattr(scarlab, "T_POINTS", t_points)
+    residuals(decomp, state, E, probes=probes)
+    assert decomp.dims == 3
+    assert len(windows) == sum(len(a.chars) for a in probes) * decomp.dims == 6
