@@ -973,6 +973,15 @@ def test_character_blocks_over_budget_raise():
             expectation(bra, ket, ch)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_stacked_displacement_non_finite_element_raises():
+    # a stack of angles shares one window at the unrotated beta = -0.011;
+    # its element <600|D|1200> overflows and the whole stack raises
+    state = FockState(0.02, 1, (1210,), 0.0, coeffs={(600,): 0.6 + 0j, (1200,): 0.8 + 0j})
+    with pytest.raises(NumericalError, match=r"\|beta\|\^2 = 0.000121 with p up to 1200"):
+        flowed_expectations(state, character(1, (0.11, 0.0)), [[0.0], [0.4], [-2.0]], {})
+
+
 def _flow_grid(dims, count=15):
     rng = random.Random(8)
     return [[rng.uniform(-9.0, 9.0) for _ in range(dims)] for _ in range(count)]
