@@ -25,6 +25,15 @@ through sorted integer codes, a product bra from its factors), one sum.
 Product states (coherent) keep per-mode factor vectors and use factorized
 fast paths; projected states are sparse coefficient maps.
 
+The special functions are written here in numpy and math, with no
+special-function library behind them. Coherent amplitudes are Poisson probabilities in Loader's
+saddle-point form (Stirling error plus deviance), whose error does not
+grow with |alpha|^2, and the tail that sets the cutoff is summed from the
+far end. A displacement element is a log-space prefactor times
+1F1(-p; q+1; |beta|^2), summed by its terminating series in O(p |beta|^2)
+terms, with the difference form of the Laguerre recurrence, O(p), only
+where that series cancels.
+
 flowed_expectations evaluates one symbol at a whole grid of flow angles on
 a sparse state, for scarlab.residuals. Its polynomial values are the
 coefficient arrays of Symbol.rotation_table times moments <psi|Op(x^a xi^b)|psi>
@@ -48,7 +57,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, pdtrc
 
 from .errors import (
     EmptyProjectionError,
@@ -143,12 +151,100 @@ class FockState:
 # ---------------------------------------------------------------------------
 # coherent states
 
+# log(n!) - (n + 1/2) log n + n - log(2 pi)/2 at n = 0..15 (n = 0 unused),
+# rounded from 50-digit values; _stirlerr uses the asymptotic series above 15
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """Stirling's error log(n!) - (n + 1/2) log n + n - log(2 pi)/2 for integers n >= 1.
+
+    A table up to 15, the asymptotic series (five terms) beyond (C. Loader,
+    "Fast and Accurate Computation of Binomial Probabilities", 2000).
+    """
+    small = n.min() <= 15
+    nf = (np.maximum(n, 15) if small else n).astype(float)
+    nn = nf * nf
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / nf
+    return np.where(n > 15, series, _STIRLERR[np.minimum(n, 15)]) if small else series
+
+
+def _bd0(k: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The deviance k log(k/mu) + mu - k for k >= 1 and mu > 0, without cancellation.
+
+    Where |k - mu| < (k + mu)/10 it is Loader's series in v = (k - mu)/(k + mu),
+    (k - mu) v + 2k v sum_j v^(2j)/(2j+1), summed by Horner to j = 10, past
+    which v^20 < 1e-20; elsewhere k log1p((k - mu)/mu) - (k - mu) cancels
+    at most about tenfold.
+    """
+    out = np.empty(len(k))
+    near = np.abs(k - mu) < 0.1 * (k + mu)
+    far_k, far_mu = k[~near], mu[~near]
+    gap = far_k - far_mu
+    out[~near] = far_k * np.log1p(gap / far_mu) - gap
+    k, mu = k[near], mu[near]
+    v = (k - mu) / (k + mu)
+    w = v * v
+    tail = 1.0 / 21.0
+    for j in range(9, 0, -1):
+        tail = tail * w + 1.0 / (2 * j + 1)
+    out[near] = (k - mu) * v + 2.0 * k * v * (w * tail)
+    return out
+
+
+def _poisson_logpmf(ks: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """log P(X = k) for X ~ Poisson(mu), per element of the integers ks >= 0 and means mu > 0.
+
+    Loader's form -stirlerr(k) - bd0(k, mu) - log(2 pi k)/2, and -mu at
+    k = 0: no term of size mu log mu cancels, so the error stays at
+    rounding for any mu.
+    """
+    k = np.maximum(ks, 1)
+    with np.errstate(over="ignore"):  # (k - mu)/mu overflows for subnormal mu: pmf(k) = 0
+        logpmf = -_stirlerr(k) - _bd0(k.astype(float), mu) - 0.5 * np.log(2.0 * math.pi * k)
+    return np.where(ks > 0, logpmf, -mu)
+
+
+def _poisson_tails(mus: Sequence[float], k_maxes: Sequence[int]) -> list:
+    """log P(X = k) and the tail P(X > k) for k = 0..k_max, X ~ Poisson(mu), per (mu, k_max).
+
+    One _poisson_logpmf pass covers every mean. Each tail is summed from
+    k_max down, smallest terms first, so it keeps its relative accuracy
+    where 1 - cdf would cancel to ~1e-13; the mass past k_max (> mu) is
+    bounded by the geometric series pmf(k_max + 1) / (1 - mu / (k_max + 2)).
+    """
+    sizes = [k_max + 2 for k_max in k_maxes]
+    if not sizes:
+        return []
+    logpmf = _poisson_logpmf(
+        np.concatenate([np.arange(n) for n in sizes]), np.repeat(np.asarray(mus, dtype=float), sizes)
+    )
+    pmf = np.exp(logpmf)
+    out, start = [], 0
+    for mu, k_max in zip(mus, k_maxes):
+        seg = slice(start, start + k_max + 2)
+        start += k_max + 2
+        p = pmf[seg]
+        beyond = float(p[-1]) * (k_max + 2) / (k_max + 2 - mu)
+        tail = np.cumsum(np.concatenate(([beyond], p[k_max:0:-1])))[::-1]
+        out.append((logpmf[seg][:-1], tail))
+    return out
+
+
 def coherent(z0: PhasePoint, hbar: float, tail_tol: float = 1e-12) -> FockState:
     """Product coherent state centered at z0.
 
     Mode j carries alpha_j = (x_j + i xi_j)/sqrt(2 hbar); the per-mode cutoff
     is the smallest K with Poisson(|alpha|^2) tail below tail_tol / d, and
-    coefficients are assembled in log space so no factorial ever overflows.
+    the amplitudes are square roots of Poisson probabilities taken in log
+    space (_poisson_tails, one pass for all modes), so no factorial ever
+    overflows.
     """
     if not 0 < tail_tol < 1:
         raise ValidationError("tail_tol must lie in (0, 1)")
@@ -156,24 +252,22 @@ def coherent(z0: PhasePoint, hbar: float, tail_tol: float = 1e-12) -> FockState:
         raise ValidationError(f"hbar must be positive and finite, got {hbar!r}")
     d = z0.dims
     per_mode = tail_tol / d
-    factors = []
+    excited = []  # (j, alpha, mu, k_max) of every mode off the origin
     for j in range(d):
         alpha = complex(z0.x[j], z0.xi[j]) / math.sqrt(2.0 * hbar)
         mu = abs(alpha) ** 2
         if mu == 0.0:
-            factors.append(np.array([1.0 + 0j]))
             continue
-        # K = first index whose Poisson tail P(X > K) drops below the budget;
-        # pdtrc evaluates the tail directly, keeping full relative accuracy
-        # where 1 - cdf would cancel down to ~1e-13
         k_max = int(mu + 12.0 * math.sqrt(mu) + 25.0)
         if k_max > _MODE_CUTOFF_CAP:
             raise ResourceLimitError(
                 f"mode {j}: |alpha|^2 = {mu:.3g} needs cutoff beyond {_MODE_CUTOFF_CAP}"
             )
-        ks = np.arange(k_max + 1)
-        logpmf = -mu + ks * math.log(mu) - gammaln(ks + 1)
-        tail = pdtrc(ks, mu)
+        excited.append((j, alpha, mu, k_max))
+    factors = [np.array([1.0 + 0j]) for _ in range(d)]
+    tails = _poisson_tails([e[2] for e in excited], [e[3] for e in excited])
+    for (j, alpha, mu, k_max), (logpmf, tail) in zip(excited, tails):
+        # K = first index whose tail P(X > K) drops below the budget
         hit = np.nonzero(tail < per_mode)[0]
         if len(hit) == 0:
             raise ResourceLimitError(
@@ -181,8 +275,8 @@ def coherent(z0: PhasePoint, hbar: float, tail_tol: float = 1e-12) -> FockState:
             )
         K = int(hit[0])
         amp = np.exp(0.5 * logpmf[: K + 1])
-        phase = np.exp(1j * np.angle(alpha) * ks[: K + 1])
-        factors.append(amp * phase)
+        phase = np.exp(1j * np.angle(alpha) * np.arange(K + 1))
+        factors[j] = amp * phase
     return FockState(
         hbar=hbar,
         dims=d,
@@ -604,46 +698,198 @@ def _weyl_band(cols: np.ndarray, a: int, b: int, hbar: float) -> np.ndarray:
     return out / 2.0**a
 
 
+_SERIES_CHUNK = 1 << 12  # elements per series pass, bounding its (terms, elements) arrays
+_CANCEL_LIMIT = 2.0**10  # max |t_i| / |sum t_i| past which the recurrence takes over
+_TERM_LIMIT = 2.0**60  # max |t_i| at which a series is given up
+
+
+def _accumulate(ufunc, a: np.ndarray) -> np.ndarray:
+    """Running ufunc down axis 0 of a, in place and in order.
+
+    numpy's accumulate is slow down axis 0 of a wide array, so a wide one
+    goes row by row; both orders are the same sequential one.
+    """
+    if a.shape[1] <= 128:
+        return ufunc.accumulate(a, axis=0, out=a)
+    for k in range(1, len(a)):
+        ufunc(a[k - 1], a[k], out=a[k])
+    return a
+
+
+def _series_terms(i: np.ndarray, pf: np.ndarray, q1: np.ndarray, x: float, t) -> np.ndarray:
+    """Terms t_{i+1} = t_i (i - p) x / ((i + 1)(i + q + 1)) for the (B, 1) block i,
+    from t (None for t_0 = 1)."""
+    f = np.subtract(i, pf)
+    f *= x / (i + 1.0)
+    f /= i + q1
+    if t is not None:
+        f[0] *= t
+    return _accumulate(np.multiply, f)
+
+
+def _laguerre_series(p: np.ndarray, q: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """1F1(-p; q+1; x) per element by its terminating series, and where it failed.
+
+    t_0 = 1, t_{i+1} = t_i (i - p) x / ((i + q + 1)(i + 1)); the series stops
+    by itself at i = p, and its cost is set by p x, not by p. Terms come a
+    block at a time (a running product and a running sum down the block).
+    An element is finished once its last term is at most 2^-55 of its sum
+    with no later term larger: later terms then leave the sum's bits alone,
+    so they do not depend on the block lengths or on the other elements.
+    It fails where its largest term exceeds _CANCEL_LIMIT times the sum
+    (cancellation) or _TERM_LIMIT.
+
+    |t_k| <= (p x)^k / k!^2, so with top = max p x one block of `size` terms
+    finishes every element whose sum is at least 1/8 in size, and none of
+    those fails while e^{2 sqrt(top)} <= _CANCEL_LIMIT / 8. A chunk where
+    that holds for every element takes that one block; the others sum 16
+    terms a pass, checking each element.
+    """
+    top = float(p.max()) * x
+    size, bound = 1, top
+    while bound > 2.0**-58 and size < 16:
+        size += 1
+        bound *= top / (size * size)
+    easy = bound <= 2.0**-58 and 2.0 * math.sqrt(top) <= math.log(_CANCEL_LIMIT / 8)
+    first = np.arange(float(size))[:, None]
+    out = np.empty(len(p))
+    failed = np.zeros(len(p), dtype=bool)
+    for lo in range(0, len(p), _SERIES_CHUNK):
+        idx = slice(lo, lo + _SERIES_CHUNK)
+        pf, q1 = p[idx].astype(float), q[idx] + 1.0
+        if easy:
+            terms = _series_terms(first, pf, q1, x, None)
+            terms[0] += 1.0
+            s = _accumulate(np.add, terms)[-1]
+            if np.abs(s).min() >= 0.125:
+                out[idx] = s
+                continue
+        idx = np.arange(len(p))[idx]
+        t, s, big = None, 1.0, 1.0
+        i = np.arange(16.0)[:, None]
+        while len(idx):
+            terms = _series_terms(i, pf, q1, x, t)
+            ratio = ((i[-1] - pf) * (x / (i[-1] + 1.0))) / (i[-1] + q1)
+            big = np.maximum(big, np.abs(terms).max(axis=0))
+            t = terms[-1].copy()
+            terms[0] += s
+            s = _accumulate(np.add, terms)[-1]
+            out[idx] = s
+            mag = np.abs(s)
+            failed[idx] = ~(big <= np.minimum(_CANCEL_LIMIT * mag, _TERM_LIMIT))  # NaN fails
+            done = (np.abs(t) <= 2.0**-55 * mag) & ((np.abs(ratio) < 1.0) | (t == 0.0))
+            live = (big <= _TERM_LIMIT) > done
+            idx, pf, q1, t, s, big = idx[live], pf[live], q1[live], t[live], s[live], big[live]
+            i = i + 16.0
+    return out, failed
+
+
+def _laguerre_recurrence(p: np.ndarray, q: np.ndarray, x: float) -> np.ndarray:
+    """1F1(-p; q+1; x) for p >= 1 by the difference form of the Laguerre recurrence.
+
+    d_1 = -x/(q + 1), P_1 = 1 + d_1, then d_{k+1} = -x P_k/(k + q + 1)
+    + k d_k/(k + q + 1) and P_{k+1} = P_k + d_{k+1}, the difference form
+    that integer-degree Laguerre evaluators use, stable where the series
+    cancels.
+    One numpy step per degree, over the elements not yet at their own p
+    (sorted by p, so those are a prefix).
+    """
+    order = np.argsort(-p, kind="stable")
+    ps, a = p[order], q[order] + 1.0
+    d = -x / a
+    P = d + 1.0
+    done = np.empty(len(ps))
+    live = len(ps)
+    for k in range(1, int(ps[0]) + 1):
+        n = int(np.searchsorted(-ps, -k))  # elements with p > k
+        done[n:live] = P[n:live]
+        live = n
+        if not n:
+            break
+        d, P, a = d[:n], P[:n], a[:n]
+        den = k + a
+        d = (-x / den) * P + (k / den) * d
+        P = P + d
+    out = np.empty(len(p))
+    out[order] = done
+    return out
+
+
+def _displacement_real(p: np.ndarray, q: np.ndarray, x: float) -> np.ndarray:
+    """<p + q|D(beta)|p> without its phase, for x = |beta|^2 > 0.
+
+    x^{q/2} e^{-x/2} sqrt((p+q)!/p!) / q! times P = 1F1(-p; q+1; x)
+    = L_p^q(x) / C(p+q, p). The prefactor is formed in log space, with
+    log((p+q)!/p!) = q log p + (p + q + 1/2) log1p(q/p) - q + stirlerr(p+q)
+    - stirlerr(p), so no two large log-factorials cancel, and q log p joins
+    q log x as one log(x p); on the diagonal (q = 0) it is e^{-x/2} alone.
+    P comes from the series, or from the recurrence for the elements where
+    the series fails.
+    """
+    P, slow = _laguerre_series(p, q, x)
+    if slow.any():
+        P[slow] = _laguerre_recurrence(p[slow], q[slow], x)
+    q_top = int(q.max())
+    if not q_top:
+        return np.exp(np.full(len(p), -0.5 * x)) * P
+    lgq = np.array([math.lgamma(k + 1.0) for k in range(q_top + 1)])[q]
+    p_zero = not p.all()
+    p1 = np.maximum(p, 1) if p_zero else p
+    top = p1 + q
+    st = _stirlerr(np.concatenate((top, p1)))
+    ratio = (top + 0.5) * np.log1p(q / p1) - q + (st[: len(p)] - st[len(p) :])
+    log_pref = 0.5 * q * np.log(x * p1) + 0.5 * ratio - lgq
+    if p_zero:
+        log_pref = np.where(p > 0, log_pref, 0.5 * q * math.log(x) - 0.5 * lgq)
+    return np.exp(log_pref - 0.5 * x) * P
+
+
 def _displacement_matrix(beta: complex, rows: range, cols: range) -> np.ndarray:
     """<m|D(beta)|n> for m in rows, n in cols; exact per element.
 
-    Cahill-Glauber form sqrt(p!/(p+q)!) e^{-|beta|^2/2} L_p^q(|beta|^2) times
-    beta^q (m >= n) or (-conj beta)^q, with p = min(m, n), q = |m - n|. Each
-    element depends only on (m, n, beta), so a window of the dense block has
-    the same bits as the dense block sliced. Equal inputs are evaluated
-    once: the real factor depends on (p, q), which (m, n) and (n, m) share,
-    so a square window evaluates its upper triangle only, and the phase
-    depends on the offset m - n alone. The Laguerre factor overflows once p
-    and q are both large; any non-finite element raises NumericalError.
+    Cahill-Glauber form: with p = min(m, n), q = |m - n| and x = |beta|^2,
+    the element is the real factor x^{q/2} e^{-x/2} sqrt((p+q)!/p!) / q!
+    1F1(-p; q+1; x) (_displacement_real) times the unit phase
+    (beta/|beta|)^q (m >= n) or (-conj beta/|beta|)^q, so no power of beta
+    overflows. Each element depends only on (m, n, beta), so a window of
+    the dense block has the same bits as the dense block sliced. Equal
+    inputs are evaluated once: the real factor depends on (p, q), which
+    (m, n) and (n, m) share, so a square window evaluates its upper
+    triangle only, and the phase depends on the offset m - n alone. A
+    non-finite beta or element raises NumericalError.
     """
     beta = complex(beta)
-    mag2 = abs(beta) ** 2  # Python's abs and pow: numpy's complex abs rounds differently
+    try:
+        mag2 = abs(beta) ** 2  # Python's abs and pow: numpy's complex abs rounds differently
+    except OverflowError:
+        mag2 = math.inf
+    if not math.isfinite(mag2):
+        raise NumericalError(f"displacement kernel: non-finite beta = {beta}")
     m = np.arange(rows.start, rows.stop)[:, None]
-    n = np.arange(cols.start, cols.stop)[None, :]
-    offset = m - n
+    offset = m - np.arange(cols.start, cols.stop)
     if rows == cols:
-        upper = np.triu_indices(len(rows))
-        p, q = m[upper[0], 0], -offset[upper]
+        upper = np.nonzero(offset <= 0)
+        p, q = upper[0] + rows.start, upper[1] - upper[0]
     else:
-        p, q = np.minimum(m, n).ravel(), np.abs(offset).ravel()
-    lag = eval_genlaguerre(p, q, mag2)
-    pref = np.exp(0.5 * (gammaln(p + 1) - gammaln(p + q + 1)) - mag2 / 2.0)
-    real = pref * lag
-    if rows == cols:
-        full = np.empty(offset.shape)
-        full[upper[0], upper[1]] = full[upper[1], upper[0]] = real
-        real = full
-    else:
-        real = real.reshape(offset.shape)
-    steps = np.arange(offset.min(), offset.max() + 1)
-    phase = np.where(steps >= 0, beta, -np.conjugate(beta)) ** np.abs(steps)
-    out = real * phase[offset - steps[0]]
-    if not np.isfinite(out).all():
+        p, q = (m - np.maximum(offset, 0)).ravel(), np.abs(offset).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NumericalError
+        real = _displacement_real(p, q, mag2) if mag2 else (q == 0).astype(float)
+    if not np.isfinite(real).all():
         raise NumericalError(
             f"displacement kernel: non-finite <m|D(beta)|n> at |beta|^2 = {mag2:.6g} "
             f"with p up to {int(p.max())} and q up to {int(q.max())}"
         )
-    return out
+    if rows == cols:
+        full = np.empty(offset.shape)
+        full[upper] = full[upper[1], upper[0]] = real
+        real = full
+    else:
+        real = real.reshape(offset.shape)
+    low = rows.start - cols.stop + 1  # smallest offset m - n
+    steps = np.arange(low, rows.stop - cols.start)
+    unit = beta / abs(beta) if mag2 else 1.0
+    phase = np.where(steps >= 0, unit, -unit.conjugate()) ** np.abs(steps)
+    return real * phase[offset - low]
 
 
 def _index_range(indices: np.ndarray) -> range:
@@ -873,21 +1119,24 @@ def expectation(bra: FockState, ket: FockState, a: Symbol) -> complex:
     return complex(total)
 
 
-def flowed_expectations(state: FockState, a: Symbol, thetas, moments: dict) -> np.ndarray:
+def flowed_expectations(
+    state: FockState, a: Symbol, thetas, moments: dict, table: dict | None = None
+) -> np.ndarray:
     """<state, Op_hbar(a o rotation by thetas[i]) state> for every row of thetas.
 
-    thetas has shape (A, d) and the state is sparse; a is expanded once by
-    Symbol.rotation_table. Polynomial values are its coefficient arrays
-    times the moments in `moments`, a map from monomial to moment that the
-    caller keeps for this state: a missing moment is computed and stored, so
-    each monomial is applied once per sweep step however many probes and
-    rotations repeat it.
+    thetas has shape (A, d) and the state is sparse. Polynomial values are
+    the coefficient arrays of a's rotation table, the poly part of
+    a.rotation_table(thetas) (expanded here unless the caller passes it as
+    `table`), times the moments in `moments`, a map from monomial to moment
+    that the caller keeps for this state: a missing moment is computed and
+    stored, so each monomial is applied once per sweep step however many
+    probes and rotations repeat it.
     Characters are evaluated by rotation covariance: one displacement window
     per (character, mode) at the unrotated parameters gives the support
     block B, and each angle is one vector-matrix product x_theta . B y_theta
     with the phases e^{+-i (k - lo).theta} folded into the state vectors.
     """
-    poly, _ = a.rotation_table(thetas)
+    poly = a.rotation_table(thetas)[0] if table is None else table
     total = np.zeros(len(thetas), dtype=complex)
     if poly:
         total += _poly_sparse(state, state.coeffs, poly, state.hbar, state.dims, moments)

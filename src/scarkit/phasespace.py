@@ -6,8 +6,9 @@ so every H_j = (x_j^2 + xi_j^2)/2 is conserved by every component flow and the
 closure of a trajectory is the torus of points sharing all mode energies that
 the integer-weight lattice allows. Orbit averages are exact finite Fourier
 sums over that lattice's kernel: monomials expand binomially and characters
-by Jacobi-Anger, truncated where the Bessel bound falls below 1e-17, so no
-quadrature grid and no convergence check is involved.
+by Jacobi-Anger, with J_m from Miller's backward recurrence, truncated where
+the Bessel bound falls below 1e-17, so no quadrature grid and no convergence
+check is involved.
 """
 from __future__ import annotations
 
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from scipy.special import jv
 
 from .errors import NotInSigmaError, ValidationError
 from .freqarith import HarmonicDecomposition, _pivot_blocks, lattice_solver
@@ -91,6 +90,38 @@ def component_energies(decomp: HarmonicDecomposition, z: PhasePoint) -> tuple[fl
 # ---------------------------------------------------------------------------
 # orbit averages
 
+def _bessel_j(top: int, rho: float) -> np.ndarray:
+    """J_0(rho), ..., J_top(rho) for rho >= 0 by Miller's backward recurrence.
+
+    J_{k-1} = (2k / rho) J_k - J_{k+1} is run down from J_N = 1, J_{N+1} = 0,
+    with N far enough past top and rho that the error of that start,
+    (J_N / J_k)^2 relative at order k, is below rounding; the values are
+    rescaled before they overflow and normalized by
+    J_0 + 2 (J_2 + J_4 + ...) = 1 (DLMF 10.12.4; W. Gautschi, "Computational
+    aspects of three-term recurrence relations", SIAM Review 9, 1967).
+    Below rho = 1e-8, where 2k / rho could overflow, the first two terms of
+    the power series (rho/2)^m / m! (1 - (rho/2)^2 / (m+1)) are exact.
+    """
+    if rho < 1e-8:
+        half, term, vals = rho / 2.0, 1.0, []
+        for m in range(top + 1):
+            vals.append(term * (1.0 - half * half / (m + 1)))
+            term *= half / (m + 1)
+        return np.array(vals)
+    start = max(top, int(rho)) + 32 + int(4.0 * math.sqrt(rho))
+    vals = [0.0] * (start + 2)
+    vals[start] = 1.0
+    norm = 0.0
+    for k in range(start, 0, -1):
+        vals[k - 1] = (2.0 * k / rho) * vals[k] - vals[k + 1]
+        if k % 2 == 0:
+            norm += vals[k]
+        if abs(vals[k - 1]) > 1e250:
+            vals = [v * 1e-250 for v in vals]
+            norm *= 1e-250
+    return np.array(vals[: top + 1]) / (vals[0] + 2.0 * norm)
+
+
 def _mode_series(a: Symbol, z: Sequence[complex]):
     """Each term of a as (coeff, its factors' Fourier series in the mode angles).
 
@@ -100,7 +131,8 @@ def _mode_series(a: Symbol, z: Sequence[complex]):
     finite product. A character's factor e^{i Im(z conj(w_c) u)} is, by
     Jacobi-Anger (DLMF 10.12), sum_m J_m(rho) e^{i m beta} u^m with
     rho e^{i beta} = z conj(w_c), cut at the first |m| = R where
-    (rho/2)^R / R! < 1e-17 bounds |J_m| (DLMF 10.14.4).
+    (rho/2)^R / R! < 1e-17 bounds |J_m| (DLMF 10.14.4); J_m comes from
+    _bessel_j and J_{-m} = (-1)^m J_m.
     """
     d = a.dims
     terms = []
@@ -123,7 +155,9 @@ def _mode_series(a: Symbol, z: Sequence[complex]):
                 R += 1
                 bound *= abs(zeta) / (2.0 * R)
             m = np.arange(1 - R, R)
-            series.append(jv(m, abs(zeta)) * np.exp(1j * m * cmath.phase(zeta)))
+            signs = np.where(m % 2, np.sign(m), 1)  # (-1)^m below 0
+            bessel = _bessel_j(R - 1, abs(zeta))[np.abs(m)] * signs
+            series.append(bessel * np.exp(1j * m * cmath.phase(zeta)))
         terms.append((coeff, series))
     return terms
 

@@ -170,6 +170,17 @@ def convex_scar(
     return combined
 
 
+def _flow_angles(decomp: HarmonicDecomposition) -> list[list[float]]:
+    """residuals' stacked angle grid: angle 0, then each component's
+    T_POINTS - 1 flow angles over one period, in component order."""
+    rates = flow_rates(decomp)
+    thetas = [[0.0] * decomp.dims]
+    for n, comp in enumerate(decomp.components):
+        times = [comp.period * i / T_POINTS for i in range(1, T_POINTS)]
+        thetas.extend([rates[n][j] * t for j in range(decomp.dims)] for t in times)
+    return thetas
+
+
 def residuals(
     decomp: HarmonicDecomposition,
     state: FockState,
@@ -177,6 +188,7 @@ def residuals(
     probes=None,
     *,
     _bases: list | None = None,
+    _tables: list | None = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(concentration, invariance), one entry per periodic component.
 
@@ -190,9 +202,11 @@ def residuals(
     serves the base value and every component, and one moment map serves
     every probe and angle, so each monomial is applied to the state once
     per sweep step.
-    `_bases` is internal to sweep, not part of the interface: a list passed
-    there receives the base values, unnormalized and in probe order, and
-    sweep reads its polynomial gap rows from it.
+    `_bases` and `_tables` are internal to sweep, not part of the interface:
+    a list passed as `_bases` receives the base values, unnormalized and in
+    probe order, and sweep reads its polynomial gap rows from it; `_tables`
+    holds each probe's rotation table on _flow_angles, which depends on the
+    decomposition alone, so sweep expands it once for every step.
     """
     E = tuple(float(v) for v in E)
     if len(E) != decomp.d_omega:
@@ -212,15 +226,11 @@ def residuals(
         concentration.append(acc / norm2)
     if probes is None:
         probes = default_probes(decomp)
-    rates = flow_rates(decomp)
-    thetas = [[0.0] * decomp.dims]
-    for n, comp in enumerate(decomp.components):
-        times = [comp.period * i / T_POINTS for i in range(1, T_POINTS)]
-        thetas.extend([rates[n][j] * t for j in range(decomp.dims)] for t in times)
+    thetas = _flow_angles(decomp)
     moments: dict = {}
     defects = [[0.0] for _ in decomp.components]
-    for a in probes:
-        values = flowed_expectations(state, a, thetas, moments)
+    for a, table in zip(probes, _tables or [None] * len(probes)):
+        values = flowed_expectations(state, a, thetas, moments, table)
         base = values[0]
         for n, comp_defects in enumerate(defects):
             moved = values[1 + n * (T_POINTS - 1) : 1 + (n + 1) * (T_POINTS - 1)]
@@ -374,8 +384,8 @@ def _require_finite(rows, probes) -> None:
             )
 
 
-def _residual_rows(decomp, state, E, probes, hbar, bases=None):
-    conc, inv = residuals(decomp, state, E, probes=probes, _bases=bases)
+def _residual_rows(decomp, state, E, probes, hbar, bases=None, tables=None):
+    conc, inv = residuals(decomp, state, E, probes=probes, _bases=bases, _tables=tables)
     rows = []
     for n, v in enumerate(conc):
         rows.append((hbar, f"concentration:{n + 1}", complex(v), 0j, v))
@@ -410,6 +420,7 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
             z0 = sigma_membership(decomp, E).torus_point()
         refs = [orbit_average(decomp, a, z0) for a in probes]
         z0_desc = f"x={z0.x} xi={z0.xi}"
+    tables = [a.rotation_table(_flow_angles(decomp))[0] for a in probes]
 
     def run_one(hbar: float) -> list[tuple[float, str, complex, complex, float]]:
         rows = []
@@ -428,7 +439,7 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
         # computes anyway; characters have no moment map to share, so a probe
         # carrying any goes through expectation whole
         bases: list[complex] = []
-        residual_rows = _residual_rows(decomp, state, E, probes, hbar, bases)
+        residual_rows = _residual_rows(decomp, state, E, probes, hbar, bases, tables)
         for a, base, ref in zip(probes, bases, refs):
             val = expectation(state, state, a) if a.chars else base
             if config.points:

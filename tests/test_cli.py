@@ -16,6 +16,16 @@ from scarkit.cli import (
 )
 from scarkit.errors import SpecParseError
 
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle: the package and its CLI run on numpy alone
+    src = Path(scarkit.__file__).resolve().parent.parent
+    code = "import sys, scarkit, scarkit.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert "'scarkit'" in out.stdout
+    assert "'scipy'" not in out.stdout
+
+
 SQRT2_FREQ = """\
 generators = one:1, sqrt2:1.414213562373095048801688724209698078570
 omega_1 = 1 0
@@ -269,7 +279,7 @@ def test_sweep_non_finite_row_exits_4(workdir, monkeypatch):
     # the gap rows are the unrotated values of the flowed probes
     monkeypatch.setattr(
         scarlab, "flowed_expectations",
-        lambda state, a, thetas, moments: np.full(len(thetas), math.nan, dtype=complex),
+        lambda state, a, thetas, moments, table: np.full(len(thetas), math.nan, dtype=complex),
     )
     rc = main(["sweep", str(workdir / "run.cfg"), "--out", str(workdir / "nan")])
     assert rc == 4

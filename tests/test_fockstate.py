@@ -21,10 +21,13 @@ from scarkit.errors import (
     ValidationError,
 )
 from scarkit.fockstate import (
+    _STIRLERR,
     FockState,
     _char_betas,
     _displacement_matrix,
     _nearest_misses,
+    _poisson_logpmf,
+    _poisson_tails,
     _project_conditions,
     _weyl_band,
     average_project,
@@ -44,6 +47,9 @@ from scarkit.spectral import decompose_eigenvalue, eigenvalue, select_target
 from scarkit.symbols import character, mode_energy, momentum, monomial, position
 
 F = Fraction
+
+# no numpy RuntimeWarning may escape the Poisson and displacement kernels
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def make_dec(coords, gens):
@@ -113,6 +119,13 @@ def test_coherent_at_origin_is_ground():
     assert psi.coefficient((0, 0)) == pytest.approx(1.0)
 
 
+def test_coherent_at_subnormal_mean_is_ground():
+    # |alpha|^2 = 5e-320: (k - mu)/mu overflows, and pmf(k >= 1) is 0 without a warning
+    psi = coherent(PhasePoint(x=(1e-160,), xi=(0.0,)), 0.1)
+    assert psi.cutoff == (0,)
+    assert psi.coefficient((0,)) == 1.0
+
+
 def test_coherent_energy_expectation_ladder_oracle(dec12):
     # <Op(H_j)> on a coherent state is H_j(z0) + hbar/2
     z0 = torus_point(dec12, (0.5, 0.5))
@@ -141,14 +154,45 @@ def _poisson_tail_mp(k: int, mu: float):
         return mpmath.gammainc(k + 1, 0, mu, regularized=True)
 
 
-@pytest.mark.parametrize("mu", [50.0, 1000.0, 5000.0])
+@pytest.mark.parametrize("mu", [50.0, 1000.0, 5000.0, 1e5])
 def test_poisson_tail_matches_mpmath(mu):
-    from scipy.special import pdtrc
-
+    # the tail coherent cuts at, summed from k_max down
+    k_max = int(mu + 12.0 * math.sqrt(mu) + 25.0)
+    ((_, tail),) = _poisson_tails([mu], [k_max])
     for z in (0.0, 3.0, 7.0, 8.5, 10.0):  # tails from 0.5 down to ~1e-23
         k = int(mu + z * math.sqrt(mu))
         want = _poisson_tail_mp(k, mu)
-        assert abs(pdtrc(k, mu) - float(want)) <= 1e-12 * float(want)
+        assert abs(tail[k] - float(want)) <= 1e-12 * float(want)
+
+
+@pytest.mark.parametrize("mu", [1e-3, 0.5, 3.0, 50.0, 1000.0, 12345.6, 1e5, 1e6, 1e7])
+def test_poisson_pmf_matches_mpmath(mu):
+    # Loader's form keeps full relative accuracy in the bulk and the tails,
+    # where -mu + k log mu - log k! loses ~mu * eps
+    root = math.sqrt(mu)
+    ks = [0, 1, 2, int(mu / 2), int(mu - 5 * root), int(mu), int(mu) + 1]
+    ks = sorted({k for k in ks if k >= 0} | {int(mu + 3 * root), int(mu + 10 * root), int(2 * mu) + 5})
+    got = np.exp(_poisson_logpmf(np.array(ks), np.full(len(ks), mu)))
+    for k, value in zip(ks, got):
+        with mpmath.workdps(50):
+            want = float(mpmath.exp(-mu + k * mpmath.log(mu) - mpmath.loggamma(k + 1)))
+        if want > 1e-300:
+            assert abs(value - want) <= 1e-12 * want
+
+
+def test_stirling_error_table_matches_mpmath():
+    with mpmath.workdps(50):
+        for n in range(1, 16):
+            want = mpmath.log(mpmath.factorial(n)) - (n + 0.5) * mpmath.log(n) + n - mpmath.log(2 * mpmath.pi) / 2
+            assert _STIRLERR[n] == float(want)
+
+
+def test_coherent_norm_within_tail_budget_at_depth():
+    # hbar = 0.2 * 2^-18: |alpha|^2 reaches 7e5, where the old log-gamma
+    # amplitudes drifted to 1 - norm^2 = 5.5e-10
+    psi = coherent(PhasePoint(x=(1.0, 0.7), xi=(0.3, 0.2)), 0.2 * 2.0**-18, tail_tol=1e-15)
+    assert psi.cutoff[0] > 7e5
+    assert abs(1.0 - psi.norm() ** 2) <= 1e-15 + 1e-14
 
 
 def test_coherent_cutoff_is_first_index_below_tail_budget(dec12):
@@ -878,7 +922,9 @@ def test_displacement_window_is_dense_block_slice():
     kmax = 140
     for _ in range(20):
         beta = complex(*rng.normal(scale=0.6, size=2))
-        dense = _dense_displacement(beta, kmax + 1, kmax + 1)
+        dense = _displacement_matrix(beta, range(kmax + 1), range(kmax + 1))
+        # the Laguerre formula is an accuracy oracle; its bits are scipy's
+        np.testing.assert_allclose(dense, _dense_displacement(beta, kmax + 1, kmax + 1), rtol=0, atol=1e-12)
         r0, r1 = sorted(rng.integers(0, kmax + 1, size=2))
         c0, c1 = sorted(rng.integers(0, kmax + 1, size=2))
         window = _displacement_matrix(beta, range(r0, r1 + 1), range(c0, c1 + 1))
@@ -886,6 +932,52 @@ def test_displacement_window_is_dense_block_slice():
         # a square window evaluates its upper triangle and mirrors it
         square = _displacement_matrix(beta, range(r0, r1 + 1), range(r0, r1 + 1))
         assert square.tobytes() == dense[r0 : r1 + 1, r0 : r1 + 1].tobytes()
+
+
+def _mp_laguerre_factor(p, q, x):
+    """sqrt(p!/(p+q)!) x^{q/2} e^{-x/2} L_p^q(x) = <p+q|D(sqrt x)|p> in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        return float(
+            mpmath.sqrt(mpmath.factorial(p) / mpmath.factorial(p + q))
+            * x ** (mpmath.mpf(q) / 2)
+            * mpmath.exp(-x / 2)
+            * mpmath.laguerre(p, q, x)
+        )
+
+
+@pytest.mark.parametrize(
+    "p,q,x",
+    [
+        (320, 0, 2e-3),
+        (1200, 10, 0.011),
+        (10000, 5, 5e-4),
+        (468272, 3, 1e-5),
+        (468272, 40, 1e-5),
+        (1825, 704, 4e-3),  # underflows: mpmath gives 2.7e-1371
+        (30_000_000, 0, 5e-8),  # p x = 1.5, near a zero of L_p: the series still holds
+        (122, 0, 1.43),  # p x = 174: the series cancels, the recurrence takes over
+    ],
+)
+def test_laguerre_factor_matches_mpmath(p, q, x, monkeypatch):
+    from scarkit import fockstate
+
+    recurrences = []
+    original = fockstate._laguerre_recurrence
+
+    def spy(*args):
+        recurrences.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fockstate, "_laguerre_recurrence", spy)
+    got = _displacement_matrix(math.sqrt(x), range(p + q, p + q + 1), range(p, p + 1))[0, 0]
+    want = _mp_laguerre_factor(p, q, x)
+    assert got.imag == 0.0
+    if abs(want) > 1e-300:
+        assert abs(got.real - want) <= 1e-12 * abs(want)
+    else:
+        assert abs(got.real) <= 1e-300
+    assert bool(recurrences) == (p * x > 100)
 
 
 @pytest.mark.parametrize("m,n", [(1200, 1190), (1190, 1200), (1500, 1500)])
@@ -907,12 +999,17 @@ def test_displacement_columns_are_unit_vectors(beta, rows, cols):
     np.testing.assert_allclose((np.abs(D) ** 2).sum(axis=0), 1.0, atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_displacement_non_finite_element_raises():
-    with pytest.raises(
-        NumericalError, match=r"displacement kernel.*\|beta\|\^2 = 0.000121 with p up to 600"
-    ):
-        _displacement_matrix(0.011, range(600, 601), range(1200, 1201))
+    # p and q both large once overflowed the Laguerre factor; now the
+    # element is finite and underflows to 0 like the 50-digit value
+    for m, n in ((600, 1200), (1200, 600), (600, 620)):
+        got = _displacement_matrix(0.011, range(m, m + 1), range(n, n + 1))[0, 0]
+        want = _mp_displacement(0.011, m, n)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+    with pytest.raises(NumericalError, match=r"displacement kernel: non-finite beta"):
+        _displacement_matrix(complex(math.inf, 0.0), range(600, 601), range(1200, 1201))
+    with pytest.raises(NumericalError, match=r"displacement kernel: non-finite beta"):
+        _displacement_matrix(1e200, range(0, 3), range(0, 3))  # |beta|^2 overflows
 
 
 @pytest.mark.parametrize(
@@ -945,18 +1042,28 @@ def test_sparse_character_matches_dense_reference():
         bra = _random_sparse(rng, hbar, 10, 70, 40)
         ket = _random_sparse(rng, hbar, 25, 90, 40)
         sym = character(2, rng.normal(size=4), 0.6) + character(2, rng.normal(size=4), -1.3j)
-        want = 0j
         mm = np.array(list(bra.coeffs))
         kk = np.array(list(ket.coeffs))
         bvals = np.array(list(bra.coeffs.values()))
         kvals = np.array(list(ket.coeffs.values()))
-        for coeff, w in sym.chars:
-            block = np.ones((len(mm), len(kk)), dtype=complex)
-            for j, beta in enumerate(_char_betas(w, hbar, 2)):
-                D = _dense_displacement(beta, mm[:, j].max() + 1, kk[:, j].max() + 1)
-                block *= D[np.ix_(mm[:, j], kk[:, j])]
-            want += coeff * complex(np.conjugate(bvals) @ block @ kvals)
-        assert expectation(bra, ket, sym) == want
+        # the kernel's own dense blocks give the bits; the Laguerre formula
+        # gives the value
+        wants = []
+        for dense in (
+            lambda beta, r, c: _displacement_matrix(beta, range(r), range(c)),
+            _dense_displacement,
+        ):
+            want = 0j
+            for coeff, w in sym.chars:
+                block = np.ones((len(mm), len(kk)), dtype=complex)
+                for j, beta in enumerate(_char_betas(w, hbar, 2)):
+                    D = dense(beta, mm[:, j].max() + 1, kk[:, j].max() + 1)
+                    block *= D[np.ix_(mm[:, j], kk[:, j])]
+                want += coeff * complex(np.conjugate(bvals) @ block @ kvals)
+            wants.append(want)
+        got = expectation(bra, ket, sym)
+        assert got == wants[0]
+        assert abs(got - wants[1]) <= 1e-12 * np.abs(bvals).sum() * np.abs(kvals).sum()
 
 
 def test_character_blocks_over_budget_raise():
@@ -973,13 +1080,24 @@ def test_character_blocks_over_budget_raise():
             expectation(bra, ket, ch)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_stacked_displacement_non_finite_element_raises():
-    # a stack of angles shares one window at the unrotated beta = -0.011;
-    # its element <600|D|1200> overflows and the whole stack raises
+    # a stack of angles shares one window at the unrotated beta = -0.011,
+    # square over [600, 1200]; its corner <600|D|1200> once overflowed and
+    # is now finite, so every angle matches the 50-digit elements
     state = FockState(0.02, 1, (1210,), 0.0, coeffs={(600,): 0.6 + 0j, (1200,): 0.8 + 0j})
-    with pytest.raises(NumericalError, match=r"\|beta\|\^2 = 0.000121 with p up to 1200"):
-        flowed_expectations(state, character(1, (0.11, 0.0)), [[0.0], [0.4], [-2.0]], {})
+    thetas = [[0.0], [0.4], [-2.0]]
+    got = flowed_expectations(state, character(1, (0.11, 0.0)), thetas, {})
+    for (theta,), value in zip(thetas, got):
+        beta = -0.011 * cmath.exp(1j * theta)
+        want = sum(
+            np.conjugate(state.coeffs[(m,)]) * state.coeffs[(n,)] * _mp_displacement(beta, m, n)
+            for m in (600, 1200)
+            for n in (600, 1200)
+        )
+        assert value == pytest.approx(want, rel=1e-12)
+    # a displacement |beta|^2 that overflows still raises for the whole stack
+    with pytest.raises(NumericalError, match=r"displacement kernel: non-finite beta"):
+        flowed_expectations(state, character(1, (1e200, 0.0)), thetas, {})
 
 
 def _flow_grid(dims, count=15):

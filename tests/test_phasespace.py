@@ -14,6 +14,8 @@ from scarkit.errors import NotInSigmaError, ValidationError
 from scarkit.freqarith import FrequencySpec, GeneratorBasis, decompose, sqrt_decimal
 from scarkit.phasespace import (
     PhasePoint,
+    _bessel_j,
+    _mode_series,
     component_energies,
     flow_rates,
     multi_flow,
@@ -23,6 +25,9 @@ from scarkit.phasespace import (
 from scarkit.symbols import MAX_DEGREE, Symbol, character, mode_energy, parse_symbol, position
 
 F = Fraction
+
+# no numpy RuntimeWarning may escape the Bessel kernel
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def spec_1_sqrt2():
@@ -197,6 +202,29 @@ def test_orbit_average_character_matches_bessel_product(dec12):
         zj = math.hypot(z.x[j], z.xi[j])
         oracle *= j0(wj * zj)
     assert val == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1e-3, 0.5, 1.06, 5.0, 30.0])
+def test_bessel_recurrence_matches_mpmath(rho):
+    got = _bessel_j(40, rho)
+    for m in range(41):
+        with mpmath.workdps(50):
+            want = float(mpmath.besselj(m, rho))
+        assert abs(got[m] - want) <= 1e-13 * abs(want) + 1e-300
+
+
+def test_bessel_series_signs_match_mpmath():
+    # J_{-m} = (-1)^m J_m: a character's Fourier series in the mode angle
+    # is J_m(rho) e^{i m phase} for every m in the cut
+    z, w = [complex(1.3, -0.4)], (0.9, 0.6)
+    ((_, (series,)),) = _mode_series(character(1, w), z)
+    zeta = z[0] * complex(w[0], -w[1])
+    radius = len(series) // 2
+    assert radius >= 10
+    for m in range(-radius, radius + 1):
+        with mpmath.workdps(50):
+            want = complex(mpmath.besselj(m, abs(zeta)) * mpmath.expj(m * mpmath.arg(zeta)))
+        assert abs(series[radius + m] - want) <= 1e-13 * abs(want) + 1e-300
 
 
 def test_orbit_average_j0_product_for_three_independent_modes():

@@ -294,7 +294,7 @@ def test_sweep_rejects_non_finite_rows(dec12, monkeypatch):
     # the gap rows are the unrotated values of the flowed probes
     monkeypatch.setattr(
         scarlab, "flowed_expectations",
-        lambda state, a, thetas, moments: np.full(len(thetas), math.nan, dtype=complex),
+        lambda state, a, thetas, moments, table: np.full(len(thetas), math.nan, dtype=complex),
     )
     report = sweep(cfg)
     assert report.rows == ()
@@ -312,7 +312,7 @@ def test_invariance_keeps_a_non_finite_defect(dec12, monkeypatch):
     probes = default_probes(dec12)
     calls = []
 
-    def fake(state, a, thetas, moments):
+    def fake(state, a, thetas, moments, table):
         calls.append(len(thetas))
         out = np.full(len(thetas), math.nan, dtype=complex)
         out[0] = 1.0
