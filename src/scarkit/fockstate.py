@@ -30,9 +30,10 @@ special-function library behind them. Coherent amplitudes are Poisson probabilit
 saddle-point form (Stirling error plus deviance), whose error does not
 grow with |alpha|^2, and the tail that sets the cutoff is summed from the
 far end. A displacement element is a log-space prefactor times
-1F1(-p; q+1; |beta|^2), summed by its terminating series in O(p |beta|^2)
-terms, with the difference form of the Laguerre recurrence, O(p), only
-where that series cancels.
+1F1(-p; q+1; |beta|^2), summed by its terminating series, whose length is
+set by p |beta|^2; the difference form of the Laguerre recurrence, O(p),
+takes over only where the series would lose absolute accuracy, and raises
+ResourceLimitError past degree 2^14.
 
 flowed_expectations evaluates one symbol at a whole grid of flow angles on
 a sparse state, for scarlab.residuals. Its polynomial values are the
@@ -699,89 +700,61 @@ def _weyl_band(cols: np.ndarray, a: int, b: int, hbar: float) -> np.ndarray:
 
 
 _SERIES_CHUNK = 1 << 12  # elements per series pass, bounding its (terms, elements) arrays
-_CANCEL_LIMIT = 2.0**10  # max |t_i| / |sum t_i| past which the recurrence takes over
-_TERM_LIMIT = 2.0**60  # max |t_i| at which a series is given up
+_ERROR_LIMIT = 2.0**8  # max scale * |t_i|, so a series element errs by ~2^8 eps at most
+_RECURRENCE_CAP = 1 << 14  # max degree p the recurrence runs to, about 0.15 s of numpy steps
 
 
-def _accumulate(ufunc, a: np.ndarray) -> np.ndarray:
-    """Running ufunc down axis 0 of a, in place and in order.
-
-    numpy's accumulate is slow down axis 0 of a wide array, so a wide one
-    goes row by row; both orders are the same sequential one.
-    """
-    if a.shape[1] <= 128:
-        return ufunc.accumulate(a, axis=0, out=a)
-    for k in range(1, len(a)):
-        ufunc(a[k - 1], a[k], out=a[k])
-    return a
-
-
-def _series_terms(i: np.ndarray, pf: np.ndarray, q1: np.ndarray, x: float, t) -> np.ndarray:
-    """Terms t_{i+1} = t_i (i - p) x / ((i + 1)(i + q + 1)) for the (B, 1) block i,
-    from t (None for t_0 = 1)."""
-    f = np.subtract(i, pf)
-    f *= x / (i + 1.0)
-    f /= i + q1
-    if t is not None:
-        f[0] *= t
-    return _accumulate(np.multiply, f)
-
-
-def _laguerre_series(p: np.ndarray, q: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """1F1(-p; q+1; x) per element by its terminating series, and where it failed.
+def _laguerre_series(p: np.ndarray, q: np.ndarray, x: float, scale: np.ndarray) -> np.ndarray:
+    """1F1(-p; q+1; x) per element by its terminating series; NaN where it failed.
 
     t_0 = 1, t_{i+1} = t_i (i - p) x / ((i + q + 1)(i + 1)); the series stops
     by itself at i = p, and its cost is set by p x, not by p. Terms come a
-    block at a time (a running product and a running sum down the block).
-    An element is finished once its last term is at most 2^-55 of its sum
-    with no later term larger: later terms then leave the sum's bits alone,
-    so they do not depend on the block lengths or on the other elements.
-    It fails where its largest term exceeds _CANCEL_LIMIT times the sum
-    (cancellation) or _TERM_LIMIT.
-
-    |t_k| <= (p x)^k / k!^2, so with top = max p x one block of `size` terms
-    finishes every element whose sum is at least 1/8 in size, and none of
-    those fails while e^{2 sqrt(top)} <= _CANCEL_LIMIT / 8. A chunk where
-    that holds for every element takes that one block; the others sum 16
-    terms a pass, checking each element.
+    block at a time, as a running product and a running sum, so every term
+    and partial sum is rounded in the same order whatever the block length.
+    |t_{i+1} / t_i| <= p x / (i + 1)^2 and |t_k| <= (p x)^k / k!^2, so a
+    chunk's block is sized to bring the latter below 2^-58 at its largest
+    p x (at most 16 terms), and most chunks take one block. An element is
+    finished once its last term t_n is at most 2^-55 of its sum and every
+    later ratio is at most 1/2 (n^2 >= 2 p x, checked at the chunk's largest
+    p x), or t_n = 0: every later term
+    is then below half an ulp of the sum and leaves its bits alone, so they
+    depend on the element's own (p, q, x), not on the block length or on
+    the other elements.
+    The sum errs by about eps times its largest term, and the element is the
+    sum times `scale`, an entry of a unit column; so an element fails once
+    scale |t_i| exceeds _ERROR_LIMIT for some term. A small value near a
+    zero of 1F1 keeps that absolute accuracy and does not fail.
     """
-    top = float(p.max()) * x
-    size, bound = 1, top
-    while bound > 2.0**-58 and size < 16:
-        size += 1
-        bound *= top / (size * size)
-    easy = bound <= 2.0**-58 and 2.0 * math.sqrt(top) <= math.log(_CANCEL_LIMIT / 8)
-    first = np.arange(float(size))[:, None]
     out = np.empty(len(p))
-    failed = np.zeros(len(p), dtype=bool)
+    lims = _ERROR_LIMIT / scale
     for lo in range(0, len(p), _SERIES_CHUNK):
-        idx = slice(lo, lo + _SERIES_CHUNK)
-        pf, q1 = p[idx].astype(float), q[idx] + 1.0
-        if easy:
-            terms = _series_terms(first, pf, q1, x, None)
-            terms[0] += 1.0
-            s = _accumulate(np.add, terms)[-1]
-            if np.abs(s).min() >= 0.125:
-                out[idx] = s
-                continue
-        idx = np.arange(len(p))[idx]
-        t, s, big = None, 1.0, 1.0
-        i = np.arange(16.0)[:, None]
-        while len(idx):
-            terms = _series_terms(i, pf, q1, x, t)
-            ratio = ((i[-1] - pf) * (x / (i[-1] + 1.0))) / (i[-1] + q1)
-            big = np.maximum(big, np.abs(terms).max(axis=0))
-            t = terms[-1].copy()
-            terms[0] += s
-            s = _accumulate(np.add, terms)[-1]
-            out[idx] = s
-            mag = np.abs(s)
-            failed[idx] = ~(big <= np.minimum(_CANCEL_LIMIT * mag, _TERM_LIMIT))  # NaN fails
-            done = (np.abs(t) <= 2.0**-55 * mag) & ((np.abs(ratio) < 1.0) | (t == 0.0))
-            live = (big <= _TERM_LIMIT) > done
-            idx, pf, q1, t, s, big = idx[live], pf[live], q1[live], t[live], s[live], big[live]
-            i = i + 16.0
-    return out, failed
+        idx = np.arange(lo, min(lo + _SERIES_CHUNK, len(p)))
+        pf, q1, lim = p[idx].astype(float), q[idx] + 1.0, lims[idx]
+        top = float(pf.max()) * x
+        size, bound = 1, top
+        while bound > 2.0**-58 and size < 16:
+            size += 1
+            bound *= top / (size * size)
+        i, n, t, s = np.arange(float(size))[:, None], size, 1.0, 1.0
+        while True:
+            f = np.subtract(i, pf)  # row r: t_{i_r + 1} / t_{i_r}
+            f *= x / (i + 1.0)
+            f /= i + q1
+            f[0] *= t
+            np.multiply.accumulate(f, axis=0, out=f)
+            ok = np.abs(f).max(axis=0) <= lim  # NaN fails
+            t = f[-1].copy()
+            f[0] += s
+            s = np.add.accumulate(f, axis=0, out=f)[-1]
+            out[idx] = np.where(ok, s, np.nan)
+            tol = 2.0**-55 if n * n >= 2.0 * top else 0.0
+            live = ok > (np.abs(t) <= tol * np.abs(s))
+            if not live.any():
+                break
+            idx, pf, q1, lim, t, s = idx[live], pf[live], q1[live], lim[live], t[live], s[live]
+            i = i + float(size)
+            n += size
+    return out
 
 
 def _laguerre_recurrence(p: np.ndarray, q: np.ndarray, x: float) -> np.ndarray:
@@ -792,10 +765,17 @@ def _laguerre_recurrence(p: np.ndarray, q: np.ndarray, x: float) -> np.ndarray:
     that integer-degree Laguerre evaluators use, stable where the series
     cancels.
     One numpy step per degree, over the elements not yet at their own p
-    (sorted by p, so those are a prefix).
+    (sorted by p, so those are a prefix). A degree past _RECURRENCE_CAP
+    raises ResourceLimitError before any step.
     """
     order = np.argsort(-p, kind="stable")
     ps, a = p[order], q[order] + 1.0
+    if ps[0] > _RECURRENCE_CAP:
+        raise ResourceLimitError(
+            f"displacement kernel: at |beta|^2 = {x:.6g} the series for degree {int(ps[0])} "
+            f"cancels (p |beta|^2 = {ps[0] * x:.3g}), and its recurrence is capped "
+            f"at degree {_RECURRENCE_CAP}"
+        )
     d = -x / a
     P = d + 1.0
     done = np.empty(len(ps))
@@ -826,22 +806,25 @@ def _displacement_real(p: np.ndarray, q: np.ndarray, x: float) -> np.ndarray:
     P comes from the series, or from the recurrence for the elements where
     the series fails.
     """
-    P, slow = _laguerre_series(p, q, x)
+    q_top = int(q.max())
+    if q_top:
+        lgq = np.array([math.lgamma(k + 1.0) for k in range(q_top + 1)])[q]
+        p_zero = not p.all()
+        p1 = np.maximum(p, 1) if p_zero else p
+        top = p1 + q
+        st = _stirlerr(np.concatenate((top, p1)))
+        ratio = (top + 0.5) * np.log1p(q / p1) - q + (st[: len(p)] - st[len(p) :])
+        log_pref = 0.5 * q * np.log(x * p1) + 0.5 * ratio - lgq
+        if p_zero:
+            log_pref = np.where(p > 0, log_pref, 0.5 * q * math.log(x) - 0.5 * lgq)
+        pref = np.exp(log_pref - 0.5 * x)
+    else:
+        pref = np.exp(np.full(len(p), -0.5 * x))
+    P = _laguerre_series(p, q, x, pref)
+    slow = np.isnan(P)
     if slow.any():
         P[slow] = _laguerre_recurrence(p[slow], q[slow], x)
-    q_top = int(q.max())
-    if not q_top:
-        return np.exp(np.full(len(p), -0.5 * x)) * P
-    lgq = np.array([math.lgamma(k + 1.0) for k in range(q_top + 1)])[q]
-    p_zero = not p.all()
-    p1 = np.maximum(p, 1) if p_zero else p
-    top = p1 + q
-    st = _stirlerr(np.concatenate((top, p1)))
-    ratio = (top + 0.5) * np.log1p(q / p1) - q + (st[: len(p)] - st[len(p) :])
-    log_pref = 0.5 * q * np.log(x * p1) + 0.5 * ratio - lgq
-    if p_zero:
-        log_pref = np.where(p > 0, log_pref, 0.5 * q * math.log(x) - 0.5 * lgq)
-    return np.exp(log_pref - 0.5 * x) * P
+    return pref * P
 
 
 def _displacement_matrix(beta: complex, rows: range, cols: range) -> np.ndarray:
@@ -856,7 +839,9 @@ def _displacement_matrix(beta: complex, rows: range, cols: range) -> np.ndarray:
     inputs are evaluated once: the real factor depends on (p, q), which
     (m, n) and (n, m) share, so a square window evaluates its upper
     triangle only, and the phase depends on the offset m - n alone. A
-    non-finite beta or element raises NumericalError.
+    non-finite beta or element raises NumericalError. Where the series
+    would lose accuracy and p is past _RECURRENCE_CAP, ResourceLimitError
+    is raised instead of an O(p) recurrence.
     """
     beta = complex(beta)
     try:
@@ -872,7 +857,7 @@ def _displacement_matrix(beta: complex, rows: range, cols: range) -> np.ndarray:
         p, q = upper[0] + rows.start, upper[1] - upper[0]
     else:
         p, q = (m - np.maximum(offset, 0)).ravel(), np.abs(offset).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NumericalError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite: raised below
         real = _displacement_real(p, q, mag2) if mag2 else (q == 0).astype(float)
     if not np.isfinite(real).all():
         raise NumericalError(
@@ -1120,14 +1105,14 @@ def expectation(bra: FockState, ket: FockState, a: Symbol) -> complex:
 
 
 def flowed_expectations(
-    state: FockState, a: Symbol, thetas, moments: dict, table: dict | None = None
+    state: FockState, a: Symbol, thetas, moments: dict, table: dict
 ) -> np.ndarray:
     """<state, Op_hbar(a o rotation by thetas[i]) state> for every row of thetas.
 
     thetas has shape (A, d) and the state is sparse. Polynomial values are
-    the coefficient arrays of a's rotation table, the poly part of
-    a.rotation_table(thetas) (expanded here unless the caller passes it as
-    `table`), times the moments in `moments`, a map from monomial to moment
+    the coefficient arrays of `table`, the poly part of
+    a.rotation_table(thetas), which the caller expands once for every state,
+    times the moments in `moments`, a map from monomial to moment
     that the caller keeps for this state: a missing moment is computed and
     stored, so each monomial is applied once per sweep step however many
     probes and rotations repeat it.
@@ -1136,10 +1121,9 @@ def flowed_expectations(
     block B, and each angle is one vector-matrix product x_theta . B y_theta
     with the phases e^{+-i (k - lo).theta} folded into the state vectors.
     """
-    poly = a.rotation_table(thetas)[0] if table is None else table
     total = np.zeros(len(thetas), dtype=complex)
-    if poly:
-        total += _poly_sparse(state, state.coeffs, poly, state.hbar, state.dims, moments)
+    if table:
+        total += _poly_sparse(state, state.coeffs, table, state.hbar, state.dims, moments)
     if a.chars:
         keys, vals = _support_arrays(state.coeffs, state.dims)
         windows = _char_windows(keys, keys)

@@ -170,15 +170,16 @@ def convex_scar(
     return combined
 
 
-def _flow_angles(decomp: HarmonicDecomposition) -> list[list[float]]:
-    """residuals' stacked angle grid: angle 0, then each component's
-    T_POINTS - 1 flow angles over one period, in component order."""
+def _flow_tables(decomp: HarmonicDecomposition, probes) -> tuple[list, list]:
+    """residuals' stacked angle grid and each probe's polynomial rotation
+    table on it. The grid is angle 0, then each component's T_POINTS - 1
+    flow angles over one period, in component order."""
     rates = flow_rates(decomp)
     thetas = [[0.0] * decomp.dims]
     for n, comp in enumerate(decomp.components):
         times = [comp.period * i / T_POINTS for i in range(1, T_POINTS)]
         thetas.extend([rates[n][j] * t for j in range(decomp.dims)] for t in times)
-    return thetas
+    return thetas, [a.rotation_table(thetas)[0] for a in probes]
 
 
 def residuals(
@@ -188,7 +189,7 @@ def residuals(
     probes=None,
     *,
     _bases: list | None = None,
-    _tables: list | None = None,
+    _flow: tuple | None = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(concentration, invariance), one entry per periodic component.
 
@@ -202,11 +203,11 @@ def residuals(
     serves the base value and every component, and one moment map serves
     every probe and angle, so each monomial is applied to the state once
     per sweep step.
-    `_bases` and `_tables` are internal to sweep, not part of the interface:
+    `_bases` and `_flow` are internal to sweep, not part of the interface:
     a list passed as `_bases` receives the base values, unnormalized and in
-    probe order, and sweep reads its polynomial gap rows from it; `_tables`
-    holds each probe's rotation table on _flow_angles, which depends on the
-    decomposition alone, so sweep expands it once for every step.
+    probe order, and sweep reads its polynomial gap rows from it; `_flow` is
+    _flow_tables(decomp, probes), which does not depend on the state, so
+    sweep builds it once for every step and residuals builds it otherwise.
     """
     E = tuple(float(v) for v in E)
     if len(E) != decomp.d_omega:
@@ -226,10 +227,10 @@ def residuals(
         concentration.append(acc / norm2)
     if probes is None:
         probes = default_probes(decomp)
-    thetas = _flow_angles(decomp)
+    thetas, tables = _flow or _flow_tables(decomp, probes)
     moments: dict = {}
     defects = [[0.0] for _ in decomp.components]
-    for a, table in zip(probes, _tables or [None] * len(probes)):
+    for a, table in zip(probes, tables):
         values = flowed_expectations(state, a, thetas, moments, table)
         base = values[0]
         for n, comp_defects in enumerate(defects):
@@ -384,8 +385,8 @@ def _require_finite(rows, probes) -> None:
             )
 
 
-def _residual_rows(decomp, state, E, probes, hbar, bases=None, tables=None):
-    conc, inv = residuals(decomp, state, E, probes=probes, _bases=bases, _tables=tables)
+def _residual_rows(decomp, state, E, probes, hbar, bases=None, flow=None):
+    conc, inv = residuals(decomp, state, E, probes=probes, _bases=bases, _flow=flow)
     rows = []
     for n, v in enumerate(conc):
         rows.append((hbar, f"concentration:{n + 1}", complex(v), 0j, v))
@@ -420,7 +421,7 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
             z0 = sigma_membership(decomp, E).torus_point()
         refs = [orbit_average(decomp, a, z0) for a in probes]
         z0_desc = f"x={z0.x} xi={z0.xi}"
-    tables = [a.rotation_table(_flow_angles(decomp))[0] for a in probes]
+    flow = _flow_tables(decomp, probes)
 
     def run_one(hbar: float) -> list[tuple[float, str, complex, complex, float]]:
         rows = []
@@ -439,7 +440,7 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
         # computes anyway; characters have no moment map to share, so a probe
         # carrying any goes through expectation whole
         bases: list[complex] = []
-        residual_rows = _residual_rows(decomp, state, E, probes, hbar, bases, tables)
+        residual_rows = _residual_rows(decomp, state, E, probes, hbar, bases, flow)
         for a, base, ref in zip(probes, bases, refs):
             val = expectation(state, state, a) if a.chars else base
             if config.points:

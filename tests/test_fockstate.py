@@ -189,10 +189,18 @@ def test_stirling_error_table_matches_mpmath():
 
 def test_coherent_norm_within_tail_budget_at_depth():
     # hbar = 0.2 * 2^-18: |alpha|^2 reaches 7e5, where the old log-gamma
-    # amplitudes drifted to 1 - norm^2 = 5.5e-10
-    psi = coherent(PhasePoint(x=(1.0, 0.7), xi=(0.3, 0.2)), 0.2 * 2.0**-18, tail_tol=1e-15)
+    # amplitudes drifted to 1 - norm^2 = 5.5e-10. Each mode's mass is summed
+    # exactly (fsum), so 1 - mass is its cut tail, at most tail_tol / d, plus
+    # the rounding of the squared amplitudes: against 50-digit values those
+    # within 3 sd of |alpha|^2, which hold all but 3e-3 of the mass, err by at
+    # most 8 eps and none by more than 128 eps, so 16 eps bounds it
+    eps = np.finfo(float).eps
+    tail_tol = 1e-15
+    psi = coherent(PhasePoint(x=(1.0, 0.7), xi=(0.3, 0.2)), 0.2 * 2.0**-18, tail_tol=tail_tol)
     assert psi.cutoff[0] > 7e5
-    assert abs(1.0 - psi.norm() ** 2) <= 1e-15 + 1e-14
+    for f in psi.factors:
+        mass = math.fsum((np.abs(f) ** 2).tolist())
+        assert abs(1.0 - mass) <= tail_tol / psi.dims + 16 * eps
 
 
 def test_coherent_cutoff_is_first_index_below_tail_budget(dec12):
@@ -946,6 +954,22 @@ def _mp_laguerre_factor(p, q, x):
         )
 
 
+@pytest.fixture
+def recurrences(monkeypatch):
+    """The calls _displacement_matrix makes to the O(p) Laguerre recurrence."""
+    from scarkit import fockstate
+
+    calls = []
+    original = fockstate._laguerre_recurrence
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fockstate, "_laguerre_recurrence", spy)
+    return calls
+
+
 @pytest.mark.parametrize(
     "p,q,x",
     [
@@ -959,17 +983,7 @@ def _mp_laguerre_factor(p, q, x):
         (122, 0, 1.43),  # p x = 174: the series cancels, the recurrence takes over
     ],
 )
-def test_laguerre_factor_matches_mpmath(p, q, x, monkeypatch):
-    from scarkit import fockstate
-
-    recurrences = []
-    original = fockstate._laguerre_recurrence
-
-    def spy(*args):
-        recurrences.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(fockstate, "_laguerre_recurrence", spy)
+def test_laguerre_factor_matches_mpmath(p, q, x, recurrences):
     got = _displacement_matrix(math.sqrt(x), range(p + q, p + q + 1), range(p, p + 1))[0, 0]
     want = _mp_laguerre_factor(p, q, x)
     assert got.imag == 0.0
@@ -978,6 +992,35 @@ def test_laguerre_factor_matches_mpmath(p, q, x, monkeypatch):
     else:
         assert abs(got.real) <= 1e-300
     assert bool(recurrences) == (p * x > 100)
+
+
+@pytest.mark.parametrize(
+    "p,q,px",
+    [
+        (468272, 0, 1.4458),  # at the first zero of J0(2 sqrt(p x)): the value is -2.2e-6
+        (468272, 0, 10.0),
+        (468272, 3, 10.0),
+        (10000, 0, 12.0),
+        (10000, 3, 20.0),
+    ],
+)
+def test_laguerre_factor_keeps_absolute_accuracy_at_large_p_x(p, q, px, recurrences):
+    # p |beta|^2 is about H_j |w_j|^2 / 2 and does not shrink with hbar, so
+    # deep windows meet these values at p ~ 1e4 - 1e6. There the series'
+    # terms are large next to its value, but an entry of a unit column needs
+    # absolute accuracy: it stays at rounding, and no O(p) recurrence runs
+    got = _displacement_matrix(math.sqrt(px / p), range(p + q, p + q + 1), range(p, p + 1))[0, 0]
+    assert abs(got.real - _mp_laguerre_factor(p, q, px / p)) <= 1e-14
+    assert not recurrences
+
+
+def test_laguerre_recurrence_past_its_cap_raises(recurrences):
+    # p x = 30 at p = 468272: the series cancels, and the recurrence would
+    # take seconds of numpy steps; it raises before its first step
+    p = 468272
+    with pytest.raises(ResourceLimitError, match=r"degree 468272 .* capped at degree 16384"):
+        _displacement_matrix(math.sqrt(30.0 / p), range(p, p + 1), range(p, p + 1))
+    assert len(recurrences) == 1
 
 
 @pytest.mark.parametrize("m,n", [(1200, 1190), (1190, 1200), (1500, 1500)])
@@ -1086,7 +1129,7 @@ def test_stacked_displacement_non_finite_element_raises():
     # is now finite, so every angle matches the 50-digit elements
     state = FockState(0.02, 1, (1210,), 0.0, coeffs={(600,): 0.6 + 0j, (1200,): 0.8 + 0j})
     thetas = [[0.0], [0.4], [-2.0]]
-    got = flowed_expectations(state, character(1, (0.11, 0.0)), thetas, {})
+    got = flowed_expectations(state, character(1, (0.11, 0.0)), thetas, {}, table={})
     for (theta,), value in zip(thetas, got):
         beta = -0.011 * cmath.exp(1j * theta)
         want = sum(
@@ -1097,7 +1140,7 @@ def test_stacked_displacement_non_finite_element_raises():
         assert value == pytest.approx(want, rel=1e-12)
     # a displacement |beta|^2 that overflows still raises for the whole stack
     with pytest.raises(NumericalError, match=r"displacement kernel: non-finite beta"):
-        flowed_expectations(state, character(1, (1e200, 0.0)), thetas, {})
+        flowed_expectations(state, character(1, (1e200, 0.0)), thetas, {}, table={})
 
 
 def _flow_grid(dims, count=15):
@@ -1117,7 +1160,7 @@ def test_flowed_expectations_match_rotated_probes():
     )
     # the second grid leaves mode 2 alone
     for grid in (thetas, [[t[0], 0.0] for t in thetas]):
-        got = flowed_expectations(state, sym, grid, {})
+        got = flowed_expectations(state, sym, grid, {}, sym.rotation_table(grid)[0])
         for theta, value in zip(grid, got):
             want = expectation(state, state, sym.rotate(theta))
             assert value == pytest.approx(want, rel=1e-13, abs=1e-15)
@@ -1130,7 +1173,7 @@ def test_flowed_characters_match_direct_rotation_at_large_index():
     state = _random_sparse(rng, 0.01, 985, 1015, 30)
     sym = character(2, (0.3, -0.2, 0.5, 0.1), 0.7) + character(2, (-0.4, 0.1, 0.2, 0.6), -0.2j)
     grid = [[0.0, 0.0]] + _flow_grid(2, 12) + [[4 * math.pi, -4 * math.pi]]
-    got = flowed_expectations(state, sym, grid, {})
+    got = flowed_expectations(state, sym, grid, {}, table={})
     for theta, value in zip(grid, got):
         want = expectation(state, state, sym.rotate(theta))
         assert abs(value - want) <= 1e-12 * abs(want)
@@ -1150,12 +1193,12 @@ def test_flowed_character_over_budget_raises_before_allocating(monkeypatch):
     n = len(state.coeffs)
     monkeypatch.setattr(fockstate, "_BLOCK_CAP", n * n - 1)
     with pytest.raises(ResourceLimitError, match=f"character expectation needs a {n} x {n} block"):
-        flowed_expectations(state, ch, _flow_grid(2), {})
+        flowed_expectations(state, ch, _flow_grid(2), {}, table={})
     # a 2 x 2 block fits, a 27-wide window does not
     monkeypatch.setattr(fockstate, "_BLOCK_CAP", 26 * 26)
     wide = FockState(0.05, 2, (40, 40), 0.0, coeffs={(0, 0): 0.6 + 0j, (26, 1): 0.8 + 0j})
     with pytest.raises(ResourceLimitError, match="27 x 27 block"):
-        flowed_expectations(wide, ch, _flow_grid(2), {})
+        flowed_expectations(wide, ch, _flow_grid(2), {}, table={})
 
 
 def test_expectation_consistent_across_representations(dec12):
