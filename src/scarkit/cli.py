@@ -12,6 +12,7 @@ the command.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -29,7 +30,7 @@ from .errors import (
 from .fockstate import dump_state, load_state
 from .freqarith import decompose, load_frequency_spec, parse_frequency_spec
 from .phasespace import PhasePoint, husimi_grid, sigma_membership
-from .reporting import config_hash, fmt_float, header_line, write_csv
+from .reporting import fmt_float, header_line, write_csv
 from .scarlab import SweepConfig, build_scar, default_probes, sweep
 from .spectral import level_table, select_target
 from .symbols import parse_symbol
@@ -165,6 +166,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     lines.append(f"out = {cfg.out}")
     lines.append(f"seed = {cfg.seed}")
     return "\n".join(lines) + "\n"
+
+
+def config_hash(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def _load_spec_for(cfg_path: Path, spec_ref: str):

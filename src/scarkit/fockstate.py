@@ -52,6 +52,7 @@ window start lo so that their arguments stay small at deep hbar.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -493,6 +494,17 @@ def _projected_weights(comp, excited) -> tuple[Fraction, ...]:
     return tuple(w if e else Fraction(0) for w, e in zip(comp.weights, excited))
 
 
+def _exact_det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by cofactor expansion along the first row (rows are tiny)."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** c * v * _exact_det([row[:c] + row[c + 1:] for row in rows[1:]])
+        for c, v in enumerate(rows[0])
+        if v
+    )
+
+
 def gram(z0: PhasePoint, decomp: HarmonicDecomposition) -> GramResult:
     """Rank and Gram matrix of {grad Hcal_n(z0)}, plus the system at z0.
 
@@ -501,7 +513,9 @@ def gram(z0: PhasePoint, decomp: HarmonicDecomposition) -> GramResult:
     exact row reduction; when it is below d_omega the retained components
     absorb the dropped ones through rational transfer coefficients b, and
     the reduced system is an ordinary HarmonicDecomposition whose periods
-    give the volume and whose components give the Gram matrix.
+    give the volume and whose components give the Gram matrix. Its
+    determinant comes from the Cauchy-Binet formula with exact minors of
+    the weights, a sum of nonnegative terms, so it is never negative.
     """
     if z0.dims != decomp.dims:
         raise ValidationError("point dimension does not match the decomposition")
@@ -543,7 +557,13 @@ def gram(z0: PhasePoint, decomp: HarmonicDecomposition) -> GramResult:
                 * h2[j]
                 for j in range(decomp.dims)
             )
-    det = float(np.linalg.det(matrix)) if d0 else 1.0
+    # Cauchy-Binet over the d0-subsets S of excited modes:
+    # det = prod pivot^2 * sum_S det(W_S)^2 prod_{j in S} h2_j
+    det = math.prod(c.pivot**2 for c in comps) * math.fsum(
+        float(_exact_det([[c.weights[j] for j in S] for c in comps]) ** 2)
+        * math.prod(h2[j] for j in S)
+        for S in itertools.combinations([j for j, e in enumerate(excited) if e], d0)
+    )
     return GramResult(
         rank_d0=d0,
         excited=excited,
@@ -651,7 +671,7 @@ def normalize_scar(
     mass = projected.norm() ** 2
     c_hbar = (
         g.volume
-        * math.sqrt(max(g.det, 0.0))
+        * math.sqrt(g.det)
         * mass
         / (4.0 * math.pi * hbar) ** (g.rank_d0 / 2.0)
     )

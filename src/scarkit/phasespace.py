@@ -220,8 +220,10 @@ def sigma_membership(
     solutions (vertex enumeration; d <= 4 keeps this tiny) and returns the
     mean of the distinct feasible vertices. Which column bases are
     nonsingular is decided exactly, by the row reduction of the integer
-    weights (freqarith._pivot_blocks); each basic solution is then solved
-    in floats and kept when it is nonnegative and reproduces E within tol.
+    weights (freqarith._pivot_blocks), which also gives each integer block's
+    exact inverse M / D; a basic solution is M applied to E_n divided by its
+    row's scale pivot_n * weight_floor_n / multiplier_n, over D, and is kept
+    when it is nonnegative and reproduces E within tol.
     """
     comps = decomp.components
     d = decomp.dims
@@ -234,11 +236,12 @@ def sigma_membership(
         )
     A = np.array([[c.pivot * float(w) for w in c.weights] for c in comps])
     b = np.asarray(E, dtype=float)
+    rhs = b / np.array([c.pivot * float(c.weight_floor / c.multiplier) for c in comps])
     _, blocks = _pivot_blocks(tuple(c.int_weights for c in comps), d)
     vertices = []
-    for basis, _, _ in blocks:
+    for basis, D, M in blocks:
         sub = A[:, basis]
-        hb = np.linalg.solve(sub, b)
+        hb = np.array(M, dtype=float) @ rhs / D
         if np.any(hb < -tol):
             continue
         resid = np.max(np.abs(sub @ hb - b))

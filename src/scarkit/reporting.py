@@ -2,12 +2,13 @@
 
 Every file the tool writes starts with a comment line carrying the tool
 version and a hash of the configuration that produced it, so outputs can be
-traced and byte-compared across reruns. Floats are rendered with 17
-significant digits ('.' decimal separator), enough to round-trip doubles.
+traced and byte-compared across reruns. The hash is the caller's: the CLI
+digests its configuration (cli.config_hash), so writing a file needs no
+hashing module. Floats are rendered with 17 significant digits ('.'
+decimal separator), enough to round-trip doubles.
 """
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Sequence, TextIO
 
 TOOL_NAME = "scarkit"
@@ -26,10 +27,6 @@ def fmt_value(x) -> str:
     if isinstance(x, complex):
         raise TypeError("split complex values into _re/_im columns")
     return str(x)
-
-
-def config_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def header_line(cfg_hash: str) -> str:

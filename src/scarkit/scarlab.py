@@ -347,18 +347,21 @@ class ConvergenceReport:
 
 
 def fit_loglog(hbars, values, drop: int = FIT_DROP, floor: float = 1e-14) -> float:
-    """Least-squares slope of log(value) against log(hbar).
+    """Least-squares slope of log(value) against log(hbar), in closed form.
 
     Drops the `drop` largest hbar entries (pre-asymptotic regime) and floors
-    values so an exactly vanishing residual cannot produce -inf.
+    values so an exactly vanishing residual cannot produce -inf. The slope
+    is dx . (y - mean y) / (dx . dx) with dx = x - mean x; with fewer than
+    two points, or with no spread in the kept hbar values, it is NaN.
     """
     pairs = sorted(zip(hbars, values), key=lambda p: -p[0])[drop:]
     pairs = [(h, max(abs(v), floor)) for h, v in pairs]
-    if len(pairs) < 2:
-        return math.nan
     x = np.log([h for h, _ in pairs])
     y = np.log([v for _, v in pairs])
-    return float(np.polyfit(x, y, 1)[0])
+    if len(pairs) < 2 or x.min() == x.max():
+        return math.nan
+    dx = x - x.mean()
+    return float(dx @ (y - y.mean()) / (dx @ dx))
 
 
 _ROW_KERNELS = {

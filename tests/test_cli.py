@@ -26,6 +26,23 @@ def test_import_loads_no_scipy():
     assert "'scipy'" not in out.stdout
 
 
+def test_api_sweep_loads_no_scipy_or_hashlib():
+    # an API sweep written to CSV needs numpy alone; only the CLI digests configs
+    src = Path(scarkit.__file__).resolve().parent.parent
+    code = (
+        "import io, sys, scarkit as sk\n"
+        f"spec = sk.parse_frequency_spec({SQRT2_FREQ!r})\n"
+        "cfg = sk.SweepConfig(sk.decompose(spec), (0.5, 0.5), (0.2, 0.1, 0.05))\n"
+        "sk.sweep(cfg).to_csv(io.StringIO())\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert "'scarkit'" in out.stdout
+    for name in ("scipy", "hashlib", "_hashlib"):
+        assert f"'{name}'" not in out.stdout
+
+
 SQRT2_FREQ = """\
 generators = one:1, sqrt2:1.414213562373095048801688724209698078570
 omega_1 = 1 0

@@ -5,6 +5,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -41,7 +42,13 @@ from scarkit.fockstate import (
     load_state,
     normalize_scar,
 )
-from scarkit.freqarith import FrequencySpec, GeneratorBasis, decompose, sqrt_decimal
+from scarkit.freqarith import (
+    FrequencySpec,
+    GeneratorBasis,
+    decompose,
+    load_frequency_spec,
+    sqrt_decimal,
+)
 from scarkit.phasespace import PhasePoint, component_energies, sigma_membership
 from scarkit.spectral import decompose_eigenvalue, eigenvalue, select_target
 from scarkit.symbols import character, mode_energy, momentum, monomial, position
@@ -496,6 +503,30 @@ def test_gram_nontrivial_transfer(dec_chain):
     assert t.int_weights == (0, 0, 1)
     assert t.period == pytest.approx(2 * math.pi / (1.0 + s2), rel=1e-12)
     assert g.matrix[0, 0] == pytest.approx(2.0 * (1.0 + s2), rel=1e-12)
+
+
+def test_gram_det_matches_mpmath(dec12, dec_chain):
+    # the Cauchy-Binet determinant against a 50-digit determinant of the
+    # float matrix, at d0 = 1, 2 and at a d_omega = 3 point
+    spec = Path(__file__).resolve().parents[1] / "configs" / "sqrt2sqrt3.freq"
+    dec3 = decompose(load_frequency_spec(spec))
+    s2 = math.sqrt(2.0)
+    cases = [
+        (dec12, torus_point(dec12, (1.0, 0.0)), 1),
+        (dec12, torus_point(dec12, (0.5, 0.5)), 2),
+        (dec12, PhasePoint(x=(0.3, -1.1), xi=(0.7, 0.2)), 2),
+        (dec_chain, PhasePoint(x=(0.0, 0.0, math.sqrt(2.0 * (s2 - 1.0))), xi=(0.0,) * 3), 1),
+        (dec_chain, PhasePoint(x=(0.4, 0.0, 0.9), xi=(0.1, 0.0, -0.3)), 2),
+        (dec3, torus_point(dec3, (0.3, 0.3, 0.4)), 3),
+        (dec3, PhasePoint(x=(0.0, 0.8, 0.5), xi=(0.2, 0.0, 0.0)), 3),
+    ]
+    with mpmath.workdps(50):
+        for decomp, z0, d0 in cases:
+            g = gram(z0, decomp)
+            assert g.rank_d0 == d0
+            assert g.det >= 0.0
+            oracle = mpmath.det(mpmath.matrix(g.matrix.tolist()))
+            assert abs(g.det - oracle) <= 1e-13 * abs(oracle)
 
 
 def test_normalize_scar_full_rank(dec12):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -6,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
@@ -366,6 +368,45 @@ def test_sigma_membership_keeps_a_tiny_determinant_basis():
     dec = decompose(FrequencySpec.build(basis, [[F(1)], [F(1, 10**13)]]))
     ev = sigma_membership(dec, (1.0,))
     assert ev.witness_h == pytest.approx((0.5, 5e12), rel=1e-12)
+
+
+def _exact_witness(decomp, E):
+    """Mean of the distinct nonnegative basic solutions, solved in rationals."""
+    A = sympy.Matrix([[F(c.pivot) * w for w in c.weights] for c in decomp.components])
+    b = sympy.Matrix([F(v) for v in E])
+    vertices = []
+    for basis in itertools.combinations(range(decomp.dims), decomp.d_omega):
+        sub = A[:, list(basis)]
+        if sub.det() == 0:
+            continue
+        hb = sub.LUsolve(b)
+        if any(v < 0 for v in hb):
+            continue
+        h = [0] * decomp.dims
+        for j, v in zip(basis, hb):
+            h[j] = v
+        if h not in vertices:
+            vertices.append(h)
+    return [float(sum(col) / len(vertices)) for col in zip(*vertices)]
+
+
+@pytest.mark.parametrize(
+    "coords, gens, E",
+    [
+        ([[1, 0], [0, 1]], ("one", "sqrt2"), (1.0, 0.0)),
+        ([[1, 0], [0, 1]], ("one", "sqrt2"), (0.0, 1.0)),
+        ([[1, 0], [0, 1]], ("one", "sqrt2"), (0.5, 0.5)),
+        ([[1, 0], [0, 1]], ("one", "sqrt2"), (0.3, 0.7)),
+        ([[2], [3]], ("one",), (1.0,)),
+        ([[1, 0], [1, 0], [0, 1]], ("one", "sqrt2"), (0.25, 0.75)),
+        ([[1, 0], [2, 0], [0, 1]], ("one", "sqrt2"), (0.6, 0.4)),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ("one", "sqrt2", "sqrt3"), (0.3, 0.3, 0.4)),
+    ],
+)
+def test_sigma_membership_witness_matches_exact_solution(coords, gens, E):
+    dec = make_dec(coords, gens)
+    witness = sigma_membership(dec, E).witness_h
+    assert witness == pytest.approx(_exact_witness(dec, E), rel=0, abs=1e-15)
 
 
 def test_energy_vector_requires_membership_shape(dec12):

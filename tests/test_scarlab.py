@@ -409,6 +409,47 @@ def test_fit_loglog_recovers_rate():
     assert math.isnan(fit_loglog(hbars[:3], [1.0, 1.0, 1.0]))
 
 
+def test_fit_loglog_matches_polyfit():
+    rng = np.random.default_rng(11)
+    for n in range(3, 14):
+        hbars = np.exp(rng.uniform(-12.0, 0.0, n))
+        values = np.exp(rng.normal(0.5 * np.log(hbars), 1.0))
+        order = np.argsort(-hbars)[1:]
+        oracle = np.polyfit(np.log(hbars[order]), np.log(values[order]), 1)[0]
+        assert fit_loglog(hbars, values, drop=1) == pytest.approx(oracle, rel=0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_loglog_without_hbar_spread_is_nan():
+    assert math.isnan(fit_loglog([0.1] * 5, [1, 2, 3, 4, 5]))
+    assert math.isnan(fit_loglog([0.2, 0.1, 0.05, 0.05, 0.05], [1, 2, 3, 4, 5]))
+
+
+def test_sweeps_call_no_lapack(monkeypatch, dec12):
+    def banned(*args, **kwargs):
+        raise AssertionError("LAPACK on the sweep path")
+
+    for name in ("solve", "det", "slogdet", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, banned)
+    monkeypatch.setattr(np, "polyfit", banned)
+    hbars = (0.1, 0.05, 0.025, 0.0125)
+    dec = make_dec([[F(1), F(0)], [F(1), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
+    probes = (position(3, 0, power=2),)
+    for E in ((0.0, 1.0), (0.5, 0.5)):  # gram at d0 = 1 and d0 = 2
+        assert not sweep(SweepConfig(dec, E, hbars, probes=probes)).errors
+    E = (0.5, 0.5)
+    h1 = E[0] / 2.0
+    h3 = E[1] / dec.components[1].pivot
+    points = tuple(
+        (PhasePoint((math.sqrt(2 * a), math.sqrt(2 * b), math.sqrt(2 * h3)), (0.0,) * 3), 0.5)
+        for a, b in ((h1 / 2, 3 * h1 / 2), (3 * h1 / 2, h1 / 2))
+    )
+    convex = sweep(SweepConfig(dec, E, hbars, points=points, probes=probes))
+    assert not convex.errors and math.isfinite(convex.slope("norm"))
+    sweep(SweepConfig(dec12, E, hbars, probes=(position(2, 0, power=2),))).to_csv(io.StringIO())
+    assert fit_loglog(hbars, hbars, drop=0) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_report_invariant_hbars_decreasing():
     rep = ConvergenceReport(
         hbars=(0.2, 0.1),
