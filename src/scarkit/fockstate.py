@@ -17,11 +17,12 @@ Expectations are exact matrix-element sums: polynomial symbols through the
 banded action of Op(x^a xi^b), which moves an index by at most a + b,
 characters through displacement-operator matrix elements, evaluated per
 mode only over the index range [min, max] of each state's support in that
-mode; a non-finite element raises NumericalError. A moment
-<bra|Op(x^a xi^b)|ket> on a sparse ket is one array kernel (_moment): the
-ket support as an (S, d) key array, each acted-on mode's band rows combined
-over the small box of offsets, the bra read at k + offset (a sparse bra
-through sorted integer codes, a product bra from its factors), one sum.
+mode; a non-finite element raises NumericalError. The moments
+<bra|Op(x^a xi^b)|ket> of a sparse ket come from one batched kernel
+(_moments): the ket support as an (S, d) key array, each acted-on mode's
+band rows, built once per (mode, a, b), combined over the small box of
+offsets, and the bra read at k + offset once per box (a sparse bra through
+sorted integer codes, a product bra from its factors); one sum per monomial.
 Product states (coherent) keep per-mode factor vectors and use factorized
 fast paths; projected states are sparse coefficient maps.
 
@@ -38,10 +39,10 @@ ResourceLimitError past degree 2^14.
 flowed_expectations evaluates one symbol at a whole grid of flow angles on
 a sparse state, for scarlab.residuals. Its polynomial values are the
 coefficient arrays of Symbol.rotation_table times moments <psi|Op(x^a xi^b)|psi>
-read from a map the caller keeps per state, so each monomial is applied once
-per sweep step however often the probes and angles repeat it; expectation
-starts a fresh map per call, and every moment is computed by the same
-kernel either way. Its character values use rotation covariance: the flow
+read from a map that scarlab.residuals fills with one _moments call per
+sweep step, so each monomial is applied once per step however often the
+probes and angles repeat it; expectation starts a fresh map per call. Its
+character values use rotation covariance: the flow
 is diagonal in the number basis, so <m|D(beta e^{i theta})|n> =
 e^{i (m - n) theta} <m|D(beta)|n>. One displacement window per (character,
 mode) at the unrotated beta gives the support block B, and angle theta is
@@ -696,9 +697,8 @@ def _weyl_band(cols: np.ndarray, a: int, b: int, hbar: float) -> np.ndarray:
 
     The McCoy identity gives the Weyl order Op(x^a xi^b) = 2^{-a} sum_s
     C(a, s) X^s Xi^b X^{a-s}, with X = c (A + A^+), Xi = i c (A^+ - A) and
-    c = sqrt(hbar / 2). Each X or Xi step shifts every column's band one
-    index up and down at once, so nothing is truncated and no dense matrix
-    is built; offsets below index 0 stay exactly zero.
+    c = sqrt(hbar / 2). Each distinct ladder word is built once
+    (_ladder_word): at b = 0 all a + 1 terms are the one word X^a.
     """
     r = a + b
     idx = np.asarray(cols)[:, None] + np.arange(-r, r + 1)
@@ -706,17 +706,34 @@ def _weyl_band(cols: np.ndarray, a: int, b: int, hbar: float) -> np.ndarray:
     up = c * np.sqrt(np.maximum(idx[:, 1:], 0))  # A^+: m - 1 -> m
     down = c * np.sqrt(np.maximum(idx[:, :-1] + 1, 0))  # A: m + 1 -> m
     X, Xi = (up, down), (1j * up, -1j * down)
+    words: dict[str, np.ndarray] = {}
     out = np.zeros(idx.shape, dtype=complex)
     for s in range(a + 1):
-        v = np.zeros(idx.shape, dtype=complex)
-        v[:, r] = 1.0
-        for raise_, lower in [X] * (a - s) + [Xi] * b + [X] * s:
-            w = np.zeros_like(v)
-            w[:, 1:] = raise_ * v[:, :-1]
-            w[:, :-1] += lower * v[:, 1:]
-            v = w
-        out += math.comb(a, s) * v
+        word = "x" * (a - s) + "p" * b + "x" * s
+        if word not in words:
+            words[word] = _ladder_word(X, Xi, word)
+        out += math.comb(a, s) * words[word]
     return out / 2.0**a
+
+
+def _ladder_word(X, Xi, word: str) -> np.ndarray:
+    """The band of one ladder word, letters applied first to last: 'x' is X, 'p' is Xi.
+
+    X and Xi are (raise, lower) coefficient pairs on a band of radius
+    len(word). Each step shifts every column's band one index up and down
+    at once, so nothing is truncated and no dense matrix is built; offsets
+    below index 0 stay exactly zero.
+    """
+    r = len(word)
+    v = np.zeros((len(X[0]), 2 * r + 1), dtype=complex)
+    v[:, r] = 1.0
+    for letter in word:
+        raise_, lower = X if letter == "x" else Xi
+        w = np.zeros_like(v)
+        w[:, 1:] = raise_ * v[:, :-1]
+        w[:, :-1] += lower * v[:, 1:]
+        v = w
+    return v
 
 
 _SERIES_CHUNK = 1 << 12  # elements per series pass, bounding its (terms, elements) arrays
@@ -977,29 +994,40 @@ def _bra_lookup(bra: FockState):
     return lookup
 
 
-def _moment(lookup, keys: np.ndarray, vals: np.ndarray, mono, hbar: float) -> complex:
-    """<bra|Op(x^a xi^b)|ket> for a ket with support keys and amplitudes vals.
+def _moments(bra: FockState, ket_coeffs: dict, monos, hbar: float, dims: int) -> dict:
+    """<bra|Op(x^a xi^b)|ket> for every monomial in monos, as a map from monomial to moment.
 
-    Each mode the monomial acts on contributes its _weyl_band rows; their
-    outer product over the box of offsets is the matrix element from k to
-    k + offset, and the bra is read at those indices by `lookup`
-    (_bra_lookup). One sum over support and box gives the moment.
+    The ket support is one (S, d) key array. Each mode a monomial acts on
+    contributes its _weyl_band rows, built once per (mode, a, b) for all
+    monomials; their outer product over the box of offsets is the matrix
+    element from k to k + offset. The bra is read at k + offset (_bra_lookup)
+    once per box, a tuple of (acted mode, radius a + b), and every monomial
+    with that box shares the read. Each moment is then one product and one
+    sum over support and box, in the order a lone monomial would take, so
+    its bits do not depend on which other monomials share the call.
     """
-    dims = keys.shape[1]
-    weight = vals[:, None]
-    shifts = np.zeros((1, dims), dtype=np.int64)
-    for j in range(dims):
-        a, b = mono[j], mono[dims + j]
-        if a == 0 and b == 0:
-            continue
-        r = a + b
-        step = np.zeros((2 * r + 1, dims), dtype=np.int64)
-        step[:, j] = np.arange(-r, r + 1)
-        shifts = (shifts[:, None, :] + step[None, :, :]).reshape(-1, dims)
-        band = _weyl_band(keys[:, j], a, b, hbar)
-        weight = (weight[:, :, None] * band[:, None, :]).reshape(len(keys), len(shifts))
-    bra = lookup(keys[:, None, :] + shifts[None, :, :])
-    return complex(np.sum(np.conjugate(bra) * weight))
+    if not monos:
+        return {}
+    lookup = _bra_lookup(bra)
+    keys, vals = _support_arrays(ket_coeffs, dims)
+    bands, reads, out = {}, {}, {}
+    for mono in monos:
+        acts = [(j, mono[j], mono[dims + j]) for j in range(dims) if mono[j] or mono[dims + j]]
+        weight = vals[:, None]
+        for j, a, b in acts:
+            if (j, a, b) not in bands:
+                bands[j, a, b] = _weyl_band(keys[:, j], a, b, hbar)
+            weight = (weight[:, :, None] * bands[j, a, b][:, None, :]).reshape(len(keys), -1)
+        box = tuple((j, a + b) for j, a, b in acts)
+        if box not in reads:
+            shifts = np.zeros((1, dims), dtype=np.int64)
+            for j, r in box:
+                step = np.zeros((2 * r + 1, dims), dtype=np.int64)
+                step[:, j] = np.arange(-r, r + 1)
+                shifts = (shifts[:, None, :] + step[None, :, :]).reshape(-1, dims)
+            reads[box] = np.conjugate(lookup(keys[:, None, :] + shifts[None, :, :]))
+        out[mono] = complex(np.sum(reads[box] * weight))
+    return out
 
 
 def _poly_sparse(
@@ -1007,18 +1035,15 @@ def _poly_sparse(
 ):
     """sum over poly of coeff * <bra|Op(mono)|ket>, each moment read from `moments`.
 
-    `moments` maps a monomial to its moment for this one (bra, ket) pair; a
-    missing moment is computed by _moment and stored, so a caller that keeps
-    the map for a sweep step applies every monomial once per step however
-    many symbols it evaluates. With coefficient arrays (a rotation table)
-    the result is one value per entry.
+    `moments` maps a monomial to its moment for this one (bra, ket) pair;
+    the missing moments are computed by one _moments call and stored, so a
+    caller that keeps the map for a sweep step applies every monomial once
+    per step however many symbols it evaluates. With coefficient arrays (a
+    rotation table) the result is one value per entry.
     """
-    missing = [mono for mono in poly if mono not in moments]
-    if missing:
-        lookup = _bra_lookup(bra)
-        keys, vals = _support_arrays(ket_coeffs, dims)
-        for mono in missing:
-            moments[mono] = _moment(lookup, keys, vals, mono, hbar)
+    moments.update(
+        _moments(bra, ket_coeffs, [mono for mono in poly if mono not in moments], hbar, dims)
+    )
     total = 0j
     for mono, coeff in poly.items():
         total += coeff * moments[mono]
@@ -1132,10 +1157,10 @@ def flowed_expectations(
     thetas has shape (A, d) and the state is sparse. Polynomial values are
     the coefficient arrays of `table`, the poly part of
     a.rotation_table(thetas), which the caller expands once for every state,
-    times the moments in `moments`, a map from monomial to moment
-    that the caller keeps for this state: a missing moment is computed and
-    stored, so each monomial is applied once per sweep step however many
-    probes and rotations repeat it.
+    times the moments in `moments`, a map from monomial to moment that the
+    caller keeps for this state: missing ones come from one _moments call
+    and are stored, and scarlab.residuals fills the map for all its probes
+    at once, so each monomial is applied once per sweep step.
     Characters are evaluated by rotation covariance: one displacement window
     per (character, mode) at the unrotated parameters gives the support
     block B, and each angle is one vector-matrix product x_theta . B y_theta

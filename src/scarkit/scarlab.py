@@ -21,6 +21,7 @@ from .errors import DomainError, NumericalError, OverlappingToriError, ScarkitEr
 from .fockstate import (
     FockState,
     ScarState,
+    _moments,
     expectation,
     flowed_expectations,
     normalize_scar,
@@ -200,9 +201,9 @@ def residuals(
     Each probe is one flowed_expectations call over one stacked grid: angle
     0, which gives the base value <Op(a)>, then every component's
     T_POINTS - 1 angles. So one displacement window per (character, mode)
-    serves the base value and every component, and one moment map serves
-    every probe and angle, so each monomial is applied to the state once
-    per sweep step.
+    serves the base value and every component. One batched _moments call
+    before the probe loop gives the moments of every probe's rotation
+    table, so each monomial is applied to the state once per sweep step.
     `_bases` and `_flow` are internal to sweep, not part of the interface:
     a list passed as `_bases` receives the base values, unnormalized and in
     probe order, and sweep reads its polynomial gap rows from it; `_flow` is
@@ -228,7 +229,8 @@ def residuals(
     if probes is None:
         probes = default_probes(decomp)
     thetas, tables = _flow or _flow_tables(decomp, probes)
-    moments: dict = {}
+    union = dict.fromkeys(mono for table in tables for mono in table)
+    moments = _moments(state, state.coeffs, union, state.hbar, state.dims)
     defects = [[0.0] for _ in decomp.components]
     for a, table in zip(probes, tables):
         values = flowed_expectations(state, a, thetas, moments, table)

