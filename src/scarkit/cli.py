@@ -330,6 +330,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_husimi(args) -> int:
+    if args.grid < 2:
+        raise ValidationError(f"--grid needs at least 2 points per axis, got {args.grid}")
     cfg_path, cfg, digest = _config_from_args(args)
     spec = _load_spec_for(cfg_path, cfg.spec)
     decomp = decompose(spec)

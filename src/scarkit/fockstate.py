@@ -36,19 +36,14 @@ set by p |beta|^2; the difference form of the Laguerre recurrence, O(p),
 takes over only where the series would lose absolute accuracy, and raises
 ResourceLimitError past degree 2^14.
 
-flowed_expectations evaluates one symbol at a whole grid of flow angles on
-a sparse state, for scarlab.residuals. Its polynomial values are the
-coefficient arrays of Symbol.rotation_table times moments <psi|Op(x^a xi^b)|psi>
-read from a map that scarlab.residuals fills with one _moments call per
-sweep step, so each monomial is applied once per step however often the
-probes and angles repeat it; expectation starts a fresh map per call. Its
-character values use rotation covariance: the flow
-is diagonal in the number basis, so <m|D(beta e^{i theta})|n> =
-e^{i (m - n) theta} <m|D(beta)|n>. One displacement window per (character,
-mode) at the unrotated beta gives the support block B, and angle theta is
-x_theta . B y_theta with x_theta = conj(b) e^{i (k - lo).theta} and
-y_theta = b e^{-i (k - lo).theta}, the phases measured from each mode's
-window start lo so that their arguments stay small at deep hbar.
+Given (A, d) flow angles thetas and two sparse states, expectation returns
+the A values of the symbol composed with each rotation. scarlab.residuals
+sends it only each probe's character part; the polynomial parts come from
+the probes' rotation tables times one batched _moments map per sweep step.
+Sparse characters, at one zero angle or at many, come from one routine
+(_char_sparse) by rotation covariance: one displacement window per
+(character, mode) at the unrotated beta, rephased per angle, so angle 0 is
+the unrotated value bit for bit.
 """
 from __future__ import annotations
 
@@ -128,7 +123,7 @@ class FockState:
         if self.is_product:
             out = 1.0 + 0j
             for j, f in enumerate(self.factors):
-                if k[j] >= len(f):
+                if not 0 <= k[j] < len(f):
                     return 0j
                 out *= complex(f[k[j]])
             return out
@@ -1072,16 +1067,36 @@ def _char_product(bra: FockState, ket: FockState, chars, hbar: float, d: int) ->
     return total
 
 
-def _char_sparse(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -> complex:
-    if not bra.is_product:
-        mm, bvals = _support_arrays(bra.coeffs, d)
-        kk, vals = _support_arrays(ket_coeffs, d)
-        windows = _char_windows(mm, kk)
-        total = 0j
-        for coeff, w in chars:
-            block = _char_block(mm, kk, windows, _char_betas(w, hbar, d))
-            total += coeff * complex(np.conjugate(bvals) @ block @ vals)
-        return total
+def _char_sparse(bra_coeffs: dict, ket_coeffs: dict, chars, hbar: float, thetas) -> np.ndarray:
+    """sum over chars of coeff * <bra|D(beta rotated by thetas[i])|ket>, for every row i.
+
+    Rotation covariance: the flow is diagonal in the number basis, so
+    <m|D(beta e^{i theta})|n> = e^{i (m - n) theta} <m|D(beta)|n>. One
+    displacement window per (character, mode) at the unrotated beta gives
+    the support block B, and angle theta is e^{i (lo_bra - lo_ket).theta}
+    x_theta . B y_theta with x_theta = conj(bra) e^{i (m - lo_bra).theta} and
+    y_theta = ket e^{-i (k - lo_ket).theta}: each state's phases are measured
+    from its own window start, so their arguments stay small at deep hbar.
+    The phases are C-ordered, one contiguous row per angle, so angle 0 is the
+    same vector-matrix product, bit for bit, as an unrotated evaluation.
+    """
+    d = thetas.shape[1]
+    mm, bvals = _support_arrays(bra_coeffs, d)
+    kk, vals = _support_arrays(ket_coeffs, d)
+    windows = _char_windows(mm, kk)
+    lo_bra = np.array([rows.start for rows, _ in windows])
+    lo_ket = np.array([cols.start for _, cols in windows])
+    xs = np.conjugate(bvals) * np.exp(1j * (thetas @ (mm - lo_bra).T))  # (A, M)
+    ys = vals * np.conjugate(np.exp(1j * (thetas @ (kk - lo_ket).T)))  # (A, S)
+    total = np.zeros(len(thetas), dtype=complex)
+    for coeff, w in chars:
+        block = _char_block(mm, kk, windows, _char_betas(w, hbar, d))
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            total[i] += coeff * complex(x @ block @ y)
+    return total * np.exp(1j * (thetas @ (lo_bra - lo_ket)))
+
+
+def _char_product_bra(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -> complex:
     kk, vals = _support_arrays(ket_coeffs, d)
     total = 0j
     for coeff, w in chars:
@@ -1120,67 +1135,46 @@ def _char_block(mm: np.ndarray, kk: np.ndarray, windows, betas) -> np.ndarray:
     return block
 
 
-def expectation(bra: FockState, ket: FockState, a: Symbol) -> complex:
+def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None):
     """<bra, Op_hbar(a) ket>, exact up to the states' tail bounds.
 
     Character terms evaluate <m|D(beta)|n> only for m and n inside the bra's
     and the ket's per-mode index ranges; NumericalError is raised when one of
     those elements is not finite (large m and n at once).
+    With thetas, an (A, d) array of flow angles, both states must be sparse
+    and the result is the array of the A values <bra, Op_hbar(a o rotation
+    by thetas[i]) ket>: the polynomial part through a.rotation_table(thetas)
+    and one batched _moments call, the characters by rotation covariance
+    (_char_sparse), so the displacement windows do not grow with A.
     """
     if bra.hbar != ket.hbar or bra.dims != ket.dims:
         raise ValidationError("states live in different spaces")
     if a.dims != bra.dims:
         raise ValidationError("symbol mode count does not match the states")
+    if thetas is not None and (bra.is_product or ket.is_product):
+        raise ValidationError("flowed expectations need sparse states; project first")
     if ket.is_product and not bra.is_product:
         return expectation(ket, bra, a.conj()).conjugate()  # Op(conj a) = Op(a)^dagger
     hbar = bra.hbar
     d = bra.dims
-    total = 0j
+    angles = np.zeros((1, d)) if thetas is None else np.asarray(thetas, dtype=float)
+    if angles.ndim != 2 or angles.shape[1] != d:
+        raise ValidationError("need one angle per mode")
+    total = np.zeros(len(angles), dtype=complex)
     if a.poly:
         if ket.is_product:
             total += _poly_product(bra, ket, a.poly)
         else:
-            total += _poly_sparse(bra, ket.coeffs, a.poly, hbar, d, {})
+            poly = a.poly if thetas is None else a.rotation_table(angles)[0]
+            total += _poly_sparse(bra, ket.coeffs, poly, hbar, d, {})
     if a.chars:
         if ket.is_product:
             total += _char_product(bra, ket, a.chars, hbar, d)
+        elif bra.is_product:
+            total += _char_product_bra(bra, ket.coeffs, a.chars, hbar, d)
         else:
-            total += _char_sparse(bra, ket.coeffs, a.chars, hbar, d)
-    return complex(total)
-
-
-def flowed_expectations(
-    state: FockState, a: Symbol, thetas, moments: dict, table: dict
-) -> np.ndarray:
-    """<state, Op_hbar(a o rotation by thetas[i]) state> for every row of thetas.
-
-    thetas has shape (A, d) and the state is sparse. Polynomial values are
-    the coefficient arrays of `table`, the poly part of
-    a.rotation_table(thetas), which the caller expands once for every state,
-    times the moments in `moments`, a map from monomial to moment that the
-    caller keeps for this state: missing ones come from one _moments call
-    and are stored, and scarlab.residuals fills the map for all its probes
-    at once, so each monomial is applied once per sweep step.
-    Characters are evaluated by rotation covariance: one displacement window
-    per (character, mode) at the unrotated parameters gives the support
-    block B, and each angle is one vector-matrix product x_theta . B y_theta
-    with the phases e^{+-i (k - lo).theta} folded into the state vectors.
-    """
-    total = np.zeros(len(thetas), dtype=complex)
-    if table:
-        total += _poly_sparse(state, state.coeffs, table, state.hbar, state.dims, moments)
-    if a.chars:
-        keys, vals = _support_arrays(state.coeffs, state.dims)
-        windows = _char_windows(keys, keys)
-        lo = np.array([rows.start for rows, _ in windows])
-        phase = np.exp(1j * ((keys - lo) @ np.asarray(thetas, dtype=float).T)).T  # (A, S)
-        xs = np.conjugate(vals) * phase
-        ys = vals * np.conjugate(phase)
-        for coeff, w in a.chars:
-            block = _char_block(keys, keys, windows, _char_betas(w, state.hbar, state.dims))
-            for i, (x, y) in enumerate(zip(xs, ys)):
-                total[i] += coeff * complex(x @ block @ y)
-    return total
+            total += _char_sparse(bra.coeffs, ket.coeffs, a.chars, hbar, angles)
+    return complex(total[0]) if thetas is None else total
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .fockstate import (
     FockState,
     ScarState,
     _moments,
+    _poly_sparse,
     expectation,
-    flowed_expectations,
     normalize_scar,
 )
 from .freqarith import HarmonicDecomposition
@@ -198,15 +198,17 @@ def residuals(
     invariance_n = max over probes and a T_POINTS t-grid of one component
     period of |<Op(a o flow_n(t))> - <Op(a)>|, exact Egorov making 16 points
     enough.
-    Each probe is one flowed_expectations call over one stacked grid: angle
-    0, which gives the base value <Op(a)>, then every component's
-    T_POINTS - 1 angles. So one displacement window per (character, mode)
-    serves the base value and every component. One batched _moments call
-    before the probe loop gives the moments of every probe's rotation
-    table, so each monomial is applied to the state once per sweep step.
+    Each probe is flowed over one stacked grid in one pass: angle 0, which
+    gives the base value <Op(a)>, then every component's T_POINTS - 1
+    angles. Its polynomial part is its rotation table times the moments of
+    one batched _moments call made before the probe loop for the union of
+    every table, so each monomial is applied to the state once per sweep
+    step. Its character part alone goes to expectation(state, state, chars,
+    thetas), where one displacement window per (character, mode) serves the
+    base value and every angle.
     `_bases` and `_flow` are internal to sweep, not part of the interface:
     a list passed as `_bases` receives the base values, unnormalized and in
-    probe order, and sweep reads its polynomial gap rows from it; `_flow` is
+    probe order, and sweep reads every gap row from it; `_flow` is
     _flow_tables(decomp, probes), which does not depend on the state, so
     sweep builds it once for every step and residuals builds it otherwise.
     """
@@ -233,7 +235,11 @@ def residuals(
     moments = _moments(state, state.coeffs, union, state.hbar, state.dims)
     defects = [[0.0] for _ in decomp.components]
     for a, table in zip(probes, tables):
-        values = flowed_expectations(state, a, thetas, moments, table)
+        values = np.zeros(len(thetas), dtype=complex)
+        if table:
+            values += _poly_sparse(state, state.coeffs, table, state.hbar, state.dims, moments)
+        if a.chars:
+            values += expectation(state, state, Symbol(a.dims, {}, a.chars, a.label), thetas)
         base = values[0]
         for n, comp_defects in enumerate(defects):
             moved = values[1 + n * (T_POINTS - 1) : 1 + (n + 1) * (T_POINTS - 1)]
@@ -441,13 +447,9 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
             scar = build_scar(decomp, z0, E, hbar, config.tail_tol)
             parts, state, c = (), scar.state, scar.c_hbar
             rows.append((hbar, "c_hbar", complex(c), 1 + 0j, abs(c - 1.0)))
-        # a polynomial probe's gap value is the unrotated value residuals
-        # computes anyway; characters have no moment map to share, so a probe
-        # carrying any goes through expectation whole
         bases: list[complex] = []
         residual_rows = _residual_rows(decomp, state, E, probes, hbar, bases, flow)
-        for a, base, ref in zip(probes, bases, refs):
-            val = expectation(state, state, a) if a.chars else base
+        for a, val, ref in zip(probes, bases, refs):
             if config.points:
                 val /= nrm**2
             rows.append((hbar, f"gap:{a.label}", val, complex(ref), abs(val - ref)))

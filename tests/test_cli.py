@@ -293,10 +293,17 @@ def test_sweep_failed_step_exits_4(workdir, monkeypatch):
 def test_sweep_non_finite_row_exits_4(workdir, monkeypatch):
     from scarkit import scarlab
 
-    # the gap rows are the unrotated values of the flowed probes
+    # every gap row is the unrotated value of the flowed probe: make the
+    # whole flowed pass, polynomial sums and characters, NaN
     monkeypatch.setattr(
-        scarlab, "flowed_expectations",
-        lambda state, a, thetas, moments, table: np.full(len(thetas), math.nan, dtype=complex),
+        scarlab, "_poly_sparse",
+        lambda bra, ket_coeffs, table, hbar, dims, moments: np.full(
+            len(next(iter(table.values()))), complex(math.nan, 0.0)
+        ),
+    )
+    monkeypatch.setattr(
+        scarlab, "expectation",
+        lambda bra, ket, a, thetas: np.full(len(thetas), complex(math.nan, 0.0)),
     )
     rc = main(["sweep", str(workdir / "run.cfg"), "--out", str(workdir / "nan")])
     assert rc == 4
@@ -373,6 +380,18 @@ def test_husimi_mode_out_of_range(workdir, capsys):
     )
     assert rc == 2
     assert "mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_husimi_rejects_grids_below_two_points(workdir, capsys, grid):
+    # 1 point once divided by zero and 0 points wrote an empty CSV
+    out = workdir / f"hg{grid}"
+    rc = main(
+        ["husimi", str(workdir / "run.cfg"), "--mode", "1", "--grid", grid, "--out", str(out)]
+    )
+    assert rc == 2
+    assert f"--grid needs at least 2 points per axis, got {grid}" in capsys.readouterr().err
+    assert not (out / "husimi_mode1.csv").exists()
 
 
 def test_husimi_from_dumped_state(workdir):

@@ -39,7 +39,6 @@ from scarkit.fockstate import (
     dump_state,
     evolve,
     expectation,
-    flowed_expectations,
     gram,
     inner,
     load_state,
@@ -131,6 +130,16 @@ def test_coherent_at_subnormal_mean_is_ground():
     psi = coherent(PhasePoint(x=(1e-160,), xi=(0.0,)), 0.1)
     assert psi.cutoff == (0,)
     assert psi.coefficient((0,)) == 1.0
+
+
+def test_coefficient_outside_the_support_is_zero():
+    # a negative index once read a product factor from its end
+    psi = coherent(PhasePoint((1.0,), (0.0,)), 0.1)
+    sparse = as_sparse(psi)
+    for k in ((-1,), (-len(psi.factors[0]),), (len(psi.factors[0]),)):
+        assert psi.coefficient(k) == 0j
+        assert sparse.coefficient(k) == 0j
+    assert psi.coefficient((0,)) == sparse.coefficient((0,)) != 0
 
 
 def test_coherent_energy_expectation_ladder_oracle(dec12):
@@ -1234,7 +1243,7 @@ def test_stacked_displacement_non_finite_element_raises():
     # is now finite, so every angle matches the 50-digit elements
     state = FockState(0.02, 1, (1210,), 0.0, coeffs={(600,): 0.6 + 0j, (1200,): 0.8 + 0j})
     thetas = [[0.0], [0.4], [-2.0]]
-    got = flowed_expectations(state, character(1, (0.11, 0.0)), thetas, {}, table={})
+    got = expectation(state, state, character(1, (0.11, 0.0)), thetas)
     for (theta,), value in zip(thetas, got):
         beta = -0.011 * cmath.exp(1j * theta)
         want = sum(
@@ -1245,7 +1254,7 @@ def test_stacked_displacement_non_finite_element_raises():
         assert value == pytest.approx(want, rel=1e-12)
     # a displacement |beta|^2 that overflows still raises for the whole stack
     with pytest.raises(NumericalError, match=r"displacement kernel: non-finite beta"):
-        flowed_expectations(state, character(1, (1e200, 0.0)), thetas, {}, table={})
+        expectation(state, state, character(1, (1e200, 0.0)), thetas)
 
 
 def _flow_grid(dims, count=15):
@@ -1265,7 +1274,7 @@ def test_flowed_expectations_match_rotated_probes():
     )
     # the second grid leaves mode 2 alone
     for grid in (thetas, [[t[0], 0.0] for t in thetas]):
-        got = flowed_expectations(state, sym, grid, {}, sym.rotation_table(grid)[0])
+        got = expectation(state, state, sym, grid)
         for theta, value in zip(grid, got):
             want = expectation(state, state, sym.rotate(theta))
             assert value == pytest.approx(want, rel=1e-13, abs=1e-15)
@@ -1278,10 +1287,44 @@ def test_flowed_characters_match_direct_rotation_at_large_index():
     state = _random_sparse(rng, 0.01, 985, 1015, 30)
     sym = character(2, (0.3, -0.2, 0.5, 0.1), 0.7) + character(2, (-0.4, 0.1, 0.2, 0.6), -0.2j)
     grid = [[0.0, 0.0]] + _flow_grid(2, 12) + [[4 * math.pi, -4 * math.pi]]
-    got = flowed_expectations(state, sym, grid, {}, table={})
+    got = expectation(state, state, sym, grid)
     for theta, value in zip(grid, got):
         want = expectation(state, state, sym.rotate(theta))
         assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_flowed_expectation_between_states_with_different_windows():
+    # the bra's and the ket's phases are measured from their own window
+    # starts, so the stack carries e^{i (lo_bra - lo_ket).theta} per angle
+    rng = np.random.default_rng(37)
+    bra = _random_sparse(rng, 0.01, 985, 1015, 30)
+    ket = _random_sparse(rng, 0.01, 960, 1000, 30)
+    assert min(k[0] for k in bra.coeffs) != min(k[0] for k in ket.coeffs)
+    sym = (
+        monomial(2, [1, 0, 0, 1], 0.4)
+        + character(2, (0.3, -0.2, 0.5, 0.1), 0.7)
+        + character(2, (-0.4, 0.1, 0.2, 0.6), -0.2j)
+    )
+    grid = [[0.0, 0.0]] + _flow_grid(2, 12) + [[4 * math.pi, -4 * math.pi]]
+    got = expectation(bra, ket, sym, grid)
+    assert got.shape == (len(grid),)
+    for theta, value in zip(grid, got):
+        want = expectation(bra, ket, sym.rotate(theta))
+        assert abs(value - want) <= 1e-12 * abs(want)
+    # angle 0 of the stack is the unrotated evaluation, bit for bit
+    assert got[0] == expectation(bra, ket, sym)
+
+
+def test_flowed_expectation_refuses_product_states_and_bad_grids():
+    psi = coherent(PhasePoint(x=(0.8, 0.3), xi=(0.0, 0.1)), 0.1)
+    sparse = as_sparse(psi)
+    ch = character(2, (0.3, -0.2, 0.5, 0.1))
+    for bra, ket in ((psi, psi), (psi, sparse), (sparse, psi)):
+        with pytest.raises(ValidationError, match="sparse states"):
+            expectation(bra, ket, ch, [[0.0, 0.0]])
+    for grid in ([0.0, 0.0], [[0.0, 0.0, 0.0]]):
+        with pytest.raises(ValidationError, match="one angle per mode"):
+            expectation(sparse, sparse, ch, grid)
 
 
 def test_flowed_character_over_budget_raises_before_allocating(monkeypatch):
@@ -1298,12 +1341,12 @@ def test_flowed_character_over_budget_raises_before_allocating(monkeypatch):
     n = len(state.coeffs)
     monkeypatch.setattr(fockstate, "_BLOCK_CAP", n * n - 1)
     with pytest.raises(ResourceLimitError, match=f"character expectation needs a {n} x {n} block"):
-        flowed_expectations(state, ch, _flow_grid(2), {}, table={})
+        expectation(state, state, ch, _flow_grid(2))
     # a 2 x 2 block fits, a 27-wide window does not
     monkeypatch.setattr(fockstate, "_BLOCK_CAP", 26 * 26)
     wide = FockState(0.05, 2, (40, 40), 0.0, coeffs={(0, 0): 0.6 + 0j, (26, 1): 0.8 + 0j})
     with pytest.raises(ResourceLimitError, match="27 x 27 block"):
-        flowed_expectations(wide, ch, _flow_grid(2), {}, table={})
+        expectation(wide, wide, ch, _flow_grid(2))
 
 
 def test_expectation_consistent_across_representations(dec12):

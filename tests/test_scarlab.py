@@ -289,13 +289,35 @@ def test_sweep_records_only_scarkit_errors(dec12, monkeypatch):
         sweep(cfg)
 
 
+def _nan_flow(monkeypatch, finite_base=False):
+    """Make every flowed value residuals computes NaN (angle 0 too, unless
+    finite_base): the polynomial sums over the moment map and the character
+    pass through expectation. Returns the (kind, angle count) of each call."""
+    calls = []
+
+    def stack(kind, count):
+        calls.append((kind, count))
+        out = np.full(count, complex(math.nan, 0.0))
+        if finite_base:
+            out[0] = 1.0
+        return out
+
+    monkeypatch.setattr(
+        scarlab, "_poly_sparse",
+        lambda bra, ket_coeffs, table, hbar, dims, moments: stack(
+            "poly", len(next(iter(table.values())))
+        ),
+    )
+    monkeypatch.setattr(
+        scarlab, "expectation", lambda bra, ket, a, thetas: stack("char", len(thetas))
+    )
+    return calls
+
+
 def test_sweep_rejects_non_finite_rows(dec12, monkeypatch):
     cfg = SweepConfig(dec12, (0.5, 0.5), hbars=(0.2, 0.1))
-    # the gap rows are the unrotated values of the flowed probes
-    monkeypatch.setattr(
-        scarlab, "flowed_expectations",
-        lambda state, a, thetas, moments, table: np.full(len(thetas), math.nan, dtype=complex),
-    )
+    # every gap row is the unrotated value of the flowed probe
+    _nan_flow(monkeypatch)
     report = sweep(cfg)
     assert report.rows == ()
     assert [h for h, _ in report.errors] == [0.2, 0.1]
@@ -310,19 +332,13 @@ def test_invariance_keeps_a_non_finite_defect(dec12, monkeypatch):
     # base values are finite, every flowed probe is NaN: the defect is NaN, not 0
     state = build_scar(dec12, torus_point(dec12, (0.5, 0.5)), (0.5, 0.5), 0.1).state
     probes = default_probes(dec12)
-    calls = []
-
-    def fake(state, a, thetas, moments, table):
-        calls.append(len(thetas))
-        out = np.full(len(thetas), math.nan, dtype=complex)
-        out[0] = 1.0
-        return out
-
-    monkeypatch.setattr(scarlab, "flowed_expectations", fake)
+    calls = _nan_flow(monkeypatch, finite_base=True)
     _, inv = residuals(dec12, state, (0.5, 0.5), probes=probes)
     assert all(math.isnan(v) for v in inv)
     # one pass per probe: angle 0 for the base value, then every component's angles
-    assert calls == [1 + dec12.d_omega * (scarlab.T_POINTS - 1)] * len(probes)
+    angles = 1 + dec12.d_omega * (scarlab.T_POINTS - 1)
+    assert calls == [("char" if a.chars else "poly", angles) for a in probes]
+    assert {kind for kind, _ in calls} == {"poly", "char"}
     with pytest.raises(NumericalError, match=r"row invariance:1 at hbar=0.1 \(flowed probe"):
         scarlab._require_finite(scarlab._residual_rows(dec12, state, (0.5, 0.5), probes, 0.1), probes)
 
@@ -667,9 +683,9 @@ def test_residuals_builds_each_ladder_word_and_bra_read_once(moment_cases, monke
 
 @pytest.mark.parametrize("convex", [False, True], ids=["single", "convex"])
 def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
-    # gap and residual rows share one moment map per state and step; the gap
-    # rows of probes carrying characters, which have no moment map, and the
-    # cross rows (bra != ket) still go through expectation, stubbed here
+    # gap and residual rows share one moment map per state and step; the
+    # character part of each probe's flowed pass and the cross rows
+    # (bra != ket) go through expectation, stubbed here
     from scarkit import fockstate
 
     if convex:
@@ -696,9 +712,15 @@ def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
     calls = []  # per expectation call: the probe and whether bra is ket
     monkeypatch.setattr(fockstate, "_moments", counting)
     monkeypatch.setattr(scarlab, "_moments", counting)
-    monkeypatch.setattr(
-        scarlab, "expectation", lambda bra, ket, a: calls.append((a.label, bra is ket)) or 0j
-    )
+
+    def stub(bra, ket, a, thetas=None):
+        calls.append((a.label, bra is ket))
+        if thetas is None:
+            return 0j
+        assert not a.poly  # a mixed probe's monomials come from the moment map alone
+        return np.zeros(len(thetas), dtype=complex)
+
+    monkeypatch.setattr(scarlab, "expectation", stub)
     report = sweep(cfg)
     assert report.errors == ()
     assert len(applied) == len(set(applied))  # one evaluation per (step, state, monomial)
@@ -737,3 +759,62 @@ def test_flowed_characters_take_one_window_per_character_and_mode(
     residuals(decomp, state, E, probes=probes)
     assert decomp.dims == 3
     assert len(windows) == sum(len(a.chars) for a in probes) * decomp.dims == 6
+
+
+def _hex(v: complex) -> tuple[str, str]:
+    return (v.real.hex(), v.imag.hex())
+
+
+@pytest.mark.parametrize("convex", [False, True], ids=["single", "convex"])
+def test_sweep_gap_rows_match_standalone_expectation_bit_for_bit(convex):
+    # every gap row is angle 0 of the one residuals pass; it carries the bits
+    # of an unrotated expectation call, characters and polynomials alike
+    from scarkit.fockstate import expectation
+
+    if convex:
+        decomp = make_dec([[F(1)], [F(1)]], ("one",))
+        za = PhasePoint(x=(math.sqrt(1.5), math.sqrt(0.5)), xi=(0.0, 0.0))
+        zb = PhasePoint(x=(math.sqrt(0.5), math.sqrt(1.5)), xi=(0.0, 0.0))
+        cfg = SweepConfig(decomp, (1.0,), (0.1, 0.05), points=((za, 0.5), (zb, 0.5)),
+                          probes=_moment_probes(decomp, 4))
+    else:
+        decomp = make_dec([[F(1), F(0)], [F(2), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
+        cfg = SweepConfig(decomp, (0.6, 0.4), (0.1, 0.05), probes=_moment_probes(decomp, 4))
+    report = sweep(cfg)
+    assert report.errors == ()
+    gaps = {(h, name): v for h, name, v, _, _ in report.rows if name.startswith("gap:")}
+    assert len(gaps) == len(cfg.probes) * len(cfg.hbars)
+    for h in cfg.hbars:
+        if convex:
+            state = scarlab._convex_parts(decomp, cfg.points, cfg.E, h, cfg.tail_tol)[2]
+            scale = state.norm() ** 2
+        else:
+            z0 = sigma_membership(decomp, cfg.E).torus_point()
+            state, scale = build_scar(decomp, z0, cfg.E, h).state, 1.0
+        for a in cfg.probes:
+            want = expectation(state, state, a)
+            if convex:
+                want /= scale
+            assert _hex(gaps[h, f"gap:{a.label}"]) == _hex(want), a.label
+
+
+def test_sweep_step_takes_one_window_per_character_and_mode(monkeypatch):
+    # the gap rows of characters read the flowed pass: a step evaluates each
+    # (character, mode) window once, not once for the flow and once for the gap
+    from scarkit import fockstate
+
+    decomp = make_dec([[F(1), F(0)], [F(2), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
+    cfg = SweepConfig(decomp, (0.6, 0.4), (0.1, 0.05))
+    windows = []
+    original = fockstate._displacement_matrix
+
+    def counting(beta, rows, cols):
+        windows.append(beta)
+        return original(beta, rows, cols)
+
+    monkeypatch.setattr(fockstate, "_displacement_matrix", counting)
+    report = sweep(cfg)
+    assert report.errors == ()
+    chars = sum(len(a.chars) for a in default_probes(decomp, cfg.seed))
+    assert chars == 2
+    assert len(windows) == chars * decomp.dims * len(cfg.hbars)
