@@ -34,7 +34,11 @@ far end. A displacement element is a log-space prefactor times
 1F1(-p; q+1; |beta|^2), summed by its terminating series, whose length is
 set by p |beta|^2; the difference form of the Laguerre recurrence, O(p),
 takes over only where the series would lose absolute accuracy, and raises
-ResourceLimitError past degree 2^14.
+ResourceLimitError past degree 2^14. The (character, mode) windows of one
+character expectation share one such pass (_displacement_windows), |beta|^2
+given per element, while they hold at most 2^18 elements, so a call with
+many small windows pays the kernel's fixed numpy cost once; an element's
+bits do not depend on the other elements of the pass.
 
 Given (A, d) flow angles thetas and two sparse states, expectation returns
 the A values of the symbol composed with each rotation. scarlab.residuals
@@ -42,11 +46,14 @@ sends it only each probe's character part; the polynomial parts come from
 the probes' rotation tables times one batched _moments map per sweep step.
 Sparse characters, at one zero angle or at many, come from one routine
 (_char_sparse) by rotation covariance: one displacement window per
-(character, mode) at the unrotated beta, rephased per angle, so angle 0 is
-the unrotated value bit for bit.
+(character, mode) at the unrotated beta, summed over characters into one
+support block, and every angle read from it by one stacked product whose
+per-angle sums do not depend on the number of angles, so angle 0 is the
+unrotated value bit for bit.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -68,7 +75,7 @@ from .freqarith import (
     periodic_component,
     span_solver,
 )
-from .phasespace import PhasePoint, component_energies
+from .phasespace import PhasePoint, _once, component_energies
 from .spectral import (
     TargetEigenvalue,
     component_eigenvalue,
@@ -623,6 +630,8 @@ def normalize_scar(
     E: Sequence[float],
     hbar: float,
     tail_tol: float = 1e-12,
+    *,
+    _fixed: dict | None = None,
 ) -> ScarState:
     """coherent -> average over the period box -> L2 normalize.
 
@@ -634,9 +643,12 @@ def normalize_scar(
     z0, and the reported target is re-anchored at the eigenvalue the kept
     state actually has. A point with no excited mode at all degenerates to
     the ground state with c_hbar = 1 by convention.
+    `_fixed` is internal to sweep, not part of the interface: the memo of
+    phasespace._once for this decomposition and E, which keeps the Gram data
+    at z0 and the reduced system's sigma_membership for every step.
     """
-    target = select_target(decomp, E, hbar)
-    g = gram(z0, decomp)
+    target = select_target(decomp, E, hbar, _fixed=_fixed)
+    g = _once(_fixed, ("gram", z0), gram, z0, decomp)
     psi = coherent(z0, hbar, tail_tol)
     if g.rank_d0 == 0:
         if not psi.is_product or any(len(f) > 1 for f in psi.factors):
@@ -661,7 +673,12 @@ def normalize_scar(
     if g.system is decomp:
         projected = average_project(psi, target)
     else:
-        reduced = select_target(g.system, component_energies(g.system, z0), hbar)
+        reduced = select_target(
+            g.system,
+            component_energies(g.system, z0),
+            hbar,
+            _fixed=_once(_fixed, ("reduced system", z0), dict),
+        )
         projected = average_project(psi, reduced)
         target = _retarget(decomp, target, min(projected.coeffs))
     mass = projected.norm() ** 2
@@ -734,9 +751,10 @@ def _ladder_word(X, Xi, word: str) -> np.ndarray:
 _SERIES_CHUNK = 1 << 12  # elements per series pass, bounding its (terms, elements) arrays
 _ERROR_LIMIT = 2.0**8  # max scale * |t_i|, so a series element errs by ~2^8 eps at most
 _RECURRENCE_CAP = 1 << 14  # max degree p the recurrence runs to, about 0.15 s of numpy steps
+_KERNEL_CHUNK = 1 << 18  # elements per kernel pass of small windows, and per chunk of a pass
 
 
-def _laguerre_series(p: np.ndarray, q: np.ndarray, x: float, scale: np.ndarray) -> np.ndarray:
+def _laguerre_series(p: np.ndarray, q: np.ndarray, x: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """1F1(-p; q+1; x) per element by its terminating series; NaN where it failed.
 
     t_0 = 1, t_{i+1} = t_i (i - p) x / ((i + q + 1)(i + 1)); the series stops
@@ -761,8 +779,8 @@ def _laguerre_series(p: np.ndarray, q: np.ndarray, x: float, scale: np.ndarray) 
     lims = _ERROR_LIMIT / scale
     for lo in range(0, len(p), _SERIES_CHUNK):
         idx = np.arange(lo, min(lo + _SERIES_CHUNK, len(p)))
-        pf, q1, lim = p[idx].astype(float), q[idx] + 1.0, lims[idx]
-        top = float(pf.max()) * x
+        pf, q1, xs, lim = p[idx].astype(float), q[idx] + 1.0, x[idx], lims[idx]
+        top = float((pf * xs).max())
         size, bound = 1, top
         while bound > 2.0**-58 and size < 16:
             size += 1
@@ -770,7 +788,7 @@ def _laguerre_series(p: np.ndarray, q: np.ndarray, x: float, scale: np.ndarray) 
         i, n, t, s = np.arange(float(size))[:, None], size, 1.0, 1.0
         while True:
             f = np.subtract(i, pf)  # row r: t_{i_r + 1} / t_{i_r}
-            f *= x / (i + 1.0)
+            f *= xs / (i + 1.0)
             f /= i + q1
             f[0] *= t
             np.multiply.accumulate(f, axis=0, out=f)
@@ -783,13 +801,14 @@ def _laguerre_series(p: np.ndarray, q: np.ndarray, x: float, scale: np.ndarray) 
             live = ok > (np.abs(t) <= tol * np.abs(s))
             if not live.any():
                 break
-            idx, pf, q1, lim, t, s = idx[live], pf[live], q1[live], lim[live], t[live], s[live]
+            idx, pf, q1, xs, lim = idx[live], pf[live], q1[live], xs[live], lim[live]
+            t, s = t[live], s[live]
             i = i + float(size)
             n += size
     return out
 
 
-def _laguerre_recurrence(p: np.ndarray, q: np.ndarray, x: float) -> np.ndarray:
+def _laguerre_recurrence(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
     """1F1(-p; q+1; x) for p >= 1 by the difference form of the Laguerre recurrence.
 
     d_1 = -x/(q + 1), P_1 = 1 + d_1, then d_{k+1} = -x P_k/(k + q + 1)
@@ -801,14 +820,14 @@ def _laguerre_recurrence(p: np.ndarray, q: np.ndarray, x: float) -> np.ndarray:
     raises ResourceLimitError before any step.
     """
     order = np.argsort(-p, kind="stable")
-    ps, a = p[order], q[order] + 1.0
+    ps, a, xs = p[order], q[order] + 1.0, x[order]
     if ps[0] > _RECURRENCE_CAP:
         raise ResourceLimitError(
-            f"displacement kernel: at |beta|^2 = {x:.6g} the series for degree {int(ps[0])} "
-            f"cancels (p |beta|^2 = {ps[0] * x:.3g}), and its recurrence is capped "
+            f"displacement kernel: at |beta|^2 = {xs[0]:.6g} the series for degree {int(ps[0])} "
+            f"cancels (p |beta|^2 = {ps[0] * xs[0]:.3g}), and its recurrence is capped "
             f"at degree {_RECURRENCE_CAP}"
         )
-    d = -x / a
+    d = -xs / a
     P = d + 1.0
     done = np.empty(len(ps))
     live = len(ps)
@@ -818,95 +837,173 @@ def _laguerre_recurrence(p: np.ndarray, q: np.ndarray, x: float) -> np.ndarray:
         live = n
         if not n:
             break
-        d, P, a = d[:n], P[:n], a[:n]
+        d, P, a, xs = d[:n], P[:n], a[:n], xs[:n]
         den = k + a
-        d = (-x / den) * P + (k / den) * d
+        d = (-xs / den) * P + (k / den) * d
         P = P + d
     out = np.empty(len(p))
     out[order] = done
     return out
 
 
-def _displacement_real(p: np.ndarray, q: np.ndarray, x: float) -> np.ndarray:
-    """<p + q|D(beta)|p> without its phase, for x = |beta|^2 > 0.
+def _displacement_prefactor(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x^{q/2} e^{-x/2} sqrt((p+q)!/p!) / q! per element, for x > 0.
 
-    x^{q/2} e^{-x/2} sqrt((p+q)!/p!) / q! times P = 1F1(-p; q+1; x)
-    = L_p^q(x) / C(p+q, p). The prefactor is formed in log space, with
-    log((p+q)!/p!) = q log p + (p + q + 1/2) log1p(q/p) - q + stirlerr(p+q)
-    - stirlerr(p), so no two large log-factorials cancel, and q log p joins
-    q log x as one log(x p); on the diagonal (q = 0) it is e^{-x/2} alone.
-    P comes from the series, or from the recurrence for the elements where
-    the series fails.
+    Formed in log space, with log((p+q)!/p!) = q log p + (p + q + 1/2)
+    log1p(q/p) - q + stirlerr(p+q) - stirlerr(p), so no two large
+    log-factorials cancel, and q log p joins q log x as one log(x p); on the
+    diagonal (q = 0) it is e^{-x/2} alone, and at p = 0 it takes log x from
+    math.log.
     """
     q_top = int(q.max())
-    if q_top:
-        lgq = np.array([math.lgamma(k + 1.0) for k in range(q_top + 1)])[q]
-        p_zero = not p.all()
-        p1 = np.maximum(p, 1) if p_zero else p
-        top = p1 + q
-        st = _stirlerr(np.concatenate((top, p1)))
-        ratio = (top + 0.5) * np.log1p(q / p1) - q + (st[: len(p)] - st[len(p) :])
-        log_pref = 0.5 * q * np.log(x * p1) + 0.5 * ratio - lgq
-        if p_zero:
-            log_pref = np.where(p > 0, log_pref, 0.5 * q * math.log(x) - 0.5 * lgq)
-        pref = np.exp(log_pref - 0.5 * x)
-    else:
-        pref = np.exp(np.full(len(p), -0.5 * x))
-    P = _laguerre_series(p, q, x, pref)
+    if not q_top:
+        return np.exp(-0.5 * x)
+    lgq = np.array([math.lgamma(k + 1.0) for k in range(q_top + 1)])[q]
+    p_zero = not p.all()
+    p1 = np.maximum(p, 1) if p_zero else p
+    top = p1 + q
+    st = _stirlerr(np.concatenate((top, p1)))
+    ratio = (top + 0.5) * np.log1p(q / p1) - q + (st[: len(p)] - st[len(p) :])
+    log_pref = 0.5 * q * np.log(x * p1) + 0.5 * ratio - lgq
+    if p_zero:
+        at = p == 0
+        log_x = np.array([math.log(v) for v in x[at].tolist()])
+        log_pref[at] = 0.5 * q[at] * log_x - 0.5 * lgq[at]
+    return np.exp(log_pref - 0.5 * x)
+
+
+def _displacement_real(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<p + q|D(beta)|p> without its phase, per element, for x = |beta|^2 > 0.
+
+    The prefactor (_displacement_prefactor) times P = 1F1(-p; q+1; x)
+    = L_p^q(x) / C(p+q, p). P comes from the series, or from one recurrence
+    call for every element where the series fails. Prefactor and series run
+    _KERNEL_CHUNK elements at a time, so their temporaries stay bounded
+    however many windows share the call. Each element's arithmetic involves
+    only its own (p, q, x), so its bits do not depend on the other elements.
+    """
+    pref, P = np.empty(len(p)), np.empty(len(p))
+    for lo in range(0, len(p), _KERNEL_CHUNK):
+        part = slice(lo, lo + _KERNEL_CHUNK)
+        pref[part] = _displacement_prefactor(p[part], q[part], x[part])
+        P[part] = _laguerre_series(p[part], q[part], x[part], pref[part])
     slow = np.isnan(P)
     if slow.any():
-        P[slow] = _laguerre_recurrence(p[slow], q[slow], x)
+        P[slow] = _laguerre_recurrence(p[slow], q[slow], x[slow])
     return pref * P
 
 
-def _displacement_matrix(beta: complex, rows: range, cols: range) -> np.ndarray:
-    """<m|D(beta)|n> for m in rows, n in cols; exact per element.
+def _beta_mag2(beta: complex) -> float:
+    """|beta|^2 by Python's abs and pow (numpy's complex abs rounds differently);
+    NumericalError when it is not finite."""
+    try:
+        mag2 = abs(complex(beta)) ** 2
+    except OverflowError:
+        mag2 = math.inf
+    if not math.isfinite(mag2):
+        raise NumericalError(f"displacement kernel: non-finite beta = {complex(beta)}")
+    return mag2
+
+
+def _window_offsets(rows: range, cols: range) -> np.ndarray:
+    """m - n over a window, m in rows down, n in cols across."""
+    return np.arange(rows.start, rows.stop)[:, None] - np.arange(cols.start, cols.stop)
+
+
+def _window_pq(rows: range, cols: range) -> tuple[np.ndarray, np.ndarray]:
+    """p = min(m, n) and q = |m - n| of the elements a window evaluates, in
+    row-major order: the upper triangle m <= n of a square window, else all."""
+    offset = _window_offsets(rows, cols)
+    if rows == cols:
+        i, j = np.nonzero(offset <= 0)
+        return i + rows.start, j - i
+    p = np.arange(rows.start, rows.stop)[:, None] - np.maximum(offset, 0)
+    return p.ravel(), np.abs(offset).ravel()
+
+
+def _displacement_windows(windows):
+    """<m|D(beta)|n> for m in rows, n in cols, one array per (beta, rows, cols) window.
 
     Cahill-Glauber form: with p = min(m, n), q = |m - n| and x = |beta|^2,
     the element is the real factor x^{q/2} e^{-x/2} sqrt((p+q)!/p!) / q!
     1F1(-p; q+1; x) (_displacement_real) times the unit phase
     (beta/|beta|)^q (m >= n) or (-conj beta/|beta|)^q, so no power of beta
-    overflows. Each element depends only on (m, n, beta), so a window of
-    the dense block has the same bits as the dense block sliced. Equal
-    inputs are evaluated once: the real factor depends on (p, q), which
-    (m, n) and (n, m) share, so a square window evaluates its upper
-    triangle only, and the phase depends on the offset m - n alone. A
-    non-finite beta or element raises NumericalError. Where the series
+    overflows. The real factors of consecutive windows share one
+    _displacement_real pass, x given per element, while their elements
+    number at most _KERNEL_CHUNK (a larger window takes a pass of its own),
+    so a call with many small windows pays the kernel's fixed cost once and
+    one with large windows holds one window's arrays at a time. Each element
+    depends only on (m, n, beta), so a window has the same bits alone, in
+    any list, and as a slice of the dense block. Equal inputs are evaluated
+    once: the real factor depends on (p, q), which (m, n) and (n, m) share,
+    so a square window evaluates its upper triangle only, and the phase
+    depends on the offset m - n alone. A non-finite beta raises
+    NumericalError before any element is evaluated, a non-finite element
+    after its pass and before its window is returned. Where the series
     would lose accuracy and p is past _RECURRENCE_CAP, ResourceLimitError
-    is raised instead of an O(p) recurrence.
+    is raised instead of an O(p) recurrence. The windows are yielded one at
+    a time, so only one complex window is held at once.
     """
-    beta = complex(beta)
-    try:
-        mag2 = abs(beta) ** 2  # Python's abs and pow: numpy's complex abs rounds differently
-    except OverflowError:
-        mag2 = math.inf
-    if not math.isfinite(mag2):
-        raise NumericalError(f"displacement kernel: non-finite beta = {beta}")
-    m = np.arange(rows.start, rows.stop)[:, None]
-    offset = m - np.arange(cols.start, cols.stop)
-    if rows == cols:
-        upper = np.nonzero(offset <= 0)
-        p, q = upper[0] + rows.start, upper[1] - upper[0]
-    else:
-        p, q = (m - np.maximum(offset, 0)).ravel(), np.abs(offset).ravel()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite: raised below
-        real = _displacement_real(p, q, mag2) if mag2 else (q == 0).astype(float)
-    if not np.isfinite(real).all():
-        raise NumericalError(
-            f"displacement kernel: non-finite <m|D(beta)|n> at |beta|^2 = {mag2:.6g} "
-            f"with p up to {int(p.max())} and q up to {int(q.max())}"
-        )
-    if rows == cols:
-        full = np.empty(offset.shape)
-        full[upper] = full[upper[1], upper[0]] = real
-        real = full
-    else:
-        real = real.reshape(offset.shape)
-    low = rows.start - cols.stop + 1  # smallest offset m - n
-    steps = np.arange(low, rows.stop - cols.start)
-    unit = beta / abs(beta) if mag2 else 1.0
-    phase = np.where(steps >= 0, unit, -unit.conjugate()) ** np.abs(steps)
-    return real * phase[offset - low]
+    windows = [(beta, rows, cols, _beta_mag2(beta)) for beta, rows, cols in windows]
+    group, size = [], 0
+    for window in windows:
+        _, rows, cols, mag2 = window
+        if not mag2:
+            n = 0
+        else:
+            n = len(rows) * (len(rows) + 1) // 2 if rows == cols else len(rows) * len(cols)
+        if group and size + n > _KERNEL_CHUNK:
+            yield from _window_pass(group)
+            group, size = [], 0
+        group.append(window)
+        size += n
+    yield from _window_pass(group)
+
+
+def _window_pass(windows):
+    """The windows of _displacement_windows, (beta, rows, cols, |beta|^2) each,
+    from one _displacement_real pass."""
+    live = [(mag2, rows, cols) for _, rows, cols, mag2 in windows if mag2]
+    if live:
+        pqs = [_window_pq(rows, cols) for _, rows, cols in live]
+        sizes = [len(p) for p, _ in pqs]
+        p = np.concatenate([p for p, _ in pqs])
+        q = np.concatenate([q for _, q in pqs])
+        del pqs
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite: raised below
+            real = _displacement_real(p, q, np.repeat([mag2 for mag2, _, _ in live], sizes))
+        ends = list(itertools.accumulate(sizes))
+        if not np.isfinite(real).all():
+            w = bisect.bisect_right(ends, int(np.flatnonzero(~np.isfinite(real))[0]))
+            seg = slice(ends[w] - sizes[w], ends[w])
+            raise NumericalError(
+                f"displacement kernel: non-finite <m|D(beta)|n> at |beta|^2 = {live[w][0]:.6g} "
+                f"with p up to {int(p[seg].max())} and q up to {int(q[seg].max())}"
+            )
+        reals = iter([real[end - n : end] for n, end in zip(sizes, ends)])
+        del p, q
+    for beta, rows, cols, mag2 in windows:
+        offset = _window_offsets(rows, cols)
+        if not mag2:
+            full = (offset == 0).astype(float)
+        elif rows == cols:
+            upper = offset <= 0
+            full = np.empty(offset.shape)
+            full[upper] = full.T[upper] = next(reals)
+        else:
+            full = next(reals).reshape(offset.shape)
+        low = rows.start - cols.stop + 1  # smallest offset m - n
+        steps = np.arange(low, rows.stop - cols.start)
+        beta = complex(beta)
+        unit = beta / abs(beta) if mag2 else 1.0
+        phase = np.where(steps >= 0, unit, -unit.conjugate()) ** np.abs(steps)
+        yield full * phase[offset - low]
+
+
+def _displacement_matrix(beta: complex, rows: range, cols: range) -> np.ndarray:
+    """<m|D(beta)|n> for m in rows, n in cols: the one window of _displacement_windows."""
+    (D,) = _displacement_windows([(beta, rows, cols)])
+    return D
 
 
 def _index_range(indices: np.ndarray) -> range:
@@ -1053,15 +1150,25 @@ def _check_block(rows: int, cols: int) -> None:
         )
 
 
+def _char_kernel(chars, hbar: float, ranges):
+    """The window of every (character, mode) over the per-mode (rows, cols)
+    ranges, character by character, from one _displacement_windows pass."""
+    return _displacement_windows([
+        (beta, rows, cols)
+        for _, w in chars
+        for beta, (rows, cols) in zip(_char_betas(w, hbar, len(ranges)), ranges)
+    ])
+
+
 def _char_product(bra: FockState, ket: FockState, chars, hbar: float, d: int) -> complex:
+    ranges = [(range(len(fa)), range(len(fb))) for fa, fb in zip(bra.factors, ket.factors)]
+    for rows, cols in ranges:
+        _check_block(len(rows), len(cols))
+    windows = _char_kernel(chars, hbar, ranges)
     total = 0j
-    for coeff, w in chars:
-        betas = _char_betas(w, hbar, d)
+    for coeff, _ in chars:
         term = coeff
-        for j in range(d):
-            fa, fb = bra.factors[j], ket.factors[j]
-            _check_block(len(fa), len(fb))
-            D = _displacement_matrix(betas[j], range(len(fa)), range(len(fb)))
+        for fa, fb, D in zip(bra.factors, ket.factors, windows):
             term *= complex(np.conjugate(fa) @ D @ fb)
         total += term
     return total
@@ -1071,42 +1178,48 @@ def _char_sparse(bra_coeffs: dict, ket_coeffs: dict, chars, hbar: float, thetas)
     """sum over chars of coeff * <bra|D(beta rotated by thetas[i])|ket>, for every row i.
 
     Rotation covariance: the flow is diagonal in the number basis, so
-    <m|D(beta e^{i theta})|n> = e^{i (m - n) theta} <m|D(beta)|n>. One
-    displacement window per (character, mode) at the unrotated beta gives
-    the support block B, and angle theta is e^{i (lo_bra - lo_ket).theta}
-    x_theta . B y_theta with x_theta = conj(bra) e^{i (m - lo_bra).theta} and
-    y_theta = ket e^{-i (k - lo_ket).theta}: each state's phases are measured
-    from its own window start, so their arguments stay small at deep hbar.
-    The phases are C-ordered, one contiguous row per angle, so angle 0 is the
-    same vector-matrix product, bit for bit, as an unrotated evaluation.
+    <m|D(beta e^{i theta})|n> = e^{i (m - n) theta} <m|D(beta)|n>. The
+    displacement windows of every (character, mode) at the unrotated beta
+    come from one _displacement_windows call and give one support block
+    B = sum over chars of coeff * prod_j <m_j|D(beta_j)|k_j>; angle theta is
+    e^{i (lo_bra - lo_ket).theta} x_theta . B y_theta with x_theta =
+    conj(bra) e^{i (m - lo_bra).theta} and y_theta = ket
+    e^{-i (k - lo_ket).theta}: each state's phases are measured from its own
+    window start, so their arguments stay small at deep hbar. Every angle
+    comes from one stacked product, (A, 1, M) @ B @ (A, S, 1), which numpy
+    evaluates as one vector-matrix and one vector-vector product per angle:
+    an angle's sums do not depend on how many angles share the call, so
+    angle 0 is an unrotated evaluation bit for bit.
     """
     d = thetas.shape[1]
     mm, bvals = _support_arrays(bra_coeffs, d)
     kk, vals = _support_arrays(ket_coeffs, d)
-    windows = _char_windows(mm, kk)
-    lo_bra = np.array([rows.start for rows, _ in windows])
-    lo_ket = np.array([cols.start for _, cols in windows])
+    ranges = _char_windows(mm, kk)
+    lo_bra = np.array([rows.start for rows, _ in ranges])
+    lo_ket = np.array([cols.start for _, cols in ranges])
+    windows = _char_kernel(chars, hbar, ranges)
+    block = np.zeros((len(mm), len(kk)), dtype=complex)
+    for coeff, _ in chars:
+        part = np.full(block.shape, complex(coeff))
+        for j, ((rows, cols), D) in enumerate(zip(ranges, windows)):
+            part *= D[(mm[:, j] - rows.start)[:, None], kk[:, j] - cols.start]
+        block += part
     xs = np.conjugate(bvals) * np.exp(1j * (thetas @ (mm - lo_bra).T))  # (A, M)
     ys = vals * np.conjugate(np.exp(1j * (thetas @ (kk - lo_ket).T)))  # (A, S)
-    total = np.zeros(len(thetas), dtype=complex)
-    for coeff, w in chars:
-        block = _char_block(mm, kk, windows, _char_betas(w, hbar, d))
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            total[i] += coeff * complex(x @ block @ y)
+    total = ((xs[:, None, :] @ block) @ ys[:, :, None])[:, 0, 0]
     return total * np.exp(1j * (thetas @ (lo_bra - lo_ket)))
 
 
 def _char_product_bra(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -> complex:
     kk, vals = _support_arrays(ket_coeffs, d)
+    ranges = [(range(len(fa)), _index_range(kk[:, j])) for j, fa in enumerate(bra.factors)]
+    for rows, cols in ranges:
+        _check_block(len(rows), len(cols))
+    windows = _char_kernel(chars, hbar, ranges)
     total = 0j
-    for coeff, w in chars:
-        betas = _char_betas(w, hbar, d)
+    for coeff, _ in chars:
         term = np.ones(len(kk), dtype=complex)
-        for j in range(d):
-            fa = bra.factors[j]
-            cols = _index_range(kk[:, j])
-            _check_block(len(fa), len(cols))
-            D = _displacement_matrix(betas[j], range(len(fa)), cols)
+        for j, (fa, (_, cols), D) in enumerate(zip(bra.factors, ranges, windows)):
             row = np.conjugate(fa) @ D
             term *= row[kk[:, j] - cols.start]
         total += coeff * np.sum(term * vals)
@@ -1126,15 +1239,6 @@ def _char_windows(mm: np.ndarray, kk: np.ndarray) -> list[tuple[range, range]]:
     return windows
 
 
-def _char_block(mm: np.ndarray, kk: np.ndarray, windows, betas) -> np.ndarray:
-    """prod_j <mm[:, j]|D(betas[j])|kk[:, j]>: one window per mode, gathered on the supports."""
-    block = np.ones((len(mm), len(kk)), dtype=complex)
-    for j, (rows, cols) in enumerate(windows):
-        D = _displacement_matrix(betas[j], rows, cols)
-        block *= D[(mm[:, j] - rows.start)[:, None], kk[:, j] - cols.start]
-    return block
-
-
 def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None):
     """<bra, Op_hbar(a) ket>, exact up to the states' tail bounds.
 
@@ -1146,6 +1250,9 @@ def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None):
     by thetas[i]) ket>: the polynomial part through a.rotation_table(thetas)
     and one batched _moments call, the characters by rotation covariance
     (_char_sparse), so the displacement windows do not grow with A.
+    Every (character, mode) window of a call, in any representation, comes
+    from one _displacement_windows call: one kernel pass for windows of up
+    to _KERNEL_CHUNK elements in all.
     """
     if bra.hbar != ket.hbar or bra.dims != ket.dims:
         raise ValidationError("states live in different spaces")

@@ -211,6 +211,21 @@ class EnergyVector:
         )
 
 
+def _once(memo: dict | None, key, fn, *args):
+    """fn(*args), kept in memo under key: computed at its first use, read back after.
+
+    sweep passes one memo to every step of a sweep, so a call that does not
+    depend on hbar runs once per sweep, at the point where a lone step makes
+    it; a call that raises keeps nothing, so every step raises it again with
+    the same message. With memo None, fn runs every time.
+    """
+    if memo is None:
+        return fn(*args)
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
+
+
 def sigma_membership(
     decomp: HarmonicDecomposition, E: Sequence[float], tol: float = 1e-10
 ) -> EnergyVector:
@@ -223,13 +238,16 @@ def sigma_membership(
     weights (freqarith._pivot_blocks), which also gives each integer block's
     exact inverse M / D; a basic solution is M applied to E_n divided by its
     row's scale pivot_n * weight_floor_n / multiplier_n, over D, and is kept
-    when it is nonnegative and reproduces E within tol.
+    when it is nonnegative and reproduces E within tol. A non-finite entry
+    of E is a ValidationError.
     """
     comps = decomp.components
     d = decomp.dims
     E = tuple(float(v) for v in E)
     if len(E) != decomp.d_omega:
         raise ValidationError("energy vector must have one entry per component")
+    if not all(math.isfinite(v) for v in E):
+        raise ValidationError(f"component energies must be finite, got {E!r}")
     if abs(sum(E) - 1.0) > tol:
         raise NotInSigmaError(
             f"component energies sum to {sum(E)!r}, not 1: not an attainable vector"

@@ -29,6 +29,7 @@ from .fockstate import (
 from .freqarith import HarmonicDecomposition
 from .phasespace import (
     PhasePoint,
+    _once,
     component_energies,
     flow_rates,
     orbit_average,
@@ -71,16 +72,24 @@ def build_scar(
     E,
     hbar: float,
     tail_tol: float = 1e-12,
+    *,
+    _fixed: dict | None = None,
 ) -> ScarState:
     """Normalized joint eigenstate concentrating on the torus through z0.
 
     Requires E in the joint spectrum simplex and z0 on the corresponding
     level set to within 1e-10.
+    `_fixed` is internal to sweep, not part of the interface: the memo of
+    phasespace._once that every step of one sweep shares, which keeps what
+    does not depend on hbar (the membership of E, the level-set check and
+    the Gram data of z0). A lone call keeps its own, so E's membership is
+    decided once for both checks that need it.
     """
     E = tuple(float(v) for v in E)
-    sigma_membership(decomp, E)
-    _level_set_check(decomp, z0, E)
-    return normalize_scar(decomp, z0, E, hbar, tail_tol)
+    fixed = {} if _fixed is None else _fixed
+    _once(fixed, "membership", sigma_membership, decomp, E)
+    _once(fixed, ("level set", z0), _level_set_check, decomp, z0, E)
+    return normalize_scar(decomp, z0, E, hbar, tail_tol, _fixed=fixed)
 
 
 def _tori_distinct(decomp, za: PhasePoint, zb: PhasePoint, seed: int) -> bool:
@@ -110,6 +119,8 @@ def _convex_parts(
     hbar: float,
     tail_tol: float,
     seed: int = 0,
+    *,
+    _fixed: dict | None = None,
 ) -> tuple[tuple[ScarState, ...], tuple[float, ...], FockState]:
     E = tuple(float(v) for v in E)
     pts = [(z, float(a)) for z, a in points]
@@ -120,15 +131,17 @@ def _convex_parts(
         raise ValidationError("weights must lie in (0, 1]")
     if abs(sum(alphas) - 1.0) > 1e-12:
         raise ValidationError("weights must sum to 1")
+    fixed = {} if _fixed is None else _fixed
     for z, _ in pts:
-        _level_set_check(decomp, z, E)
+        _once(fixed, ("level set", z), _level_set_check, decomp, z, E)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if not _tori_distinct(decomp, pts[i][0], pts[j][0], seed):
+            za, zb = pts[i][0], pts[j][0]
+            if not _once(fixed, ("distinct", za, zb), _tori_distinct, decomp, za, zb, seed):
                 raise OverlappingToriError(
                     f"points {i + 1} and {j + 1} lie on the same invariant torus"
                 )
-    parts = tuple(build_scar(decomp, z, E, hbar, tail_tol) for z, _ in pts)
+    parts = tuple(build_scar(decomp, z, E, hbar, tail_tol, _fixed=fixed) for z, _ in pts)
     ratios = parts[0].target.ratios_q
     for p in parts[1:]:
         if p.target.ratios_q != ratios:
@@ -204,8 +217,9 @@ def residuals(
     one batched _moments call made before the probe loop for the union of
     every table, so each monomial is applied to the state once per sweep
     step. Its character part alone goes to expectation(state, state, chars,
-    thetas), where one displacement window per (character, mode) serves the
-    base value and every angle.
+    thetas): one displacement window per (character, mode), all of them in
+    one kernel pass, serves the base value and every angle, and one stacked
+    product reads every angle, each with the sums a lone angle would take.
     `_bases` and `_flow` are internal to sweep, not part of the interface:
     a list passed as `_bases` receives the base values, unnormalized and in
     probe order, and sweep reads every gap row from it; `_flow` is
@@ -412,11 +426,17 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
     Rows for each hbar are computed in schedule order; a ScarkitError at
     one hbar, including the NumericalError raised for a row with a
     non-finite entry, is recorded and the sweep continues, any other
-    exception propagates.
+    exception propagates. What a step needs but hbar does not change (the
+    membership of E, the level-set checks, gram and the reduced system's
+    membership per torus, _tori_distinct per pair) goes through one
+    phasespace._once memo, so it runs once per sweep, at its first use; a
+    check that fails keeps nothing and fails again, with the same message,
+    at every hbar.
     """
     decomp = config.decomposition
     E = config.E
     probes = config.probes or default_probes(decomp, config.seed)
+    fixed: dict = {}  # phasespace._once memo: what every step shares
     if config.points:
         pts = [(z, float(a)) for z, a in config.points]
         averages = [
@@ -429,7 +449,7 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
     else:
         z0 = config.z0
         if z0 is None:
-            z0 = sigma_membership(decomp, E).torus_point()
+            z0 = _once(fixed, "membership", sigma_membership, decomp, E).torus_point()
         refs = [orbit_average(decomp, a, z0) for a in probes]
         z0_desc = f"x={z0.x} xi={z0.xi}"
     flow = _flow_tables(decomp, probes)
@@ -437,14 +457,16 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
     def run_one(hbar: float) -> list[tuple[float, str, complex, complex, float]]:
         rows = []
         if config.points:
-            parts, _, state = _convex_parts(decomp, pts, E, hbar, config.tail_tol, config.seed)
+            parts, _, state = _convex_parts(
+                decomp, pts, E, hbar, config.tail_tol, config.seed, _fixed=fixed
+            )
             for j, part in enumerate(parts):
                 c = part.c_hbar
                 rows.append((hbar, f"c_hbar:{j + 1}", complex(c), 1 + 0j, abs(c - 1.0)))
             nrm = state.norm()
             rows.append((hbar, "norm", complex(nrm), 1 + 0j, abs(nrm - 1.0)))
         else:
-            scar = build_scar(decomp, z0, E, hbar, config.tail_tol)
+            scar = build_scar(decomp, z0, E, hbar, config.tail_tol, _fixed=fixed)
             parts, state, c = (), scar.state, scar.c_hbar
             rows.append((hbar, "c_hbar", complex(c), 1 + 0j, abs(c - 1.0)))
         bases: list[complex] = []

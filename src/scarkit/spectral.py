@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .freqarith import GenCoords, HarmonicDecomposition, semigroup_witness
-from .phasespace import sigma_membership
+from .phasespace import _once, sigma_membership
 
 FockIndex = tuple[int, ...]
 
@@ -142,10 +142,13 @@ def enumerate_window(
 
     Backtracking over the lattice with per-coordinate bounds floor(s_hi /
     omega_j); more than 10^7 visited points is a resource error. Groups are
-    sorted by value, indices lexicographically.
+    sorted by value, indices lexicographically. hbar must be positive and
+    finite and both bounds finite (ValidationError).
     """
-    if hbar <= 0:
-        raise ValidationError("hbar must be positive")
+    if not 0 < hbar < math.inf:
+        raise ValidationError(f"hbar must be positive and finite, got {hbar!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"window bounds must be finite, got [{lo!r}, {hi!r}]")
     if lo > hi:
         raise ValidationError("window bounds out of order")
     omega = decomp.spec.numeric
@@ -241,6 +244,8 @@ def select_target(
     decomp: HarmonicDecomposition,
     E: Sequence[float],
     hbar: float,
+    *,
+    _fixed: dict | None = None,
 ) -> TargetEigenvalue:
     """Nearest joint eigenvalue above E on each component ladder.
 
@@ -248,11 +253,15 @@ def select_target(
     E_n != 0 and 0 otherwise; every component gets an explicit lattice witness
     so membership in the component spectrum is certified, not assumed. Fails
     with the computed hbar ceiling when some N lands below its conductor.
+    hbar must be positive and finite (ValidationError).
+    `_fixed` is internal to sweep, not part of the interface: the memo of
+    phasespace._once for this decomposition and E, which keeps their
+    sigma_membership for every step.
     """
-    if hbar <= 0:
-        raise ValidationError("hbar must be positive")
+    if not 0 < hbar < math.inf:
+        raise ValidationError(f"hbar must be positive and finite, got {hbar!r}")
     E = tuple(float(v) for v in E)
-    sigma_membership(decomp, E)
+    _once(_fixed, "membership", sigma_membership, decomp, E)
     ns, signs, lams, ratios, wits = [], [], [], [], []
     for n, (comp, en) in enumerate(zip(decomp.components, E)):
         if en == 0.0:

@@ -190,6 +190,16 @@ def test_levels_to_file(workdir):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--hbar", "nan"), ("--hbar", "inf"), ("--lo", "nan"), ("--hi", "inf")]
+)
+def test_levels_non_finite_input_exits_2(workdir, capsys, flag, value):
+    args = {"--hbar": "0.5", "--lo": "1.9", "--hi": "2.2", flag: value}
+    rc = main(["levels", str(workdir / "sqrt2.freq"), *(x for kv in args.items() for x in kv)])
+    assert rc == 2
+    assert "ValidationError" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

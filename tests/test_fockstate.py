@@ -27,6 +27,7 @@ from scarkit.fockstate import (
     _bra_lookup,
     _char_betas,
     _displacement_matrix,
+    _displacement_windows,
     _moments,
     _nearest_misses,
     _poisson_logpmf,
@@ -1186,6 +1187,81 @@ def test_displacement_rotation_covariance(beta, rows, cols):
         np.testing.assert_allclose(rotated, want, rtol=1e-13, atol=1e-13 * np.abs(base).max())
 
 
+@pytest.mark.parametrize("chunk", [1 << 18, 40])
+def test_batched_windows_keep_each_windows_bits(chunk, monkeypatch):
+    # one _displacement_real pass over every window, x given per element:
+    # each window has the bits it has alone. Past _KERNEL_CHUNK elements
+    # the windows split into several passes, and each pass into chunks
+    from scarkit import fockstate
+
+    windows = [
+        (0.3 + 0.2j, range(0, 60), range(0, 60)),
+        (0.011 + 0.004j, range(960, 1041), range(990, 1011)),
+        (0.0, range(3, 7), range(3, 7)),
+        (-0.7j, range(0, 30), range(10, 12)),
+        (0.05, range(500, 501), range(500, 501)),
+        (0.3 + 0.2j, range(0, 60), range(0, 60)),
+    ]
+    alone = [_displacement_matrix(*w) for w in windows]
+    passes = []
+    real = fockstate._displacement_real
+
+    def counting(p, q, x):
+        passes.append(len(p))
+        return real(p, q, x)
+
+    monkeypatch.setattr(fockstate, "_displacement_real", counting)
+    monkeypatch.setattr(fockstate, "_KERNEL_CHUNK", chunk)
+    batched = list(_displacement_windows(windows))
+    assert len(passes) == {1 << 18: 1, 40: 5}[chunk]
+    for got, want in zip(batched, alone):
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(batched[2], np.eye(4))
+
+
+def test_batched_windows_refuse_a_non_finite_beta_before_any_element(monkeypatch):
+    from scarkit import fockstate
+
+    def forbidden(*args):
+        raise AssertionError("displacement elements evaluated")
+
+    monkeypatch.setattr(fockstate, "_displacement_real", forbidden)
+    ok = (0.3, range(0, 5), range(0, 5))
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf), 1e200):
+        with pytest.raises(NumericalError, match="non-finite beta"):
+            list(_displacement_windows([ok, ok, (bad, range(0, 3), range(0, 3))]))
+
+
+@pytest.mark.parametrize("kinds", ["product", "product-bra", "sparse"])
+def test_character_expectation_makes_one_kernel_pass(kinds, monkeypatch):
+    # every (character, mode) window of one call goes through one
+    # _displacement_real pass, whichever representations meet
+    from scarkit import fockstate
+
+    psi = coherent(PhasePoint(x=(0.8, 0.3), xi=(0.0, 0.1)), 0.1)
+    sparse = as_sparse(psi)
+    pairs = {"product": (psi, psi), "product-bra": (psi, sparse), "sparse": (sparse, sparse)}
+    bra, ket = pairs[kinds]
+    sym = character(2, (0.3, -0.2, 0.5, 0.1), 0.7) + character(2, (-0.4, 0.1, 0.2, 0.6), -0.2j)
+    want = expectation(bra, ket, sym)
+    windows, passes = [], []
+    batched, real = fockstate._displacement_windows, fockstate._displacement_real
+
+    def counting_windows(ws):
+        windows.extend(ws)
+        return batched(ws)
+
+    def counting_real(p, q, x):
+        passes.append(len(p))
+        return real(p, q, x)
+
+    monkeypatch.setattr(fockstate, "_displacement_windows", counting_windows)
+    monkeypatch.setattr(fockstate, "_displacement_real", counting_real)
+    assert expectation(bra, ket, sym) == want
+    assert len(windows) == len(sym.chars) * 2
+    assert len(passes) == 1
+
+
 def _random_sparse(rng, hbar, lo, hi, size):
     keys = {tuple(int(v) for v in rng.integers(lo, hi, size=2)) for _ in range(size)}
     coeffs = {k: complex(*rng.normal(size=2)) for k in keys}
@@ -1204,20 +1280,21 @@ def test_sparse_character_matches_dense_reference():
         bvals = np.array(list(bra.coeffs.values()))
         kvals = np.array(list(ket.coeffs.values()))
         # the kernel's own dense blocks give the bits; the Laguerre formula
-        # gives the value
+        # gives the value. The block is sum over chars of coeff * prod_j D_j,
+        # read by one vector-matrix and one vector-vector product
         wants = []
         for dense in (
             lambda beta, r, c: _displacement_matrix(beta, range(r), range(c)),
             _dense_displacement,
         ):
-            want = 0j
+            block = np.zeros((len(mm), len(kk)), dtype=complex)
             for coeff, w in sym.chars:
-                block = np.ones((len(mm), len(kk)), dtype=complex)
+                part = np.full(block.shape, complex(coeff))
                 for j, beta in enumerate(_char_betas(w, hbar, 2)):
                     D = dense(beta, mm[:, j].max() + 1, kk[:, j].max() + 1)
-                    block *= D[np.ix_(mm[:, j], kk[:, j])]
-                want += coeff * complex(np.conjugate(bvals) @ block @ kvals)
-            wants.append(want)
+                    part *= D[np.ix_(mm[:, j], kk[:, j])]
+                block += part
+            wants.append(complex(np.conjugate(bvals) @ block @ kvals))
         got = expectation(bra, ket, sym)
         assert got == wants[0]
         assert abs(got - wants[1]) <= 1e-12 * np.abs(bvals).sum() * np.abs(kvals).sum()
@@ -1337,7 +1414,7 @@ def test_flowed_character_over_budget_raises_before_allocating(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("displacement elements evaluated past the cap")
 
-    monkeypatch.setattr(fockstate, "_displacement_matrix", forbidden)
+    monkeypatch.setattr(fockstate, "_displacement_windows", forbidden)
     n = len(state.coeffs)
     monkeypatch.setattr(fockstate, "_BLOCK_CAP", n * n - 1)
     with pytest.raises(ResourceLimitError, match=f"character expectation needs a {n} x {n} block"):

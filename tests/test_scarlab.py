@@ -737,28 +737,52 @@ def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
     assert calls == step * len(cfg.hbars)
 
 
+def _count_kernel(monkeypatch):
+    """Windows passed to the batched displacement routine, and the passes each
+    character expectation makes through _displacement_real, one entry per call."""
+    from scarkit import fockstate
+
+    windows, passes, per_call = [], [], []
+    batched, real, expectation = (
+        fockstate._displacement_windows, fockstate._displacement_real, scarlab.expectation
+    )
+
+    def counting_windows(ws):
+        windows.extend(beta for beta, _, _ in ws)
+        return batched(ws)
+
+    def counting_real(p, q, x):
+        passes.append(len(p))
+        return real(p, q, x)
+
+    def tracking(bra, ket, a, thetas=None):
+        before = len(passes)
+        out = expectation(bra, ket, a, thetas)
+        if a.chars:
+            per_call.append(len(passes) - before)
+        return out
+
+    monkeypatch.setattr(fockstate, "_displacement_windows", counting_windows)
+    monkeypatch.setattr(fockstate, "_displacement_real", counting_real)
+    monkeypatch.setattr(scarlab, "expectation", tracking)
+    return windows, per_call
+
+
 @pytest.mark.parametrize("t_points", [16, 40])
 def test_flowed_characters_take_one_window_per_character_and_mode(
     moment_cases, t_points, monkeypatch
 ):
     # rotation covariance: the flow only rephases each window, so the number
-    # of displacement windows does not grow with the angle grid
-    from scarkit import fockstate
-
+    # of displacement windows does not grow with the angle grid; every
+    # window of one expectation call goes through one _displacement_real pass
     _, decomp, state, E = moment_cases[0]
     probes = default_probes(decomp)
-    windows = []
-    original = fockstate._displacement_matrix
-
-    def counting(beta, rows, cols):
-        windows.append(beta)
-        return original(beta, rows, cols)
-
-    monkeypatch.setattr(fockstate, "_displacement_matrix", counting)
+    windows, per_call = _count_kernel(monkeypatch)
     monkeypatch.setattr(scarlab, "T_POINTS", t_points)
     residuals(decomp, state, E, probes=probes)
     assert decomp.dims == 3
     assert len(windows) == sum(len(a.chars) for a in probes) * decomp.dims == 6
+    assert per_call == [1, 1]
 
 
 def _hex(v: complex) -> tuple[str, str]:
@@ -800,21 +824,102 @@ def test_sweep_gap_rows_match_standalone_expectation_bit_for_bit(convex):
 
 def test_sweep_step_takes_one_window_per_character_and_mode(monkeypatch):
     # the gap rows of characters read the flowed pass: a step evaluates each
-    # (character, mode) window once, not once for the flow and once for the gap
-    from scarkit import fockstate
-
+    # (character, mode) window once, not once for the flow and once for the gap,
+    # and each character probe's windows in one _displacement_real pass
     decomp = make_dec([[F(1), F(0)], [F(2), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
     cfg = SweepConfig(decomp, (0.6, 0.4), (0.1, 0.05))
-    windows = []
-    original = fockstate._displacement_matrix
-
-    def counting(beta, rows, cols):
-        windows.append(beta)
-        return original(beta, rows, cols)
-
-    monkeypatch.setattr(fockstate, "_displacement_matrix", counting)
+    windows, per_call = _count_kernel(monkeypatch)
     report = sweep(cfg)
     assert report.errors == ()
     chars = sum(len(a.chars) for a in default_probes(decomp, cfg.seed))
     assert chars == 2
     assert len(windows) == chars * decomp.dims * len(cfg.hbars)
+    assert per_call == [1] * chars * len(cfg.hbars)
+
+
+def _failing_sweeps():
+    """Sweeps whose every step fails on an hbar-independent check."""
+    dec11 = make_dec([[F(1)], [F(1)]], ("one",))
+    dec12 = make_dec([[F(1), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
+    za = PhasePoint(x=(math.sqrt(1.5), math.sqrt(0.5)), xi=(0.0, 0.0))
+    off = PhasePoint(x=(1.0, 0.2), xi=(0.0, 0.0))
+    hbars = (0.2, 0.1, 0.05)
+    return {
+        "coinciding-tori": (
+            SweepConfig(
+                dec11, (1.0,), hbars, points=((za, 0.5), (multi_flow(dec11, za, (0.7,)), 0.5))
+            ),
+            "OverlappingToriError: points 1 and 2 lie on the same invariant torus",
+        ),
+        "convex-point-off-level-set": (
+            SweepConfig(dec11, (1.0,), hbars, points=((za, 0.5), (off, 0.5))),
+            "ValidationError: z0 misses the level set by 4.800e-01: component energies "
+            "(0.52,) vs target (1.0,)",
+        ),
+        "z0-off-level-set": (
+            SweepConfig(dec12, (0.5, 0.5), hbars, z0=torus_point(dec12, (1.0, 0.0))),
+            "ValidationError: z0 misses the level set by 5.000e-01: component energies "
+            "(1.0000000000000002, 0.0) vs target (0.5, 0.5)",
+        ),
+        "E-outside-simplex": (
+            SweepConfig(dec12, (0.7, 0.7), hbars, z0=torus_point(dec12, (1.0, 0.0))),
+            "NotInSigmaError: component energies sum to 1.4, not 1: not an attainable vector",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["coinciding-tori", "convex-point-off-level-set", "z0-off-level-set", "E-outside-simplex"],
+)
+def test_sweep_reports_hbar_independent_failures_at_every_step(case):
+    # the checks that do not depend on hbar run once per sweep; a sweep that
+    # fails one still records it at every hbar, with the message of a lone step
+    cfg, message = _failing_sweeps()[case]
+    report = sweep(cfg)
+    assert report.rows == ()
+    assert report.errors == tuple((h, message) for h in cfg.hbars)
+
+
+@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "convex"])
+def test_sweep_runs_hbar_independent_work_once(kind, monkeypatch):
+    # sigma_membership (of E and of a reduced system), gram and
+    # _tori_distinct depend on the sweep's decomposition, E and tori, not on
+    # hbar: their call counts do not grow with the schedule
+    from scarkit import fockstate, spectral
+
+    dec11 = make_dec([[F(1)], [F(1)]], ("one",))
+    dec12 = make_dec([[F(1), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
+    za = PhasePoint(x=(math.sqrt(1.5), math.sqrt(0.5)), xi=(0.0, 0.0))
+    zb = PhasePoint(x=(math.sqrt(0.5), math.sqrt(1.5)), xi=(0.0, 0.0))
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((scarlab, "sigma_membership"), (spectral, "sigma_membership"),
+                         (fockstate, "gram"), (scarlab, "_tori_distinct")):
+        counted(module, name)
+
+    def counts(hbars):
+        calls.clear()
+        if kind == "convex":
+            cfg = SweepConfig(dec11, (1.0,), hbars, points=((za, 0.5), (zb, 0.5)))
+        else:
+            cfg = SweepConfig(dec12, (0.5, 0.5) if kind == "full-rank" else (1.0, 0.0), hbars)
+        assert sweep(cfg).errors == ()
+        return sorted(calls)
+
+    short = counts((0.1, 0.05))
+    assert short == counts((0.1, 0.05, 0.025, 0.0125))
+    assert short == {
+        "full-rank": ["gram", "sigma_membership"],
+        "rank-deficient": ["gram", "sigma_membership", "sigma_membership"],
+        "convex": ["_tori_distinct", "gram", "gram", "sigma_membership"],
+    }[kind]

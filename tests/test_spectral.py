@@ -261,3 +261,26 @@ def test_validation_errors(dec12):
         eigenvalue(dec12, (0, 0), -0.1)
     with pytest.raises(ValidationError):
         enumerate_window(dec12, 1.0, 3.0, 2.0)
+
+
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf, 0.0])
+def test_non_finite_hbar_is_a_validation_error(dec12, hbar):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        select_target(dec12, (0.5, 0.5), hbar)
+    with pytest.raises(ValidationError, match="positive and finite"):
+        enumerate_window(dec12, hbar, 1.0, 4.0)
+
+
+@pytest.mark.parametrize("E", [(math.nan, 0.5), (0.5, math.inf)])
+def test_non_finite_energies_are_a_validation_error(dec12, E):
+    # a NaN once passed the membership test and failed in math.ceil
+    with pytest.raises(ValidationError, match="energies must be finite"):
+        select_target(dec12, E, 0.1)
+
+
+@pytest.mark.parametrize(
+    "lo,hi", [(math.nan, 4.0), (1.0, math.nan), (1.0, math.inf), (-math.inf, 4.0)]
+)
+def test_non_finite_window_bounds_are_a_validation_error(dec12, lo, hi):
+    with pytest.raises(ValidationError, match="window bounds must be finite"):
+        enumerate_window(dec12, 1.0, lo, hi)
