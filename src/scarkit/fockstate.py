@@ -878,9 +878,9 @@ def _displacement_real(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarra
     The prefactor (_displacement_prefactor) times P = 1F1(-p; q+1; x)
     = L_p^q(x) / C(p+q, p). P comes from the series, or from one recurrence
     call for every element where the series fails. Prefactor and series run
-    _KERNEL_CHUNK elements at a time, so their temporaries stay bounded
-    however many windows share the call. Each element's arithmetic involves
-    only its own (p, q, x), so its bits do not depend on the other elements.
+    _KERNEL_CHUNK elements at a time, so a large window's temporaries stay
+    bounded. Each element's arithmetic involves only its own (p, q, x), so
+    its bits do not depend on the other elements.
     """
     pref, P = np.empty(len(p)), np.empty(len(p))
     for lo in range(0, len(p), _KERNEL_CHUNK):
