@@ -19,12 +19,16 @@ characters through displacement-operator matrix elements, evaluated per
 mode only over the index range [min, max] of each state's support in that
 mode; a non-finite element raises NumericalError. The moments
 <bra|Op(x^a xi^b)|ket> of a sparse ket come from one batched kernel
-(_moments): the ket support as an (S, d) key array, each acted-on mode's
-band rows, built once per (mode, a, b), combined over the small box of
-offsets, and the bra read at k + offset once per box (a sparse bra through
-sorted integer codes, a product bra from its factors); one sum per monomial.
-Product states (coherent) keep per-mode factor vectors and use factorized
-fast paths; projected states are sparse coefficient maps.
+(_moments), split into a plan and an evaluation. The plan (_moment_plan,
+a bounded cache keyed by the monomials and the mode count) holds what
+depends only on the monomials: acted modes, ladder words, boxes of offsets
+and gather indices. The evaluation takes the ket support as an (S, d) key
+array, builds every band of the call in one real ladder recursion
+(_ladder_bands), reads the bra at k + offset once for all boxes
+(_bra_reads: a sparse bra through sorted integer codes, a product bra from
+its factors) and forms one sum per monomial. Product states (coherent)
+keep per-mode factor vectors and use factorized fast paths; projected
+states are sparse coefficient maps, and an empty one gives 0.
 
 The special functions are written here in numpy and math, with no
 special-function library behind them. Coherent amplitudes are Poisson probabilities in Loader's
@@ -42,14 +46,15 @@ bits do not depend on the other elements of the pass.
 
 Given (A, d) flow angles thetas and two sparse states, expectation returns
 the A values of the symbol composed with each rotation. scarlab.residuals
-sends it only each probe's character part; the polynomial parts come from
-the probes' rotation tables times one batched _moments map per sweep step.
-Sparse characters, at one zero angle or at many, come from one routine
+sends it the character parts of all probes in one grouped call, one row
+per probe; the polynomial parts come from the probes' rotation tables
+times one batched _moments map per sweep step. Sparse characters, at one
+zero angle or at many, for one probe or many, come from one routine
 (_char_sparse) by rotation covariance: one displacement window per
-(character, mode) at the unrotated beta, summed over characters into one
-support block, and every angle read from it by one stacked product whose
-per-angle sums do not depend on the number of angles, so angle 0 is the
-unrotated value bit for bit.
+(character, mode) at the unrotated beta, summed over each probe's
+characters into one support block, and every angle read from it by one
+stacked product whose per-angle sums do not depend on the number of
+angles or probes, so angle 0 is the unrotated value bit for bit.
 """
 from __future__ import annotations
 
@@ -59,7 +64,8 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -704,54 +710,141 @@ def normalize_scar(
 # ---------------------------------------------------------------------------
 # matrix elements for expectations
 
-def _weyl_band(cols: np.ndarray, a: int, b: int, hbar: float) -> np.ndarray:
-    """<cols[i] + o|Op(x^a xi^b)|cols[i]> at out[i, a + b + o] for |o| <= a + b.
+class _MomentPlan(NamedTuple):
+    """What _moments needs of a monomial tuple that neither hbar nor the
+    states change; every array is read-only.
+
+    modes: the modes some monomial acts on. words: every distinct (position
+    in modes, ladder word), longest first, and word_modes their positions;
+    signs[t, w] is -1 where letter t of word w is 'p', else +1. bands: every
+    (mode, a, b) a monomial acts with; term_words[i, s] is the word of McCoy
+    term s of band i, term_combs[i, s] its binomial weight (0 past a) and
+    scales[i] = 2^a. groups: the monomials that share a box, a tuple of
+    (acted mode, radius a + b), as (monomials, the box's rows of shifts,
+    each monomial's band and power b per box mode, the box radii). shifts:
+    the offsets of every box, box after box, each box's first mode outermost.
+    """
+
+    modes: tuple
+    words: tuple
+    word_modes: np.ndarray
+    signs: np.ndarray
+    bands: tuple
+    term_words: np.ndarray
+    term_combs: np.ndarray
+    scales: np.ndarray
+    groups: tuple
+    shifts: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _moment_plan(monos: tuple, dims: int) -> _MomentPlan:
+    """The _MomentPlan of a tuple of monomials on dims modes, built once per
+    (monos, dims) for every call and sweep step that asks for it."""
+    acts = {m: [(j, m[j], m[dims + j]) for j in range(dims) if m[j] or m[dims + j]] for m in monos}
+    bands = tuple(dict.fromkeys(act for acted in acts.values() for act in acted))
+    modes = tuple(sorted({j for j, _, _ in bands}))
+    terms = [  # McCoy term s of (j, a, b), X^s Xi^b X^(a-s), as letters applied first to last
+        [(modes.index(j), "x" * (a - s) + "p" * b + "x" * s) for s in range(a + 1)]
+        for j, a, b in bands
+    ]
+    words = tuple(sorted({w for term in terms for w in term}, key=lambda w: (-len(w[1]), w)))
+    radius = len(words[0][1]) if words else 0
+    top = max(map(len, terms), default=1)
+    term_words = np.array(
+        [[words.index(term[min(s, len(term) - 1)]) for s in range(top)] for term in terms],
+        dtype=np.intp,
+    ).reshape(len(terms), top)
+    boxes: dict[tuple, list] = {}
+    for m, acted in acts.items():
+        boxes.setdefault(tuple((j, a + b) for j, a, b in acted), []).append(m)
+    groups, shifts, start = [], [np.zeros((0, dims), dtype=np.int64)], 0
+    for box, members in boxes.items():
+        offsets = np.zeros((math.prod(2 * r + 1 for _, r in box), dims), dtype=np.int64)
+        grid = itertools.product(*[range(-r, r + 1) for _, r in box])  # first mode outermost
+        offsets[:, [j for j, _ in box]] = list(grid)
+        table = np.array(
+            [[(bands.index(act), act[2]) for act in acts[m]] for m in members], dtype=np.intp
+        ).reshape(len(members), len(box), 2)
+        rows = slice(start, start + len(offsets))
+        groups.append((tuple(members), rows, table, tuple(r for _, r in box)))
+        shifts.append(offsets)
+        start += len(offsets)
+    plan = _MomentPlan(
+        modes,
+        words,
+        np.array([m for m, _ in words], dtype=np.intp),
+        np.array(
+            [[-1.0 if w[t : t + 1] == "p" else 1.0 for _, w in words] for t in range(radius)]
+        ).reshape(radius, len(words)),
+        bands,
+        term_words,
+        np.array([[math.comb(len(term) - 1, s) for s in range(top)] for term in terms], dtype=float)
+        .reshape(len(terms), top),
+        np.array([2.0 ** (len(term) - 1) for term in terms]),
+        tuple(groups),
+        np.concatenate(shifts),
+    )
+    for arr in [a for a in plan if isinstance(a, np.ndarray)] + [g[2] for g in groups]:
+        arr.flags.writeable = False
+    return plan
+
+
+def _ladder_bands(cols: np.ndarray, plan: _MomentPlan, hbar: float) -> np.ndarray:
+    """Real bands of every (mode, a, b) of plan on columns: out[i, k, R + o]
+    is <c + o|Op(x^a xi^b)|c> / i^b for band i, c = cols[m, k] on the row m
+    of its mode (one row per plan.modes), |o| <= R, R the longest word.
 
     The McCoy identity gives the Weyl order Op(x^a xi^b) = 2^{-a} sum_s
     C(a, s) X^s Xi^b X^{a-s}, with X = c (A + A^+), Xi = i c (A^+ - A) and
-    c = sqrt(hbar / 2). Each distinct ladder word is built once
-    (_ladder_word): at b = 0 all a + 1 terms are the one word X^a.
+    c = sqrt(hbar / 2). One recursion evaluates every distinct ladder word
+    of the plan, in real arithmetic: each letter shifts every column's band
+    one index up and down at once, an 'x' with (raise, lower) and a 'p' with
+    (raise, -lower), its factor i left to the caller (_complex_band); a word
+    stops at its own length, so nothing is truncated, no dense matrix is
+    built and offsets below index 0 stay zero. One part of every entry of
+    the complex recursion is exactly 0, so these are its products and sums:
+    every nonzero element keeps its bits, and a zero element is +0.
     """
-    r = a + b
-    idx = np.asarray(cols)[:, None] + np.arange(-r, r + 1)
+    R = len(plan.signs)
     c = math.sqrt(hbar / 2.0)
-    up = c * np.sqrt(np.maximum(idx[:, 1:], 0))  # A^+: m - 1 -> m
-    down = c * np.sqrt(np.maximum(idx[:, :-1] + 1, 0))  # A: m + 1 -> m
-    X, Xi = (up, down), (1j * up, -1j * down)
-    words: dict[str, np.ndarray] = {}
-    out = np.zeros(idx.shape, dtype=complex)
-    for s in range(a + 1):
-        word = "x" * (a - s) + "p" * b + "x" * s
-        if word not in words:
-            words[word] = _ladder_word(X, Xi, word)
-        out += math.comb(a, s) * words[word]
-    return out / 2.0**a
+    idx = cols[:, :, None] + np.arange(-R, R + 1)
+    up = c * np.sqrt(np.maximum(idx[..., 1:], 0))  # A^+: m - 1 -> m
+    down = c * np.sqrt(np.maximum(idx[..., :-1] + 1, 0))  # A: m + 1 -> m
+    if len(plan.modes) > 1:
+        up, down = up[plan.word_modes], down[plan.word_modes]
+    v = np.zeros((len(plan.words), cols.shape[1], 2 * R + 1))
+    v[..., R] = 1.0
+    for t, signs in enumerate(plan.signs):
+        live = sum(len(word) > t for _, word in plan.words)  # the longest words, a prefix
+        w = np.zeros((live,) + v.shape[1:])
+        w[..., 1:] = up[:live] * v[:live, :, :-1]
+        lower = down[:live] * v[:live, :, 1:]
+        lower *= signs[:live, None, None]
+        w[..., :-1] += lower
+        v[:live] = w
+    bands = np.zeros((len(plan.bands),) + v.shape[1:])
+    for words, combs in zip(plan.term_words.T, plan.term_combs.T):
+        bands += combs[:, None, None] * v[words]
+    return bands / plan.scales[:, None, None]
 
 
-def _ladder_word(X, Xi, word: str) -> np.ndarray:
-    """The band of one ladder word, letters applied first to last: 'x' is X, 'p' is Xi.
-
-    X and Xi are (raise, lower) coefficient pairs on a band of radius
-    len(word). Each step shifts every column's band one index up and down
-    at once, so nothing is truncated and no dense matrix is built; offsets
-    below index 0 stay exactly zero.
-    """
-    r = len(word)
-    v = np.zeros((len(X[0]), 2 * r + 1), dtype=complex)
-    v[:, r] = 1.0
-    for letter in word:
-        raise_, lower = X if letter == "x" else Xi
-        w = np.zeros_like(v)
-        w[:, 1:] = raise_ * v[:, :-1]
-        w[:, :-1] += lower * v[:, 1:]
-        v = w
-    return v
+def _complex_band(band: np.ndarray, b) -> np.ndarray:
+    """i^b times real bands of _ladder_bands, b one power or one per leading
+    row: the complex bands of the complex recursion, bit for bit, with +0
+    in the part the power of i leaves empty."""
+    b = np.reshape(b, (-1,) + (1,) * (band.ndim - 1)) % 4
+    main = band * np.where(b < 2, 1.0, -1.0) + 0.0  # +0.0 turns -0 into +0
+    out = np.zeros(band.shape, dtype=complex)
+    out.real[...] = np.where(b % 2 == 0, main, 0.0)
+    out.imag[...] = np.where(b % 2 == 1, main, 0.0)
+    return out
 
 
 _SERIES_CHUNK = 1 << 12  # elements per series pass, bounding its (terms, elements) arrays
 _ERROR_LIMIT = 2.0**8  # max scale * |t_i|, so a series element errs by ~2^8 eps at most
 _RECURRENCE_CAP = 1 << 14  # max degree p the recurrence runs to, about 0.15 s of numpy steps
-_KERNEL_CHUNK = 1 << 18  # elements per kernel pass of small windows, and per chunk of a pass
+_KERNEL_CHUNK = 1 << 18  # elements per kernel pass of small windows
 
 
 def _laguerre_series(p: np.ndarray, q: np.ndarray, x: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -878,13 +971,14 @@ def _displacement_real(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarra
     The prefactor (_displacement_prefactor) times P = 1F1(-p; q+1; x)
     = L_p^q(x) / C(p+q, p). P comes from the series, or from one recurrence
     call for every element where the series fails. Prefactor and series run
-    _KERNEL_CHUNK elements at a time, so a large window's temporaries stay
-    bounded. Each element's arithmetic involves only its own (p, q, x), so
-    its bits do not depend on the other elements.
+    _SERIES_CHUNK elements at a time, so the temporaries of a pass, whose
+    prefactor holds about 15 arrays the size of its chunk, stay small
+    however many windows share it. Each element's arithmetic involves only
+    its own (p, q, x), so its bits do not depend on the other elements.
     """
     pref, P = np.empty(len(p)), np.empty(len(p))
-    for lo in range(0, len(p), _KERNEL_CHUNK):
-        part = slice(lo, lo + _KERNEL_CHUNK)
+    for lo in range(0, len(p), _SERIES_CHUNK):
+        part = slice(lo, lo + _SERIES_CHUNK)
         pref[part] = _displacement_prefactor(p[part], q[part], x[part])
         P[part] = _laguerre_series(p[part], q[part], x[part], pref[part])
     slow = np.isnan(P)
@@ -1034,7 +1128,8 @@ def _poly_product(bra: FockState, ket: FockState, poly) -> complex:
                 n = np.arange(len(fb))
                 m = n[:, None] + np.arange(-(a + b), a + b + 1)
                 ok = (m >= 0) & (m < len(fa))
-                W = _weyl_band(n, a, b, bra.hbar) * fb[:, None]
+                (band,) = _ladder_bands(n[None], _moment_plan(((a, b),), 1), bra.hbar)
+                W = _complex_band(band, b) * fb[:, None]
                 term *= complex(np.conjugate(fa[m[ok]]) @ W[ok])
             if term == 0:
                 break
@@ -1048,77 +1143,79 @@ def _support_arrays(coeffs: dict, dims: int) -> tuple[np.ndarray, np.ndarray]:
     return keys, np.array(list(coeffs.values()), dtype=complex)
 
 
-def _bra_lookup(bra: FockState):
-    """Function from an (..., d) array of indices to the bra's coefficients there.
+def _bra_reads(bra: FockState, ket_coeffs: dict, keys, vals, shifts: np.ndarray) -> np.ndarray:
+    """conj(<k + o|bra>) for every ket index k of keys (rows) and offset o of
+    shifts (columns); indices outside the bra's support, negative ones
+    included, read 0.
 
-    A product bra gathers from its factors; a sparse bra looks up integer
-    codes of its bounding box, sorted once, with searchsorted. Indices
-    outside the bra's support, negative ones included, read 0.
+    A product bra multiplies its factors, mode by mode. A sparse bra is read
+    through integer codes of its bounding box, sorted once and searched with
+    searchsorted: code(k + o) = code(k) + code(o), with the in-box test done
+    per mode, so no (S, B, d) index array is formed. A bra that is the ket
+    reuses the ket's arrays.
     """
     if bra.is_product:
-        def lookup(idx):
-            out = np.ones(idx.shape[:-1], dtype=complex)
-            for j, f in enumerate(bra.factors):
-                k = idx[..., j]
-                inside = (k >= 0) & (k < len(f))
-                out *= np.where(inside, f[np.where(inside, k, 0)], 0)
-            return out
-        return lookup
-    if not bra.coeffs:
-        return lambda idx: np.zeros(idx.shape[:-1], dtype=complex)
-    keys, vals = _support_arrays(bra.coeffs, bra.dims)
-    lo, hi = keys.min(axis=0), keys.max(axis=0)
+        out = np.ones((len(keys), len(shifts)), dtype=complex)
+        for j, f in enumerate(bra.factors):
+            k = keys[:, j, None] + shifts[:, j]
+            inside = (k >= 0) & (k < len(f))
+            out *= np.where(inside, f[np.where(inside, k, 0)], 0)
+        return np.conjugate(out)
+    same = bra.coeffs is ket_coeffs
+    bkeys, bvals = (keys, vals) if same else _support_arrays(bra.coeffs, bra.dims)
+    if not len(bkeys):
+        return np.zeros((len(keys), len(shifts)), dtype=complex)
+    lo, hi = bkeys.min(axis=0), bkeys.max(axis=0)
     extents = [int(e) for e in hi - lo + 1]
     if math.prod(extents) >= 2**63:
         raise ResourceLimitError(
             f"support box {extents} has more points than an int64 code can number"
         )
     strides = np.array([math.prod(extents[j + 1 :]) for j in range(bra.dims)], dtype=np.int64)
-    codes = (keys - lo) @ strides
+    codes = (bkeys - lo) @ strides
     order = np.argsort(codes, kind="stable")  # the sort lattice_solver already pages in
-    codes, vals = codes[order], vals[order]
-
-    def lookup(idx):
-        inside = ((idx >= lo) & (idx <= hi)).all(axis=-1)
-        code = (idx - lo) @ strides
-        pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-        return np.where(inside & (codes[pos] == code), vals[pos], 0)
-    return lookup
+    codes, bvals = codes[order], bvals[order]
+    code = ((keys - lo) @ strides)[:, None] + shifts @ strides
+    inside = np.ones(code.shape, dtype=bool)
+    for j in range(bra.dims):
+        k = keys[:, j, None] + shifts[:, j]
+        inside &= (k >= lo[j]) & (k <= hi[j])
+    pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+    return np.conjugate(np.where(inside & (codes[pos] == code), bvals[pos], 0))
 
 
 def _moments(bra: FockState, ket_coeffs: dict, monos, hbar: float, dims: int) -> dict:
     """<bra|Op(x^a xi^b)|ket> for every monomial in monos, as a map from monomial to moment.
 
-    The ket support is one (S, d) key array. Each mode a monomial acts on
-    contributes its _weyl_band rows, built once per (mode, a, b) for all
-    monomials; their outer product over the box of offsets is the matrix
-    element from k to k + offset. The bra is read at k + offset (_bra_lookup)
-    once per box, a tuple of (acted mode, radius a + b), and every monomial
-    with that box shares the read. Each moment is then one product and one
-    sum over support and box, in the order a lone monomial would take, so
-    its bits do not depend on which other monomials share the call.
+    The monomials' _MomentPlan comes from a bounded cache, so its words,
+    boxes and shifts are built once for every call that asks for the same
+    monomials. The ket support is one (S, d) key array; one _ladder_bands
+    recursion gives the real band of every (mode, a, b) on it, and one
+    _bra_reads call reads the bra at k + offset for every box. The
+    monomials of one box are weighted together: each band takes its factor
+    i^b (_complex_band), and the outer product of a monomial's bands over
+    the box times the ket amplitude is the matrix element from k to
+    k + offset. Each moment is then one sum over its own S x B products, in
+    the order a lone monomial would take, so its bits do not depend on which
+    other monomials share the call. An empty ket gives 0.
     """
     if not monos:
         return {}
-    lookup = _bra_lookup(bra)
+    plan = _moment_plan(tuple(monos), dims)
     keys, vals = _support_arrays(ket_coeffs, dims)
-    bands, reads, out = {}, {}, {}
-    for mono in monos:
-        acts = [(j, mono[j], mono[dims + j]) for j in range(dims) if mono[j] or mono[dims + j]]
-        weight = vals[:, None]
-        for j, a, b in acts:
-            if (j, a, b) not in bands:
-                bands[j, a, b] = _weyl_band(keys[:, j], a, b, hbar)
-            weight = (weight[:, :, None] * bands[j, a, b][:, None, :]).reshape(len(keys), -1)
-        box = tuple((j, a + b) for j, a, b in acts)
-        if box not in reads:
-            shifts = np.zeros((1, dims), dtype=np.int64)
-            for j, r in box:
-                step = np.zeros((2 * r + 1, dims), dtype=np.int64)
-                step[:, j] = np.arange(-r, r + 1)
-                shifts = (shifts[:, None, :] + step[None, :, :]).reshape(-1, dims)
-            reads[box] = np.conjugate(lookup(keys[:, None, :] + shifts[None, :, :]))
-        out[mono] = complex(np.sum(reads[box] * weight))
+    if not len(keys):
+        return dict.fromkeys(monos, 0j)
+    bands = _ladder_bands(keys[:, list(plan.modes)].T, plan, hbar)
+    R = bands.shape[2] // 2
+    reads = _bra_reads(bra, ket_coeffs, keys, vals, plan.shifts)
+    out = {}
+    for members, rows, table, radii in plan.groups:
+        weight = vals[None, :, None]
+        for i, r in enumerate(radii):
+            band = _complex_band(bands[table[:, i, 0], :, R - r : R + r + 1], table[:, i, 1])
+            weight = (weight[..., None] * band[:, :, None, :]).reshape(len(members), len(keys), -1)
+        sums = (reads[:, rows] * weight).reshape(len(members), -1).sum(axis=1)
+        out.update(zip(members, sums.tolist()))
     return out
 
 
@@ -1134,7 +1231,7 @@ def _poly_sparse(
     rotation table) the result is one value per entry.
     """
     moments.update(
-        _moments(bra, ket_coeffs, [mono for mono in poly if mono not in moments], hbar, dims)
+        _moments(bra, ket_coeffs, tuple(mono for mono in poly if mono not in moments), hbar, dims)
     )
     total = 0j
     for mono, coeff in poly.items():
@@ -1174,40 +1271,46 @@ def _char_product(bra: FockState, ket: FockState, chars, hbar: float, d: int) ->
     return total
 
 
-def _char_sparse(bra_coeffs: dict, ket_coeffs: dict, chars, hbar: float, thetas) -> np.ndarray:
-    """sum over chars of coeff * <bra|D(beta rotated by thetas[i])|ket>, for every row i.
+def _char_sparse(bra_coeffs: dict, ket_coeffs: dict, groups, hbar: float, thetas) -> np.ndarray:
+    """Row g, entry i: sum over groups[g] of coeff * <bra|D(beta rotated by thetas[i])|ket>.
 
     Rotation covariance: the flow is diagonal in the number basis, so
     <m|D(beta e^{i theta})|n> = e^{i (m - n) theta} <m|D(beta)|n>. The
-    displacement windows of every (character, mode) at the unrotated beta
-    come from one _displacement_windows call and give one support block
-    B = sum over chars of coeff * prod_j <m_j|D(beta_j)|k_j>; angle theta is
-    e^{i (lo_bra - lo_ket).theta} x_theta . B y_theta with x_theta =
-    conj(bra) e^{i (m - lo_bra).theta} and y_theta = ket
+    displacement windows of every (character, mode) of every group, at the
+    unrotated beta, come from one _displacement_windows call, and the support
+    arrays and phase tables are formed once for all groups (a bra that is
+    the ket reuses the ket's). Each group gives one
+    support block B = sum over its chars of coeff * prod_j <m_j|D(beta_j)|k_j>;
+    angle theta is e^{i (lo_bra - lo_ket).theta} x_theta . B y_theta with
+    x_theta = conj(bra) e^{i (m - lo_bra).theta} and y_theta = ket
     e^{-i (k - lo_ket).theta}: each state's phases are measured from its own
-    window start, so their arguments stay small at deep hbar. Every angle
-    comes from one stacked product, (A, 1, M) @ B @ (A, S, 1), which numpy
-    evaluates as one vector-matrix and one vector-vector product per angle:
-    an angle's sums do not depend on how many angles share the call, so
-    angle 0 is an unrotated evaluation bit for bit.
+    window start, so their arguments stay small at deep hbar. Every angle of
+    a group comes from one stacked product, (A, 1, M) @ B @ (A, S, 1), which
+    numpy evaluates as one vector-matrix and one vector-vector product per
+    angle: an angle's sums do not depend on how many angles share the call,
+    so angle 0 is an unrotated evaluation bit for bit, and a group's row
+    does not depend on the other groups.
     """
     d = thetas.shape[1]
-    mm, bvals = _support_arrays(bra_coeffs, d)
     kk, vals = _support_arrays(ket_coeffs, d)
+    mm, bvals = (kk, vals) if bra_coeffs is ket_coeffs else _support_arrays(bra_coeffs, d)
     ranges = _char_windows(mm, kk)
     lo_bra = np.array([rows.start for rows, _ in ranges])
     lo_ket = np.array([cols.start for _, cols in ranges])
-    windows = _char_kernel(chars, hbar, ranges)
-    block = np.zeros((len(mm), len(kk)), dtype=complex)
-    for coeff, _ in chars:
-        part = np.full(block.shape, complex(coeff))
-        for j, ((rows, cols), D) in enumerate(zip(ranges, windows)):
-            part *= D[(mm[:, j] - rows.start)[:, None], kk[:, j] - cols.start]
-        block += part
+    windows = _char_kernel([c for chars in groups for c in chars], hbar, ranges)
     xs = np.conjugate(bvals) * np.exp(1j * (thetas @ (mm - lo_bra).T))  # (A, M)
     ys = vals * np.conjugate(np.exp(1j * (thetas @ (kk - lo_ket).T)))  # (A, S)
-    total = ((xs[:, None, :] @ block) @ ys[:, :, None])[:, 0, 0]
-    return total * np.exp(1j * (thetas @ (lo_bra - lo_ket)))
+    shift = np.exp(1j * (thetas @ (lo_bra - lo_ket)))
+    out = np.empty((len(groups), len(thetas)), dtype=complex)
+    for g, chars in enumerate(groups):
+        block = np.zeros((len(mm), len(kk)), dtype=complex)
+        for coeff, _ in chars:
+            part = np.full(block.shape, complex(coeff))
+            for j, ((rows, cols), D) in enumerate(zip(ranges, windows)):
+                part *= D[(mm[:, j] - rows.start)[:, None], kk[:, j] - cols.start]
+            block += part
+        out[g] = ((xs[:, None, :] @ block) @ ys[:, :, None])[:, 0, 0] * shift
+    return out
 
 
 def _char_product_bra(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -> complex:
@@ -1239,7 +1342,15 @@ def _char_windows(mm: np.ndarray, kk: np.ndarray) -> list[tuple[range, range]]:
     return windows
 
 
-def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None):
+def expectation(
+    bra: FockState,
+    ket: FockState,
+    a: Symbol,
+    thetas=None,
+    *,
+    _groups=None,
+    _moment_map: dict | None = None,
+):
     """<bra, Op_hbar(a) ket>, exact up to the states' tail bounds.
 
     Character terms evaluate <m|D(beta)|n> only for m and n inside the bra's
@@ -1252,14 +1363,23 @@ def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None):
     (_char_sparse), so the displacement windows do not grow with A.
     Every (character, mode) window of a call, in any representation, comes
     from one _displacement_windows call: one kernel pass for windows of up
-    to _KERNEL_CHUNK elements in all.
+    to _KERNEL_CHUNK elements in all. A sparse state with no coefficients
+    gives 0.
+    `_groups` and `_moment_map` are internal to scarlab, not part of the
+    interface. `_groups` is a list of character tuples, the characters of
+    several probes, and asks for one row per group, each equal to a lone
+    call on that group bit for bit, from one pass over the states: one
+    window pass, one set of support arrays and phase tables. `a` then
+    carries all of their characters, and its polynomial part is not
+    evaluated. `_moment_map` is a moment map of this (bra, ket) pair that
+    the polynomial part reads and extends (_poly_sparse).
     """
     if bra.hbar != ket.hbar or bra.dims != ket.dims:
         raise ValidationError("states live in different spaces")
     if a.dims != bra.dims:
         raise ValidationError("symbol mode count does not match the states")
-    if thetas is not None and (bra.is_product or ket.is_product):
-        raise ValidationError("flowed expectations need sparse states; project first")
+    if (thetas is not None or _groups is not None) and (bra.is_product or ket.is_product):
+        raise ValidationError("flowed and grouped expectations need sparse states; project first")
     if ket.is_product and not bra.is_product:
         return expectation(ket, bra, a.conj()).conjugate()  # Op(conj a) = Op(a)^dagger
     hbar = bra.hbar
@@ -1267,20 +1387,29 @@ def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None):
     angles = np.zeros((1, d)) if thetas is None else np.asarray(thetas, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != d:
         raise ValidationError("need one angle per mode")
-    total = np.zeros(len(angles), dtype=complex)
-    if a.poly:
-        if ket.is_product:
-            total += _poly_product(bra, ket, a.poly)
-        else:
-            poly = a.poly if thetas is None else a.rotation_table(angles)[0]
-            total += _poly_sparse(bra, ket.coeffs, poly, hbar, d, {})
-    if a.chars:
-        if ket.is_product:
-            total += _char_product(bra, ket, a.chars, hbar, d)
-        elif bra.is_product:
-            total += _char_product_bra(bra, ket.coeffs, a.chars, hbar, d)
-        else:
-            total += _char_sparse(bra.coeffs, ket.coeffs, a.chars, hbar, angles)
+    rows = np.zeros((1 if _groups is None else len(_groups), len(angles)), dtype=complex)
+    total = rows[0]
+    if {} in (bra.coeffs, ket.coeffs):  # a sparse state with no coefficients
+        pass
+    elif _groups is not None:
+        rows += _char_sparse(bra.coeffs, ket.coeffs, _groups, hbar, angles)
+    else:
+        if a.poly:
+            if ket.is_product:
+                total += _poly_product(bra, ket, a.poly)
+            else:
+                poly = a.poly if thetas is None else a.rotation_table(angles)[0]
+                moments = {} if _moment_map is None else _moment_map
+                total += _poly_sparse(bra, ket.coeffs, poly, hbar, d, moments)
+        if a.chars:
+            if ket.is_product:
+                total += _char_product(bra, ket, a.chars, hbar, d)
+            elif bra.is_product:
+                total += _char_product_bra(bra, ket.coeffs, a.chars, hbar, d)
+            else:
+                total += _char_sparse(bra.coeffs, ket.coeffs, [a.chars], hbar, angles)[0]
+    if _groups is not None:
+        return rows if thetas is not None else rows[:, 0]
     return complex(total[0]) if thetas is None else total
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -162,6 +163,16 @@ def _mode_series(a: Symbol, z: Sequence[complex]):
     return terms
 
 
+@lru_cache(maxsize=256)
+def _kernel_lattice(rows: tuple[tuple[int, ...], ...], radius: tuple[int, ...]) -> np.ndarray:
+    """The m with rows . m = 0 and |m_j| <= radius[j], shifted by the radius
+    into the box 0 <= k_j <= 2 radius[j]: lattice_solver's (n, d) array,
+    read-only, built once per (rows, radius)."""
+    k = lattice_solver(rows, [2 * r + 1 for r in radius])(np.array(rows) @ radius)
+    k.flags.writeable = False
+    return k
+
+
 def orbit_average(decomp: HarmonicDecomposition, a: Symbol, z0: PhasePoint):
     """Mean of a over the closure of the multi-flow orbit through z0.
 
@@ -169,15 +180,20 @@ def orbit_average(decomp: HarmonicDecomposition, a: Symbol, z0: PhasePoint):
     angles (_mode_series). Flow n turns mode j int_weights_n[j] times per
     period, so the mean sums the kernel lattice, the m with
     int_weights_n . m = 0 for every n, enumerated by lattice_solver on the
-    box shifted by the per-mode radius. Monomials are exact; characters drop
-    Bessel terms below 1e-17. Returns a float if the imaginary part is tiny.
+    box shifted by the per-mode radius; that lattice depends only on the
+    integer weights and the radius, so it comes from a bounded cache
+    (_kernel_lattice). Monomials are exact; characters drop Bessel terms
+    below 1e-17. Returns a float if the imaginary part is tiny. A point or a
+    symbol with another mode count than the decomposition's is a
+    ValidationError.
     """
     if z0.dims != decomp.dims:
         raise ValidationError("point dimension does not match the decomposition")
+    if a.dims != decomp.dims:
+        raise ValidationError("symbol mode count does not match the decomposition")
     terms = _mode_series(a, z0.to_complex())
-    radius = [max((len(s[j]) // 2 for _, s in terms), default=0) for j in range(decomp.dims)]
-    rows = [c.int_weights for c in decomp.components]
-    k = lattice_solver(rows, [2 * r + 1 for r in radius])(np.array(rows) @ radius)
+    radius = tuple(max((len(s[j]) // 2 for _, s in terms), default=0) for j in range(decomp.dims))
+    k = _kernel_lattice(tuple(c.int_weights for c in decomp.components), radius)
     val = 0j
     for coeff, series in terms:
         prod = np.full(len(k), coeff)

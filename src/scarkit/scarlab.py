@@ -184,16 +184,42 @@ def convex_scar(
     return combined
 
 
-def _flow_tables(decomp: HarmonicDecomposition, probes) -> tuple[list, list]:
-    """residuals' stacked angle grid and each probe's polynomial rotation
-    table on it. The grid is angle 0, then each component's T_POINTS - 1
-    flow angles over one period, in component order."""
+def _flow_tables(decomp: HarmonicDecomposition, probes) -> tuple[list, list, tuple | None]:
+    """residuals' stacked angle grid, each probe's polynomial rotation table
+    on it, and the probes' characters as the arguments of one grouped
+    expectation call: the symbol of all of them and one group per character
+    probe, or None when no probe has a character. The grid is angle 0, then
+    each component's T_POINTS - 1 flow angles over one period, in component
+    order."""
     rates = flow_rates(decomp)
     thetas = [[0.0] * decomp.dims]
     for n, comp in enumerate(decomp.components):
         times = [comp.period * i / T_POINTS for i in range(1, T_POINTS)]
         thetas.extend([rates[n][j] * t for j in range(decomp.dims)] for t in times)
-    return thetas, [a.rotation_table(thetas)[0] for a in probes]
+    groups = [a.chars for a in probes if a.chars]
+    chars = (Symbol(decomp.dims, {}, [c for g in groups for c in g]), groups) if groups else None
+    return thetas, [a.rotation_table(thetas)[0] for a in probes], chars
+
+
+def _pair_values(bra: FockState, ket: FockState, probes, chars) -> list[complex]:
+    """<bra, Op(a) ket> for every probe, from one pass over the pair: one
+    _moments map for the union of the probes' monomials, which each probe's
+    polynomial part reads through expectation, and every character probe in
+    one grouped expectation call (chars as _flow_tables gives it). Each value
+    has the bits of a lone expectation(bra, ket, a)."""
+    union = dict.fromkeys(m for a in probes for m in a.poly)
+    moments = _moments(bra, ket.coeffs, tuple(union), ket.hbar, ket.dims)
+    rows = iter(expectation(bra, ket, chars[0], _groups=chars[1]) if chars else ())
+    values = []
+    for a in probes:
+        val = 0j
+        if a.poly:
+            part = Symbol(a.dims, a.poly, (), a.label) if a.chars else a
+            val += expectation(bra, ket, part, _moment_map=moments)
+        if a.chars:
+            val += complex(next(rows))
+        values.append(val)
+    return values
 
 
 def residuals(
@@ -211,15 +237,17 @@ def residuals(
     invariance_n = max over probes and a T_POINTS t-grid of one component
     period of |<Op(a o flow_n(t))> - <Op(a)>|, exact Egorov making 16 points
     enough.
-    Each probe is flowed over one stacked grid in one pass: angle 0, which
-    gives the base value <Op(a)>, then every component's T_POINTS - 1
-    angles. Its polynomial part is its rotation table times the moments of
-    one batched _moments call made before the probe loop for the union of
-    every table, so each monomial is applied to the state once per sweep
-    step. Its character part alone goes to expectation(state, state, chars,
-    thetas): one displacement window per (character, mode), all of them in
-    one kernel pass, serves the base value and every angle, and one stacked
-    product reads every angle, each with the sums a lone angle would take.
+    Each probe is flowed over one stacked grid: angle 0, which gives the
+    base value <Op(a)>, then every component's T_POINTS - 1 angles. Its
+    polynomial part is its rotation table times the moments of one batched
+    _moments call made before the probe loop for the union of every table,
+    so each monomial is applied to the state once per sweep step. The
+    character parts of all probes go to one grouped expectation call on
+    (state, state, thetas), one row per probe: one displacement window per
+    (character, mode), all of them in one kernel pass, serves every base
+    value and angle, the support arrays and phase tables are formed once,
+    and one stacked product per probe reads every angle, each with the sums
+    a lone angle of a lone probe would take.
     `_bases` and `_flow` are internal to sweep, not part of the interface:
     a list passed as `_bases` receives the base values, unnormalized and in
     probe order, and sweep reads every gap row from it; `_flow` is
@@ -244,16 +272,17 @@ def residuals(
         concentration.append(acc / norm2)
     if probes is None:
         probes = default_probes(decomp)
-    thetas, tables = _flow or _flow_tables(decomp, probes)
+    thetas, tables, chars = _flow or _flow_tables(decomp, probes)
     union = dict.fromkeys(mono for table in tables for mono in table)
-    moments = _moments(state, state.coeffs, union, state.hbar, state.dims)
+    moments = _moments(state, state.coeffs, tuple(union), state.hbar, state.dims)
+    rows = iter(expectation(state, state, chars[0], thetas, _groups=chars[1]) if chars else ())
     defects = [[0.0] for _ in decomp.components]
     for a, table in zip(probes, tables):
         values = np.zeros(len(thetas), dtype=complex)
         if table:
             values += _poly_sparse(state, state.coeffs, table, state.hbar, state.dims, moments)
         if a.chars:
-            values += expectation(state, state, Symbol(a.dims, {}, a.chars, a.label), thetas)
+            values += next(rows)
         base = values[0]
         for n, comp_defects in enumerate(defects):
             moved = values[1 + n * (T_POINTS - 1) : 1 + (n + 1) * (T_POINTS - 1)]
@@ -476,8 +505,8 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
                 val /= nrm**2
             rows.append((hbar, f"gap:{a.label}", val, complex(ref), abs(val - ref)))
         for i, j in itertools.combinations(range(len(parts)), 2):
-            for a in probes:
-                val = expectation(parts[i].state, parts[j].state, a)
+            values = _pair_values(parts[i].state, parts[j].state, probes, flow[2])
+            for a, val in zip(probes, values):
                 rows.append((hbar, f"cross:{i + 1}-{j + 1}:{a.label}", val, 0j, abs(val)))
         rows.extend(residual_rows)
         _require_finite(rows, probes)

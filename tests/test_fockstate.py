@@ -24,17 +24,18 @@ from scarkit.errors import (
 from scarkit.fockstate import (
     _STIRLERR,
     FockState,
-    _bra_lookup,
     _char_betas,
+    _complex_band,
     _displacement_matrix,
     _displacement_windows,
+    _ladder_bands,
+    _moment_plan,
     _moments,
     _nearest_misses,
     _poisson_logpmf,
     _poisson_tails,
     _project_conditions,
     _support_arrays,
-    _weyl_band,
     average_project,
     coherent,
     dump_state,
@@ -723,6 +724,13 @@ def _dense_weyl_mode_matrix(a, b, hbar, size):
     return out[:size, :size]
 
 
+def _band(cols, a, b, hbar):
+    """<cols[i] + o|Op(x^a xi^b)|cols[i]> at out[i, a + b + o], from the band
+    builder of the moment kernel (_ladder_bands) and its factor i^b."""
+    plan = _moment_plan(((a, b),), 1)
+    return _complex_band(_ladder_bands(np.asarray(cols)[None], plan, hbar)[0], b)
+
+
 def _assert_band_matches(band, cols, a, b, column_of, rel):
     """Every band element within rel of the column's largest reference element."""
     r = a + b
@@ -750,7 +758,7 @@ def test_weyl_band_matches_dense_reference(size, monos):
         W = _dense_weyl_mode_matrix(a, b, hbar, size)
         m = np.arange(size)[:, None]
         assert not W[np.abs(m - cols[None, :]) > r].any()  # nothing outside the band
-        band = _weyl_band(cols, a, b, hbar)
+        band = _band(cols, a, b, hbar)
         assert not band[cols[:, None] + np.arange(-r, r + 1) < 0].any()
         # rows past the block edge are cut off the dense block; keep the rest
         _assert_band_matches(
@@ -792,7 +800,7 @@ def _mp_weyl_column(n, a, b, hbar):
 def test_weyl_band_matches_mpmath_at_large_index(a, b):
     hbar = 1e-3
     cols = np.array([4990, 4997, 5000, 5003])
-    band = _weyl_band(cols, a, b, hbar)
+    band = _band(cols, a, b, hbar)
     _assert_band_matches(
         band, cols, a, b, lambda n: _mp_weyl_column(n, a, b, hbar), rel=1e-14
     )
@@ -843,7 +851,7 @@ def _walk_monomial(coeffs, mono, hbar, dims, magnitude=False):
             continue
         r = a + b
         cols = sorted({k[j] for k in out})
-        band = _weyl_band(np.array(cols), a, b, hbar)
+        band = _reference_band(np.array(cols), a, b, hbar)
         if magnitude:
             band = np.abs(band)
         hits = {}
@@ -915,7 +923,7 @@ def test_moment_kernel_matches_dict_walk(pair):
 
 
 def _reference_band(cols, a, b, hbar):
-    """_weyl_band with every McCoy term's ladder word built afresh, as before words were shared."""
+    """The band of Op(x^a xi^b) by the complex McCoy sum, every term's ladder word built afresh."""
     r = a + b
     idx = np.asarray(cols)[:, None] + np.arange(-r, r + 1)
     c = math.sqrt(hbar / 2.0)
@@ -933,6 +941,34 @@ def _reference_band(cols, a, b, hbar):
             v = w
         out += math.comb(a, s) * v
     return out / 2.0**a
+
+
+def _reference_lookup(bra):
+    """Function from an (..., d) array of indices to the bra's coefficients
+    there, 0 off its support: the per-index read the batched kernel replaced."""
+    if bra.is_product:
+        def lookup(idx):
+            out = np.ones(idx.shape[:-1], dtype=complex)
+            for j, f in enumerate(bra.factors):
+                k = idx[..., j]
+                inside = (k >= 0) & (k < len(f))
+                out *= np.where(inside, f[np.where(inside, k, 0)], 0)
+            return out
+        return lookup
+    keys, vals = _support_arrays(bra.coeffs, bra.dims)
+    lo, hi = keys.min(axis=0), keys.max(axis=0)
+    extents = [int(e) for e in hi - lo + 1]
+    strides = np.array([math.prod(extents[j + 1 :]) for j in range(bra.dims)], dtype=np.int64)
+    codes = (keys - lo) @ strides
+    order = np.argsort(codes, kind="stable")
+    codes, vals = codes[order], vals[order]
+
+    def lookup(idx):
+        inside = ((idx >= lo) & (idx <= hi)).all(axis=-1)
+        code = (idx - lo) @ strides
+        pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+        return np.where(inside & (codes[pos] == code), vals[pos], 0)
+    return lookup
 
 
 def _reference_moment(lookup, keys, vals, mono, hbar):
@@ -973,13 +1009,17 @@ def test_batched_moments_match_per_monomial_kernel_bit_for_bit(d):
     monos = [p for p in itertools.product(range(5), repeat=2 * d) if sum(p) <= 4]
     monos.append({2: (3, 1, 2, 2), 3: (2, 0, 3, 1, 1, 1)}[d])  # one of degree 8
     keys, vals = _support_arrays(ket.coeffs, d)
-    for a, b in {mono[:2] for mono in monos}:
-        assert _weyl_band(keys[:, 0], a, b, hbar).tobytes() == (
-            _reference_band(keys[:, 0], a, b, hbar).tobytes()
-        )
+    plan = _moment_plan(tuple(monos), d)
+    bands = _ladder_bands(keys[:, list(plan.modes)].T, plan, hbar)  # one recursion, every word
+    R = len(plan.signs)  # the longest word; the recursion stops each word at its own length
+    assert len(plan.bands) > 20 and R == {2: 5, 3: 4}[d]
+    for band, (j, a, b) in zip(bands, plan.bands):
+        r = a + b
+        got = _complex_band(band[:, R - r : R + r + 1], b)
+        assert got.tobytes() == _reference_band(keys[:, j], a, b, hbar).tobytes(), (j, a, b)
     for name, bra in bras.items():
         got = _moments(bra, ket.coeffs, monos, hbar, d)
-        lookup = _bra_lookup(bra)
+        lookup = _reference_lookup(bra)
         differ = [
             mono for mono in monos
             if np.array(got[mono]).tobytes()
@@ -1266,6 +1306,51 @@ def _random_sparse(rng, hbar, lo, hi, size):
     keys = {tuple(int(v) for v in rng.integers(lo, hi, size=2)) for _ in range(size)}
     coeffs = {k: complex(*rng.normal(size=2)) for k in keys}
     return FockState(hbar=hbar, dims=2, cutoff=(hi, hi), tail_bound=0.0, coeffs=coeffs)
+
+
+@pytest.mark.parametrize("angles", [None, 1, 31])
+def test_grouped_characters_match_lone_calls_bit_for_bit(angles):
+    # one grouped call gives one row per group, each with the bits of a lone
+    # call on that group; the groups follow the probes, so two probes that
+    # share a character keep separate rows
+    rng = np.random.default_rng(12)
+    hbar = 0.05
+    w1, w2, w3 = (tuple(rng.normal(size=4)) for _ in range(3))
+    probes = [
+        character(2, w1, 0.6) + character(2, w2, -1.3j),
+        character(2, w2, 0.4 + 0.1j),
+        character(2, w3, 1.0),
+    ]
+    union = probes[0] + probes[1] + probes[2]
+    assert len(union.chars) == 3  # w2 merged in the union, not in the rows
+    thetas = None if angles is None else rng.uniform(-3.0, 3.0, size=(angles, 2))
+    bra = _random_sparse(rng, hbar, 10, 40, 25)
+    ket = _random_sparse(rng, hbar, 15, 45, 25)
+    for x, y in ((bra, ket), (ket, ket)):
+        rows = expectation(x, y, union, thetas, _groups=[a.chars for a in probes])
+        assert rows.shape == (3,) if angles is None else (3, angles)
+        for row, a in zip(rows, probes):
+            want = expectation(x, y, a, thetas)
+            assert np.array(row).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("angles", [None, 4])
+def test_expectation_on_an_empty_sparse_state_is_zero(angles):
+    empty = FockState(0.1, 2, (3, 3), 0.0, coeffs={})
+    assert empty.norm() == 0.0
+    full = FockState(0.1, 2, (3, 3), 0.0, coeffs={(1, 2): 1.0 + 0j, (0, 3): 0.5j})
+    psi = coherent(PhasePoint(x=(0.3, 0.2), xi=(0.1, 0.0)), 0.1)
+    thetas = None if angles is None else np.linspace(0.0, 1.0, 2 * angles).reshape(angles, 2)
+    pairs = [(empty, empty), (empty, full), (full, empty)]
+    if angles is None:
+        pairs += [(psi, empty), (empty, psi)]
+    for sym in (position(2, 0, 2) + mode_energy(2, 1), character(2, (0.3, -0.2, 0.5, 0.1), 0.7)):
+        for bra, ket in pairs:
+            got = expectation(bra, ket, sym, thetas)
+            if angles is None:
+                assert got == 0j
+            else:
+                assert got.shape == (angles,) and not got.any()
 
 
 def test_sparse_character_matches_dense_reference():

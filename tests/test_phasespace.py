@@ -162,6 +162,15 @@ def test_orbit_average_of_conserved_quantities(dec12):
     )
 
 
+def test_orbit_average_rejects_a_symbol_of_another_mode_count(dec12):
+    # a 3-mode x1^2 on the 2-mode decomposition: refused, not averaged
+    z = PhasePoint((1.0, 0.5), (0.0, 0.0))
+    with pytest.raises(ValidationError, match="symbol mode count"):
+        orbit_average(dec12, position(3, 0, power=2), z)
+    with pytest.raises(ValidationError, match="symbol mode count"):
+        orbit_average(dec12, character(1, (0.3, 0.2)), z)
+
+
 def test_orbit_average_resonant_monomial(dec23):
     # omega = (2, 3): x1^3 x2^2 has a flow-invariant part, so its average
     # along the single periodic flow need not vanish

@@ -291,8 +291,9 @@ def test_sweep_records_only_scarkit_errors(dec12, monkeypatch):
 
 def _nan_flow(monkeypatch, finite_base=False):
     """Make every flowed value residuals computes NaN (angle 0 too, unless
-    finite_base): the polynomial sums over the moment map and the character
-    pass through expectation. Returns the (kind, angle count) of each call."""
+    finite_base): the polynomial sums over the moment map and the grouped
+    character pass through expectation. Returns the (kind, angle count) of
+    each polynomial sum and of each group of the character pass."""
     calls = []
 
     def stack(kind, count):
@@ -309,7 +310,8 @@ def _nan_flow(monkeypatch, finite_base=False):
         ),
     )
     monkeypatch.setattr(
-        scarlab, "expectation", lambda bra, ket, a, thetas: stack("char", len(thetas))
+        scarlab, "expectation",
+        lambda bra, ket, a, thetas, _groups: np.array([stack("char", len(thetas)) for _ in _groups]),
     )
     return calls
 
@@ -335,9 +337,13 @@ def test_invariance_keeps_a_non_finite_defect(dec12, monkeypatch):
     calls = _nan_flow(monkeypatch, finite_base=True)
     _, inv = residuals(dec12, state, (0.5, 0.5), probes=probes)
     assert all(math.isnan(v) for v in inv)
-    # one pass per probe: angle 0 for the base value, then every component's angles
+    # one pass per probe: angle 0 for the base value, then every component's
+    # angles; the character probes' rows come from one grouped pass, made
+    # before the polynomial sums
     angles = 1 + dec12.d_omega * (scarlab.T_POINTS - 1)
-    assert calls == [("char" if a.chars else "poly", angles) for a in probes]
+    assert calls == (
+        [("char", angles) for a in probes if a.chars] + [("poly", angles) for a in probes if not a.chars]
+    )
     assert {kind for kind, _ in calls} == {"poly", "char"}
     with pytest.raises(NumericalError, match=r"row invariance:1 at hbar=0.1 \(flowed probe"):
         scarlab._require_finite(scarlab._residual_rows(dec12, state, (0.5, 0.5), probes, 0.1), probes)
@@ -639,35 +645,33 @@ def test_residuals_applies_each_monomial_once(moment_cases, case, monkeypatch):
 
 
 def test_residuals_builds_each_ladder_word_and_bra_read_once(moment_cases, monkeypatch):
-    # one d = 3 step: every (mode, ladder word) is built once for all McCoy
-    # terms and monomials, and the bra is read once per box of offsets
+    # one d = 3 step: one recursion builds every (mode, ladder word) once for
+    # all McCoy terms and monomials, on that mode's support column, and one
+    # bra read covers every box of offsets, each box once
     from scarkit import fockstate
 
     _, decomp, state, E = moment_cases[0]
     probes = _moment_probes(decomp, seed=4)
     d = decomp.dims
-    first = np.array(next(iter(state.coeffs)))  # row 0 of every bra read is first + box
     columns = [tuple(k[j] for k in state.coeffs) for j in range(d)]
-    assert d == 3 and len(set(columns)) == d  # a word's raise row names its mode
-    words, reads = [], []
-    build, bra_lookup = fockstate._ladder_word, fockstate._bra_lookup
+    assert d == 3 and len(set(columns)) == d  # a recursion row names its mode
+    recursions, reads = [], []
+    build, bra_reads = fockstate._ladder_bands, fockstate._bra_reads
 
-    def counting_word(X, Xi, word):
-        words.append((X[0].tobytes(), word))
-        return build(X, Xi, word)
+    def counting_bands(cols, plan, hbar):
+        words = [(plan.modes[m], word) for m, word in plan.words]
+        assert [tuple(row) for row in cols.tolist()] == [columns[j] for j in plan.modes]
+        recursions.append(words)
+        return build(cols, plan, hbar)
 
-    def counting_lookup(bra):
-        lookup = bra_lookup(bra)
+    def counting_reads(bra, ket_coeffs, keys, vals, shifts):
+        reads.append(shifts)
+        return bra_reads(bra, ket_coeffs, keys, vals, shifts)
 
-        def read(idx):
-            reads.append(frozenset(map(tuple, (idx[0] - first).tolist())))
-            return lookup(idx)
-        return read
-
-    monkeypatch.setattr(fockstate, "_ladder_word", counting_word)
-    monkeypatch.setattr(fockstate, "_bra_lookup", counting_lookup)
+    monkeypatch.setattr(fockstate, "_ladder_bands", counting_bands)
+    monkeypatch.setattr(fockstate, "_bra_reads", counting_reads)
     residuals(decomp, state, E, probes=probes)
-    union = {m for table in scarlab._flow_tables(decomp, probes)[1] for m in table}
+    union = dict.fromkeys(m for table in scarlab._flow_tables(decomp, probes)[1] for m in table)
     want_words, want_boxes = set(), set()
     for mono in union:
         radii = [mono[j] + mono[d + j] for j in range(d)]
@@ -676,16 +680,22 @@ def test_residuals_builds_each_ladder_word_and_bra_read_once(moment_cases, monke
             (j, "x" * (mono[j] - s) + "p" * mono[d + j] + "x" * s)
             for j in range(d) if radii[j] for s in range(mono[j] + 1)
         }
-    assert len(words) == len(set(words)) == len(want_words)
-    assert sorted(w for _, w in words) == sorted(w for _, w in want_words)
-    assert len(reads) == len(set(reads)) and set(reads) == want_boxes
+    assert len(recursions) == 1 and len(reads) == 1
+    (words,) = recursions
+    assert len(words) == len(set(words)) and set(words) == want_words
+    plan = fockstate._moment_plan(tuple(union), d)
+    boxes = [frozenset(map(tuple, reads[0][cols].tolist())) for _, cols, *_ in plan.groups]
+    assert len(boxes) == len(set(boxes)) and set(boxes) == want_boxes
+    assert len(reads[0]) == sum(len(box) for box in boxes)
 
 
 @pytest.mark.parametrize("convex", [False, True], ids=["single", "convex"])
 def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
-    # gap and residual rows share one moment map per state and step; the
-    # character part of each probe's flowed pass and the cross rows
-    # (bra != ket) go through expectation, stubbed here
+    # gap and residual rows share one moment map per state and step, and the
+    # cross rows (bra != ket) one map per pair and step; the character parts
+    # go through one grouped expectation call per state and per pair, and
+    # each cross polynomial probe through an expectation that reads the
+    # pair's map, stubbed here
     from scarkit import fockstate
 
     if convex:
@@ -699,41 +709,48 @@ def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
         cfg = SweepConfig(decomp, (0.6, 0.4), (0.1, 0.05), probes=_moment_probes(decomp, 4))
     probes = cfg.probes
     applied = []
-    batches = []  # hbar of each batched moment call that computes anything
+    batches = []  # (hbar, bra is ket) of each batched moment call that computes anything
     original = fockstate._moments
 
     def counting(bra, ket_coeffs, monos, hbar, dims):
         keys, vals = fockstate._support_arrays(ket_coeffs, dims)
-        applied.extend((hbar, keys.tobytes(), vals.tobytes(), mono) for mono in monos)
+        same = bra.coeffs is ket_coeffs
+        applied.extend((hbar, same, keys.tobytes(), vals.tobytes(), mono) for mono in monos)
         if monos:
-            batches.append(hbar)
+            batches.append((hbar, same))
         return original(bra, ket_coeffs, monos, hbar, dims)
 
-    calls = []  # per expectation call: the probe and whether bra is ket
+    calls = []  # per expectation call: what it evaluates and whether bra is ket
     monkeypatch.setattr(fockstate, "_moments", counting)
     monkeypatch.setattr(scarlab, "_moments", counting)
 
-    def stub(bra, ket, a, thetas=None):
-        calls.append((a.label, bra is ket))
-        if thetas is None:
+    def stub(bra, ket, a, thetas=None, *, _groups=None, _moment_map=None):
+        if _groups is None:
+            assert thetas is None and not a.chars and _moment_map is not None
+            calls.append((a.label, bra is ket))
             return 0j
         assert not a.poly  # a mixed probe's monomials come from the moment map alone
-        return np.zeros(len(thetas), dtype=complex)
+        calls.append((tuple(_groups), bra is ket))
+        return np.zeros((len(_groups),) + (() if thetas is None else (len(thetas),)), dtype=complex)
 
     monkeypatch.setattr(scarlab, "expectation", stub)
     report = sweep(cfg)
     assert report.errors == ()
-    assert len(applied) == len(set(applied))  # one evaluation per (step, state, monomial)
-    assert batches == list(cfg.hbars)  # one batched call per step
+    assert len(applied) == len(set(applied))  # one evaluation per (step, state pair, monomial)
+    pairs = [True, False] if convex else [True]
+    assert batches == [(h, same) for h in cfg.hbars for same in pairs]  # one call per step and pair
     base = {m for a in probes for m in a.poly}
     for h in cfg.hbars:
-        # one state per step, the one of the gap and residual rows
-        assert len({(keys, vals) for hh, keys, vals, _ in applied if hh == h}) == 1
-        assert base <= {m for hh, _, _, m in applied if hh == h}
-    step = [(a.label, True) for a in probes if a.chars]
-    assert len(step) == 3  # char1, char2 and the mixed probe
+        for same in pairs:
+            # one ket per step and pair: the state of the gap and residual rows, or the pair's ket
+            assert len({(k, v) for hh, s, k, v, _ in applied if (hh, s) == (h, same)}) == 1
+            monos = {m for hh, s, _, _, m in applied if (hh, s) == (h, same)}
+            assert base <= monos if same else base == monos
+    groups = tuple(a.chars for a in probes if a.chars)
+    assert len(groups) == 3  # char1, char2 and the mixed probe
+    step = [(groups, True)]
     if convex:
-        step += [(a.label, False) for a in probes]
+        step += [(groups, False)] + [(a.label, False) for a in probes if a.poly]
     assert calls == step * len(cfg.hbars)
 
 
@@ -755,9 +772,9 @@ def _count_kernel(monkeypatch):
         passes.append(len(p))
         return real(p, q, x)
 
-    def tracking(bra, ket, a, thetas=None):
+    def tracking(bra, ket, a, thetas=None, **private):
         before = len(passes)
-        out = expectation(bra, ket, a, thetas)
+        out = expectation(bra, ket, a, thetas, **private)
         if a.chars:
             per_call.append(len(passes) - before)
         return out
@@ -774,7 +791,8 @@ def test_flowed_characters_take_one_window_per_character_and_mode(
 ):
     # rotation covariance: the flow only rephases each window, so the number
     # of displacement windows does not grow with the angle grid; every
-    # window of one expectation call goes through one _displacement_real pass
+    # window of every character probe goes through one grouped expectation
+    # call and one _displacement_real pass
     _, decomp, state, E = moment_cases[0]
     probes = default_probes(decomp)
     windows, per_call = _count_kernel(monkeypatch)
@@ -782,7 +800,7 @@ def test_flowed_characters_take_one_window_per_character_and_mode(
     residuals(decomp, state, E, probes=probes)
     assert decomp.dims == 3
     assert len(windows) == sum(len(a.chars) for a in probes) * decomp.dims == 6
-    assert per_call == [1, 1]
+    assert per_call == [1]
 
 
 def _hex(v: complex) -> tuple[str, str]:
@@ -825,7 +843,7 @@ def test_sweep_gap_rows_match_standalone_expectation_bit_for_bit(convex):
 def test_sweep_step_takes_one_window_per_character_and_mode(monkeypatch):
     # the gap rows of characters read the flowed pass: a step evaluates each
     # (character, mode) window once, not once for the flow and once for the gap,
-    # and each character probe's windows in one _displacement_real pass
+    # and every character probe's windows in one _displacement_real pass
     decomp = make_dec([[F(1), F(0)], [F(2), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
     cfg = SweepConfig(decomp, (0.6, 0.4), (0.1, 0.05))
     windows, per_call = _count_kernel(monkeypatch)
@@ -834,7 +852,7 @@ def test_sweep_step_takes_one_window_per_character_and_mode(monkeypatch):
     chars = sum(len(a.chars) for a in default_probes(decomp, cfg.seed))
     assert chars == 2
     assert len(windows) == chars * decomp.dims * len(cfg.hbars)
-    assert per_call == [1] * chars * len(cfg.hbars)
+    assert per_call == [1] * len(cfg.hbars)
 
 
 def _failing_sweeps():
