@@ -716,18 +716,20 @@ class _MomentPlan(NamedTuple):
 
     modes: the modes some monomial acts on. words: every distinct (position
     in modes, ladder word), longest first, and word_modes their positions;
-    signs[t, w] is -1 where letter t of word w is 'p', else +1. bands: every
-    (mode, a, b) a monomial acts with; term_words[i, s] is the word of McCoy
-    term s of band i, term_combs[i, s] its binomial weight (0 past a) and
-    scales[i] = 2^a. groups: the monomials that share a box, a tuple of
-    (acted mode, radius a + b), as (monomials, the box's rows of shifts,
-    each monomial's band and power b per box mode, the box radii). shifts:
-    the offsets of every box, box after box, each box's first mode outermost.
+    live[t] words are longer than t, and signs[t, w] is -1 where letter t of
+    word w is 'p', else +1. bands: every (mode, a, b) a monomial acts with;
+    term_words[i, s] is the word of McCoy term s of band i, term_combs[i, s]
+    its binomial weight (0 past a) and scales[i] = 2^a. groups: the
+    monomials that share a box, a tuple of (acted mode, radius a + b), as
+    (monomials, the box's rows of shifts, each monomial's band per box mode,
+    the box radii). shifts: the offsets of every box, box after box, each
+    box's first mode outermost.
     """
 
     modes: tuple
     words: tuple
     word_modes: np.ndarray
+    live: tuple
     signs: np.ndarray
     bands: tuple
     term_words: np.ndarray
@@ -764,8 +766,8 @@ def _moment_plan(monos: tuple, dims: int) -> _MomentPlan:
         grid = itertools.product(*[range(-r, r + 1) for _, r in box])  # first mode outermost
         offsets[:, [j for j, _ in box]] = list(grid)
         table = np.array(
-            [[(bands.index(act), act[2]) for act in acts[m]] for m in members], dtype=np.intp
-        ).reshape(len(members), len(box), 2)
+            [[bands.index(act) for act in acts[m]] for m in members], dtype=np.intp
+        ).reshape(len(members), len(box))
         rows = slice(start, start + len(offsets))
         groups.append((tuple(members), rows, table, tuple(r for _, r in box)))
         shifts.append(offsets)
@@ -774,6 +776,7 @@ def _moment_plan(monos: tuple, dims: int) -> _MomentPlan:
         modes,
         words,
         np.array([m for m, _ in words], dtype=np.intp),
+        tuple(sum(len(w) > t for _, w in words) for t in range(radius)),
         np.array(
             [[-1.0 if w[t : t + 1] == "p" else 1.0 for _, w in words] for t in range(radius)]
         ).reshape(radius, len(words)),
@@ -815,8 +818,7 @@ def _ladder_bands(cols: np.ndarray, plan: _MomentPlan, hbar: float) -> np.ndarra
         up, down = up[plan.word_modes], down[plan.word_modes]
     v = np.zeros((len(plan.words), cols.shape[1], 2 * R + 1))
     v[..., R] = 1.0
-    for t, signs in enumerate(plan.signs):
-        live = sum(len(word) > t for _, word in plan.words)  # the longest words, a prefix
+    for live, signs in zip(plan.live, plan.signs):  # the live words are the longest, a prefix
         w = np.zeros((live,) + v.shape[1:])
         w[..., 1:] = up[:live] * v[:live, :, :-1]
         lower = down[:live] * v[:live, :, 1:]
@@ -939,19 +941,18 @@ def _laguerre_recurrence(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndar
     return out
 
 
-def _displacement_prefactor(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _displacement_prefactor(p: np.ndarray, q: np.ndarray, x: np.ndarray, log_fact) -> np.ndarray:
     """x^{q/2} e^{-x/2} sqrt((p+q)!/p!) / q! per element, for x > 0.
 
     Formed in log space, with log((p+q)!/p!) = q log p + (p + q + 1/2)
     log1p(q/p) - q + stirlerr(p+q) - stirlerr(p), so no two large
     log-factorials cancel, and q log p joins q log x as one log(x p); on the
     diagonal (q = 0) it is e^{-x/2} alone, and at p = 0 it takes log x from
-    math.log.
+    math.log. log_fact[k] is log k! (math.lgamma) for k up to the largest q.
     """
-    q_top = int(q.max())
-    if not q_top:
+    if not q.any():
         return np.exp(-0.5 * x)
-    lgq = np.array([math.lgamma(k + 1.0) for k in range(q_top + 1)])[q]
+    lgq = log_fact[q]
     p_zero = not p.all()
     p1 = np.maximum(p, 1) if p_zero else p
     top = p1 + q
@@ -973,13 +974,15 @@ def _displacement_real(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarra
     call for every element where the series fails. Prefactor and series run
     _SERIES_CHUNK elements at a time, so the temporaries of a pass, whose
     prefactor holds about 15 arrays the size of its chunk, stay small
-    however many windows share it. Each element's arithmetic involves only
-    its own (p, q, x), so its bits do not depend on the other elements.
+    however many windows share it; the table of log q! is built once per
+    pass. Each element's arithmetic involves only its own (p, q, x), so its
+    bits do not depend on the other elements.
     """
     pref, P = np.empty(len(p)), np.empty(len(p))
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(int(q.max(initial=0)) + 1)])
     for lo in range(0, len(p), _SERIES_CHUNK):
         part = slice(lo, lo + _SERIES_CHUNK)
-        pref[part] = _displacement_prefactor(p[part], q[part], x[part])
+        pref[part] = _displacement_prefactor(p[part], q[part], x[part], log_fact)
         P[part] = _laguerre_series(p[part], q[part], x[part], pref[part])
     slow = np.isnan(P)
     if slow.any():
@@ -1190,14 +1193,14 @@ def _moments(bra: FockState, ket_coeffs: dict, monos, hbar: float, dims: int) ->
     The monomials' _MomentPlan comes from a bounded cache, so its words,
     boxes and shifts are built once for every call that asks for the same
     monomials. The ket support is one (S, d) key array; one _ladder_bands
-    recursion gives the real band of every (mode, a, b) on it, and one
-    _bra_reads call reads the bra at k + offset for every box. The
-    monomials of one box are weighted together: each band takes its factor
-    i^b (_complex_band), and the outer product of a monomial's bands over
-    the box times the ket amplitude is the matrix element from k to
-    k + offset. Each moment is then one sum over its own S x B products, in
-    the order a lone monomial would take, so its bits do not depend on which
-    other monomials share the call. An empty ket gives 0.
+    recursion gives the real band of every (mode, a, b) on it, which then
+    takes its factor i^b (_complex_band), and one _bra_reads call reads the
+    bra at k + offset for every box. The monomials of one box are weighted
+    together: the outer product of a monomial's bands over the box times
+    the ket amplitude is the matrix element from k to k + offset. Each
+    moment is then one sum over its own S x B products, in the order a lone
+    monomial would take, so its bits do not depend on which other monomials
+    share the call. An empty ket gives 0.
     """
     if not monos:
         return {}
@@ -1206,13 +1209,14 @@ def _moments(bra: FockState, ket_coeffs: dict, monos, hbar: float, dims: int) ->
     if not len(keys):
         return dict.fromkeys(monos, 0j)
     bands = _ladder_bands(keys[:, list(plan.modes)].T, plan, hbar)
+    bands = _complex_band(bands, [b for _, _, b in plan.bands])
     R = bands.shape[2] // 2
     reads = _bra_reads(bra, ket_coeffs, keys, vals, plan.shifts)
     out = {}
     for members, rows, table, radii in plan.groups:
         weight = vals[None, :, None]
         for i, r in enumerate(radii):
-            band = _complex_band(bands[table[:, i, 0], :, R - r : R + r + 1], table[:, i, 1])
+            band = bands[table[:, i], :, R - r : R + r + 1]
             weight = (weight[..., None] * band[:, :, None, :]).reshape(len(members), len(keys), -1)
         sums = (reads[:, rows] * weight).reshape(len(members), -1).sum(axis=1)
         out.update(zip(members, sums.tolist()))
@@ -1297,17 +1301,24 @@ def _char_sparse(bra_coeffs: dict, ket_coeffs: dict, groups, hbar: float, thetas
     ranges = _char_windows(mm, kk)
     lo_bra = np.array([rows.start for rows, _ in ranges])
     lo_ket = np.array([cols.start for _, cols in ranges])
+    at = [  # each mode's support indices in its window
+        ((mm[:, j] - rows.start)[:, None], kk[:, j] - cols.start)
+        for j, (rows, cols) in enumerate(ranges)
+    ]
     windows = _char_kernel([c for chars in groups for c in chars], hbar, ranges)
-    xs = np.conjugate(bvals) * np.exp(1j * (thetas @ (mm - lo_bra).T))  # (A, M)
-    ys = vals * np.conjugate(np.exp(1j * (thetas @ (kk - lo_ket).T)))  # (A, S)
+    ket_phase = np.exp(1j * (thetas @ (kk - lo_ket).T))
+    bra_phase = ket_phase if mm is kk else np.exp(1j * (thetas @ (mm - lo_bra).T))
+    xs = np.conjugate(bvals) * bra_phase  # (A, M)
+    ys = vals * np.conjugate(ket_phase)  # (A, S)
     shift = np.exp(1j * (thetas @ (lo_bra - lo_ket)))
     out = np.empty((len(groups), len(thetas)), dtype=complex)
     for g, chars in enumerate(groups):
+        block = part = None  # the last group's arrays go before this group's are made
         block = np.zeros((len(mm), len(kk)), dtype=complex)
         for coeff, _ in chars:
             part = np.full(block.shape, complex(coeff))
-            for j, ((rows, cols), D) in enumerate(zip(ranges, windows)):
-                part *= D[(mm[:, j] - rows.start)[:, None], kk[:, j] - cols.start]
+            for (rows, cols), D in zip(at, windows):
+                part *= D[rows, cols]
             block += part
         out[g] = ((xs[:, None, :] @ block) @ ys[:, :, None])[:, 0, 0] * shift
     return out

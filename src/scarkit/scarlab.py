@@ -276,20 +276,18 @@ def residuals(
     union = dict.fromkeys(mono for table in tables for mono in table)
     moments = _moments(state, state.coeffs, tuple(union), state.hbar, state.dims)
     rows = iter(expectation(state, state, chars[0], thetas, _groups=chars[1]) if chars else ())
-    defects = [[0.0] for _ in decomp.components]
-    for a, table in zip(probes, tables):
-        values = np.zeros(len(thetas), dtype=complex)
+    values = np.zeros((len(probes), len(thetas)), dtype=complex)  # one row per probe
+    for value, a, table in zip(values, probes, tables):
         if table:
-            values += _poly_sparse(state, state.coeffs, table, state.hbar, state.dims, moments)
+            value += _poly_sparse(state, state.coeffs, table, state.hbar, state.dims, moments)
         if a.chars:
-            values += next(rows)
-        base = values[0]
-        for n, comp_defects in enumerate(defects):
-            moved = values[1 + n * (T_POINTS - 1) : 1 + (n + 1) * (T_POINTS - 1)]
-            comp_defects.extend(np.abs(moved - base) / norm2)
-        if _bases is not None:
-            _bases.append(complex(base))
-    invariance = [float(np.max(d)) for d in defects]  # NaN propagates; builtin max drops it
+            value += next(rows)
+    if _bases is not None:
+        _bases.extend(values[:, 0].tolist())
+    moved = values[:, 1:].reshape(len(probes), decomp.d_omega, T_POINTS - 1)
+    defects = np.abs(moved - values[:, :1, None]) / norm2
+    # per component, over probes and t; NaN propagates, and no probe gives 0
+    invariance = [float(np.max(d, initial=0.0)) for d in defects.transpose(1, 0, 2)]
     return tuple(concentration), tuple(invariance)
 
 
