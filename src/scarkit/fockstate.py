@@ -828,7 +828,8 @@ def _ladder_bands(cols: np.ndarray, plan: _MomentPlan, hbar: float) -> np.ndarra
     bands = np.zeros((len(plan.bands),) + v.shape[1:])
     for words, combs in zip(plan.term_words.T, plan.term_combs.T):
         bands += combs[:, None, None] * v[words]
-    return bands / plan.scales[:, None, None]
+    bands /= plan.scales[:, None, None]
+    return bands
 
 
 def _complex_band(band: np.ndarray, b) -> np.ndarray:
@@ -836,10 +837,11 @@ def _complex_band(band: np.ndarray, b) -> np.ndarray:
     row: the complex bands of the complex recursion, bit for bit, with +0
     in the part the power of i leaves empty."""
     b = np.reshape(b, (-1,) + (1,) * (band.ndim - 1)) % 4
-    main = band * np.where(b < 2, 1.0, -1.0) + 0.0  # +0.0 turns -0 into +0
+    main = band * np.where(b < 2, 1.0, -1.0)
+    main += 0.0  # turns -0 into +0
     out = np.zeros(band.shape, dtype=complex)
-    out.real[...] = np.where(b % 2 == 0, main, 0.0)
-    out.imag[...] = np.where(b % 2 == 1, main, 0.0)
+    np.copyto(out.real, main, where=b % 2 == 0)
+    np.copyto(out.imag, main, where=b % 2 == 1)
     return out
 
 
@@ -887,7 +889,7 @@ def _laguerre_series(p: np.ndarray, q: np.ndarray, x: np.ndarray, scale: np.ndar
             f /= i + q1
             f[0] *= t
             np.multiply.accumulate(f, axis=0, out=f)
-            ok = np.abs(f).max(axis=0) <= lim  # NaN fails
+            ok = np.maximum(f.max(axis=0), -f.min(axis=0)) <= lim  # max |f| in place; NaN fails
             t = f[-1].copy()
             f[0] += s
             s = np.add.accumulate(f, axis=0, out=f)[-1]
@@ -987,7 +989,8 @@ def _displacement_real(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarra
     slow = np.isnan(P)
     if slow.any():
         P[slow] = _laguerre_recurrence(p[slow], q[slow], x[slow])
-    return pref * P
+    pref *= P
+    return pref
 
 
 def _beta_mag2(beta: complex) -> float:
@@ -1002,19 +1005,26 @@ def _beta_mag2(beta: complex) -> float:
     return mag2
 
 
-def _window_offsets(rows: range, cols: range) -> np.ndarray:
-    """m - n over a window, m in rows down, n in cols across."""
-    return np.arange(rows.start, rows.stop)[:, None] - np.arange(cols.start, cols.stop)
+def _window_frame(rows: range, cols: range) -> tuple:
+    """What every window over (rows, cols) shares, whatever its beta: the
+    offsets m - n (m in rows down, n in cols across); the upper triangle
+    m <= n of a square window as a mask, else None; and the phase table's
+    steps low..high of m - n, as (steps >= 0, |steps|, each element's
+    position among the steps)."""
+    offset = np.arange(rows.start, rows.stop)[:, None] - np.arange(cols.start, cols.stop)
+    low = rows.start - cols.stop + 1  # smallest offset m - n
+    steps = np.arange(low, rows.stop - cols.start)
+    return offset, offset <= 0 if rows == cols else None, (steps >= 0, np.abs(steps), offset - low)
 
 
-def _window_pq(rows: range, cols: range) -> tuple[np.ndarray, np.ndarray]:
+def _window_pq(offset: np.ndarray, upper, start: int) -> tuple[np.ndarray, np.ndarray]:
     """p = min(m, n) and q = |m - n| of the elements a window evaluates, in
-    row-major order: the upper triangle m <= n of a square window, else all."""
-    offset = _window_offsets(rows, cols)
-    if rows == cols:
-        i, j = np.nonzero(offset <= 0)
-        return i + rows.start, j - i
-    p = np.arange(rows.start, rows.stop)[:, None] - np.maximum(offset, 0)
+    row-major order, from its _window_frame and first row: the upper
+    triangle of a square window, else all."""
+    if upper is not None:
+        i, j = np.nonzero(upper)
+        return i + start, j - i
+    p = np.arange(start, start + len(offset))[:, None] - np.maximum(offset, 0)
     return p.ravel(), np.abs(offset).ravel()
 
 
@@ -1059,14 +1069,18 @@ def _displacement_windows(windows):
 
 def _window_pass(windows):
     """The windows of _displacement_windows, (beta, rows, cols, |beta|^2) each,
-    from one _displacement_real pass."""
+    from one _displacement_real pass. Windows over the same (rows, cols),
+    the characters of one call in one mode, share one _window_frame."""
+    frames = {k: _window_frame(*k) for k in dict.fromkeys((r, c) for _, r, c, _ in windows)}
     live = [(mag2, rows, cols) for _, rows, cols, mag2 in windows if mag2]
     if live:
-        pqs = [_window_pq(rows, cols) for _, rows, cols in live]
-        sizes = [len(p) for p, _ in pqs]
-        p = np.concatenate([p for p, _ in pqs])
-        q = np.concatenate([q for _, q in pqs])
+        pqs = {(r, c): _window_pq(*frames[r, c][:2], r.start) for _, r, c in live}
+        pq = [pqs[rows, cols] for _, rows, cols in live]
         del pqs
+        sizes = [len(p) for p, _ in pq]
+        p = np.concatenate([p for p, _ in pq])
+        q = np.concatenate([q for _, q in pq])
+        del pq
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite: raised below
             real = _displacement_real(p, q, np.repeat([mag2 for mag2, _, _ in live], sizes))
         ends = list(itertools.accumulate(sizes))
@@ -1080,21 +1094,17 @@ def _window_pass(windows):
         reals = iter([real[end - n : end] for n, end in zip(sizes, ends)])
         del p, q
     for beta, rows, cols, mag2 in windows:
-        offset = _window_offsets(rows, cols)
+        offset, upper, (forward, power, index) = frames[rows, cols]
         if not mag2:
             full = (offset == 0).astype(float)
-        elif rows == cols:
-            upper = offset <= 0
+        elif upper is not None:
             full = np.empty(offset.shape)
             full[upper] = full.T[upper] = next(reals)
         else:
             full = next(reals).reshape(offset.shape)
-        low = rows.start - cols.stop + 1  # smallest offset m - n
-        steps = np.arange(low, rows.stop - cols.start)
         beta = complex(beta)
         unit = beta / abs(beta) if mag2 else 1.0
-        phase = np.where(steps >= 0, unit, -unit.conjugate()) ** np.abs(steps)
-        yield full * phase[offset - low]
+        yield full * (np.where(forward, unit, -unit.conjugate()) ** power)[index]
 
 
 def _displacement_matrix(beta: complex, rows: range, cols: range) -> np.ndarray:
@@ -1347,7 +1357,9 @@ def _char_windows(mm: np.ndarray, kk: np.ndarray) -> list[tuple[range, range]]:
     block and each mode's displacement window.
     """
     _check_block(len(mm), len(kk))
-    windows = [(_index_range(mm[:, j]), _index_range(kk[:, j])) for j in range(mm.shape[1])]
+    cols = [_index_range(kk[:, j]) for j in range(kk.shape[1])]
+    rows = cols if mm is kk else [_index_range(mm[:, j]) for j in range(mm.shape[1])]
+    windows = list(zip(rows, cols))
     for rows, cols in windows:
         _check_block(len(rows), len(cols))
     return windows

@@ -140,11 +140,12 @@ def _mode_series(a: Symbol, z: Sequence[complex]):
     for mono, coeff in a.poly.items():
         series = []
         for j, zj in enumerate(z):
-            x = np.array([zj.conjugate() / 2, 0, zj / 2])
-            xi = np.array([1j * zj.conjugate() / 2, 0, -1j * zj / 2])
             s = np.ones(1, dtype=complex)
-            for factor in [x] * mono[j] + [xi] * mono[d + j]:
-                s = np.convolve(s, factor)
+            if mono[j] or mono[d + j]:
+                x = np.array([zj.conjugate() / 2, 0, zj / 2])
+                xi = np.array([1j * zj.conjugate() / 2, 0, -1j * zj / 2])
+                for factor in [x] * mono[j] + [xi] * mono[d + j]:
+                    s = np.convolve(s, factor)
             series.append(s)
         terms.append((coeff, series))
     for coeff, w in a.chars:

@@ -313,7 +313,9 @@ def test_sweep_non_finite_row_exits_4(workdir, monkeypatch):
     )
     monkeypatch.setattr(
         scarlab, "expectation",
-        lambda bra, ket, a, thetas, _groups: np.full((len(_groups), len(thetas)), complex(math.nan, 0.0)),
+        lambda bra, ket, a, thetas, _groups: np.full(
+            (len(_groups), len(thetas)), complex(math.nan, 0.0)
+        ),
     )
     rc = main(["sweep", str(workdir / "run.cfg"), "--out", str(workdir / "nan")])
     assert rc == 4

@@ -1328,7 +1328,7 @@ def test_grouped_characters_match_lone_calls_bit_for_bit(angles):
     ket = _random_sparse(rng, hbar, 15, 45, 25)
     for x, y in ((bra, ket), (ket, ket)):
         rows = expectation(x, y, union, thetas, _groups=[a.chars for a in probes])
-        assert rows.shape == (3,) if angles is None else (3, angles)
+        assert rows.shape == ((3,) if angles is None else (3, angles))
         for row, a in zip(rows, probes):
             want = expectation(x, y, a, thetas)
             assert np.array(row).tobytes() == np.array(want).tobytes()

@@ -311,7 +311,9 @@ def _nan_flow(monkeypatch, finite_base=False):
     )
     monkeypatch.setattr(
         scarlab, "expectation",
-        lambda bra, ket, a, thetas, _groups: np.array([stack("char", len(thetas)) for _ in _groups]),
+        lambda bra, ket, a, thetas, _groups: np.array(
+            [stack("char", len(thetas)) for _ in _groups]
+        ),
     )
     return calls
 
@@ -341,9 +343,8 @@ def test_invariance_keeps_a_non_finite_defect(dec12, monkeypatch):
     # angles; the character probes' rows come from one grouped pass, made
     # before the polynomial sums
     angles = 1 + dec12.d_omega * (scarlab.T_POINTS - 1)
-    assert calls == (
-        [("char", angles) for a in probes if a.chars] + [("poly", angles) for a in probes if not a.chars]
-    )
+    chars = [("char", angles) for a in probes if a.chars]
+    assert calls == chars + [("poly", angles) for a in probes if not a.chars]
     assert {kind for kind, _ in calls} == {"poly", "char"}
     with pytest.raises(NumericalError, match=r"row invariance:1 at hbar=0.1 \(flowed probe"):
         scarlab._require_finite(scarlab._residual_rows(dec12, state, (0.5, 0.5), probes, 0.1), probes)
@@ -745,7 +746,7 @@ def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
             # one ket per step and pair: the state of the gap and residual rows, or the pair's ket
             assert len({(k, v) for hh, s, k, v, _ in applied if (hh, s) == (h, same)}) == 1
             monos = {m for hh, s, _, _, m in applied if (hh, s) == (h, same)}
-            assert base <= monos if same else base == monos
+            assert (base <= monos) if same else (base == monos)
     groups = tuple(a.chars for a in probes if a.chars)
     assert len(groups) == 3  # char1, char2 and the mixed probe
     step = [(groups, True)]
