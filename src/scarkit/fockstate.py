@@ -1074,7 +1074,8 @@ def _window_pass(windows):
     frames = {k: _window_frame(*k) for k in dict.fromkeys((r, c) for _, r, c, _ in windows)}
     live = [(mag2, rows, cols) for _, rows, cols, mag2 in windows if mag2]
     if live:
-        pqs = {(r, c): _window_pq(*frames[r, c][:2], r.start) for _, r, c in live}
+        keys = dict.fromkeys((rows, cols) for _, rows, cols in live)
+        pqs = {k: _window_pq(*frames[k][:2], k[0].start) for k in keys}
         pq = [pqs[rows, cols] for _, rows, cols in live]
         del pqs
         sizes = [len(p) for p, _ in pq]
