@@ -845,7 +845,7 @@ def _complex_band(band: np.ndarray, b) -> np.ndarray:
     return out
 
 
-_SERIES_CHUNK = 1 << 12  # elements per series pass, bounding its (terms, elements) arrays
+_SERIES_CHUNK = 1 << 11  # elements per series pass, bounding its (terms, elements) arrays
 _ERROR_LIMIT = 2.0**8  # max scale * |t_i|, so a series element errs by ~2^8 eps at most
 _RECURRENCE_CAP = 1 << 14  # max degree p the recurrence runs to, about 0.15 s of numpy steps
 _KERNEL_CHUNK = 1 << 18  # elements per kernel pass of small windows
@@ -974,23 +974,29 @@ def _displacement_real(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarra
     The prefactor (_displacement_prefactor) times P = 1F1(-p; q+1; x)
     = L_p^q(x) / C(p+q, p). P comes from the series, or from one recurrence
     call for every element where the series fails. Prefactor and series run
-    _SERIES_CHUNK elements at a time, so the temporaries of a pass, whose
+    _SERIES_CHUNK elements at a time and keep only their product (and the
+    prefactor where the series failed), so the temporaries of a pass, whose
     prefactor holds about 15 arrays the size of its chunk, stay small
     however many windows share it; the table of log q! is built once per
     pass. Each element's arithmetic involves only its own (p, q, x), so its
     bits do not depend on the other elements.
     """
-    pref, P = np.empty(len(p)), np.empty(len(p))
+    out = np.empty(len(p))
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(int(q.max(initial=0)) + 1)])
+    slow, slow_pref = [], []
     for lo in range(0, len(p), _SERIES_CHUNK):
         part = slice(lo, lo + _SERIES_CHUNK)
-        pref[part] = _displacement_prefactor(p[part], q[part], x[part], log_fact)
-        P[part] = _laguerre_series(p[part], q[part], x[part], pref[part])
-    slow = np.isnan(P)
-    if slow.any():
-        P[slow] = _laguerre_recurrence(p[slow], q[slow], x[slow])
-    pref *= P
-    return pref
+        pref = _displacement_prefactor(p[part], q[part], x[part], log_fact)
+        P = _laguerre_series(p[part], q[part], x[part], pref)
+        out[part] = pref * P
+        failed = np.isnan(P)
+        if failed.any():
+            slow.append(lo + np.flatnonzero(failed))
+            slow_pref.append(pref[failed])
+    if slow:
+        at = np.concatenate(slow)
+        out[at] = np.concatenate(slow_pref) * _laguerre_recurrence(p[at], q[at], x[at])
+    return out
 
 
 def _beta_mag2(beta: complex) -> float:
@@ -1005,27 +1011,32 @@ def _beta_mag2(beta: complex) -> float:
     return mag2
 
 
-def _window_frame(rows: range, cols: range) -> tuple:
-    """What every window over (rows, cols) shares, whatever its beta: the
-    offsets m - n (m in rows down, n in cols across); the upper triangle
-    m <= n of a square window as a mask, else None; and the phase table's
-    steps low..high of m - n, as (steps >= 0, |steps|, each element's
-    position among the steps)."""
-    offset = np.arange(rows.start, rows.stop)[:, None] - np.arange(cols.start, cols.stop)
-    low = rows.start - cols.stop + 1  # smallest offset m - n
-    steps = np.arange(low, rows.stop - cols.start)
-    return offset, offset <= 0 if rows == cols else None, (steps >= 0, np.abs(steps), offset - low)
+def _window_offsets(rows: range, cols: range) -> np.ndarray:
+    """m - n over a window, m in rows down, n in cols across."""
+    return np.arange(rows.start, rows.stop)[:, None] - np.arange(cols.start, cols.stop)
 
 
-def _window_pq(offset: np.ndarray, upper, start: int) -> tuple[np.ndarray, np.ndarray]:
+def _window_pq(rows: range, cols: range, upper) -> tuple[np.ndarray, np.ndarray]:
     """p = min(m, n) and q = |m - n| of the elements a window evaluates, in
-    row-major order, from its _window_frame and first row: the upper
-    triangle of a square window, else all."""
+    row-major order: the upper triangle m <= n of a square window, marked
+    by the mask upper, else all (upper None)."""
     if upper is not None:
         i, j = np.nonzero(upper)
-        return i + start, j - i
-    p = np.arange(start, start + len(offset))[:, None] - np.maximum(offset, 0)
+        return i + rows.start, j - i
+    offset = _window_offsets(rows, cols)
+    p = np.arange(rows.start, rows.stop)[:, None] - np.maximum(offset, 0)
     return p.ravel(), np.abs(offset).ravel()
+
+
+def _window_phase(unit: complex, rows: range, cols: range) -> np.ndarray:
+    """unit^(m - n) where m >= n, else (-conj unit)^(n - m), over a window:
+    one table over the offsets m - n, read through a Toeplitz view, so no
+    per-element index or phase array is made."""
+    low = rows.start - cols.stop + 1  # smallest offset m - n
+    steps = np.arange(low, rows.stop - cols.start)
+    table = np.where(steps >= 0, unit, -unit.conjugate()) ** np.abs(steps)
+    s = table.itemsize  # element [i, j] reads table[i - j + len(cols) - 1], at m - n
+    return np.ndarray((len(rows), len(cols)), table.dtype, table, (len(cols) - 1) * s, (s, -s))
 
 
 def _displacement_windows(windows):
@@ -1070,18 +1081,20 @@ def _displacement_windows(windows):
 def _window_pass(windows):
     """The windows of _displacement_windows, (beta, rows, cols, |beta|^2) each,
     from one _displacement_real pass. Windows over the same (rows, cols),
-    the characters of one call in one mode, share one _window_frame."""
-    frames = {k: _window_frame(*k) for k in dict.fromkeys((r, c) for _, r, c, _ in windows)}
+    the characters of one call in one mode, share their upper-triangle mask
+    and their (p, q) arrays."""
+    keys = dict.fromkeys((rows, cols) for _, rows, cols, _ in windows)
+    uppers = {(r, c): _window_offsets(r, c) <= 0 if r == c else None for r, c in keys}
     live = [(mag2, rows, cols) for _, rows, cols, mag2 in windows if mag2]
     if live:
-        keys = dict.fromkeys((rows, cols) for _, rows, cols in live)
-        pqs = {k: _window_pq(*frames[k][:2], k[0].start) for k in keys}
-        pq = [pqs[rows, cols] for _, rows, cols in live]
+        pqs = {}
+        for _, rows, cols in live:
+            if (rows, cols) not in pqs:
+                pqs[rows, cols] = _window_pq(rows, cols, uppers[rows, cols])
+        sizes = [len(pqs[rows, cols][0]) for _, rows, cols in live]
+        p = np.concatenate([pqs[rows, cols][0] for _, rows, cols in live])
+        q = np.concatenate([pqs[rows, cols][1] for _, rows, cols in live])
         del pqs
-        sizes = [len(p) for p, _ in pq]
-        p = np.concatenate([p for p, _ in pq])
-        q = np.concatenate([q for _, q in pq])
-        del pq
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite: raised below
             real = _displacement_real(p, q, np.repeat([mag2 for mag2, _, _ in live], sizes))
         ends = list(itertools.accumulate(sizes))
@@ -1095,17 +1108,16 @@ def _window_pass(windows):
         reals = iter([real[end - n : end] for n, end in zip(sizes, ends)])
         del p, q
     for beta, rows, cols, mag2 in windows:
-        offset, upper, (forward, power, index) = frames[rows, cols]
+        upper = uppers[rows, cols]
         if not mag2:
-            full = (offset == 0).astype(float)
+            full = (_window_offsets(rows, cols) == 0).astype(float)
         elif upper is not None:
-            full = np.empty(offset.shape)
+            full = np.empty(upper.shape)
             full[upper] = full.T[upper] = next(reals)
         else:
-            full = next(reals).reshape(offset.shape)
+            full = next(reals).reshape(len(rows), len(cols))
         beta = complex(beta)
-        unit = beta / abs(beta) if mag2 else 1.0
-        yield full * (np.where(forward, unit, -unit.conjugate()) ** power)[index]
+        yield full * _window_phase(beta / abs(beta) if mag2 else 1.0, rows, cols)
 
 
 def _displacement_matrix(beta: complex, rows: range, cols: range) -> np.ndarray:
