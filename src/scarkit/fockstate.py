@@ -1258,7 +1258,7 @@ def _poly_sparse(
     rotation table) the result is one value per entry.
     """
     moments.update(
-        _moments(bra, ket_coeffs, tuple(mono for mono in poly if mono not in moments), hbar, dims)
+        _moments(bra, ket_coeffs, [mono for mono in poly if mono not in moments], hbar, dims)
     )
     total = 0j
     for mono, coeff in poly.items():

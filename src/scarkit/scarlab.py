@@ -208,7 +208,7 @@ def _pair_values(bra: FockState, ket: FockState, probes, chars) -> list[complex]
     one grouped expectation call (chars as _flow_tables gives it). Each value
     has the bits of a lone expectation(bra, ket, a)."""
     union = dict.fromkeys(m for a in probes for m in a.poly)
-    moments = _moments(bra, ket.coeffs, tuple(union), ket.hbar, ket.dims)
+    moments = _moments(bra, ket.coeffs, union, ket.hbar, ket.dims)
     rows = iter(expectation(bra, ket, chars[0], _groups=chars[1]) if chars else ())
     values = []
     for a in probes:
@@ -274,7 +274,7 @@ def residuals(
         probes = default_probes(decomp)
     thetas, tables, chars = _flow or _flow_tables(decomp, probes)
     union = dict.fromkeys(mono for table in tables for mono in table)
-    moments = _moments(state, state.coeffs, tuple(union), state.hbar, state.dims)
+    moments = _moments(state, state.coeffs, union, state.hbar, state.dims)
     rows = iter(expectation(state, state, chars[0], thetas, _groups=chars[1]) if chars else ())
     values = np.zeros((len(probes), len(thetas)), dtype=complex)  # one row per probe
     for value, a, table in zip(values, probes, tables):

@@ -945,7 +945,8 @@ def _reference_band(cols, a, b, hbar):
 
 def _reference_lookup(bra):
     """Function from an (..., d) array of indices to the bra's coefficients
-    there, 0 off its support: the per-index read the batched kernel replaced."""
+    there, 0 off its support, read index by index: the reference for the
+    batched reads of _bra_reads."""
     if bra.is_product:
         def lookup(idx):
             out = np.ones(idx.shape[:-1], dtype=complex)
