@@ -45,16 +45,17 @@ many small windows pays the kernel's fixed numpy cost once; an element's
 bits do not depend on the other elements of the pass.
 
 Given (A, d) flow angles thetas and two sparse states, expectation returns
-the A values of the symbol composed with each rotation. scarlab.residuals
-sends it the character parts of all probes in one grouped call, one row
-per probe; the polynomial parts come from the probes' rotation tables
-times one batched _moments map per sweep step. Sparse characters, at one
-zero angle or at many, for one probe or many, come from one routine
-(_char_sparse) by rotation covariance: one displacement window per
-(character, mode) at the unrotated beta, summed over each probe's
+the A values of the symbol composed with each rotation. scarlab sends it
+every probe of a state pair in one grouped call per kind: the probes'
+polynomial maps (rotation tables with thetas) read one batched _moments map
+for their union, and their characters share one window pass. Sparse
+characters, at one zero angle or at many, for one probe or many, come from
+one routine (_char_sparse) by rotation covariance: one displacement window
+per (character, mode) at the unrotated beta, summed over each probe's
 characters into one support block, and every angle read from it by one
 stacked product whose per-angle sums do not depend on the number of
-angles or probes, so angle 0 is the unrotated value bit for bit.
+angles or probes, so angle 0 is the unrotated value bit for bit. A product
+bra takes one routine (_char_product) against a product or a sparse ket.
 """
 from __future__ import annotations
 
@@ -119,6 +120,12 @@ class FockState:
             raise ValidationError("exactly one representation must be present")
         if len(self.cutoff) != self.dims:
             raise ValidationError("cutoff needs one entry per mode")
+        keys = self.coeffs or ()
+        if not (
+            all(type(k) is tuple and len(k) == self.dims for k in keys)
+            and all((type(v) is int or isinstance(v, np.integer)) and v >= 0 for k in keys for v in k)
+        ):
+            raise ValidationError(f"sparse indices must be tuples of {self.dims} nonnegative integers")
 
     @property
     def is_product(self) -> bool:
@@ -1246,26 +1253,6 @@ def _moments(bra: FockState, ket_coeffs: dict, monos, hbar: float, dims: int) ->
     return out
 
 
-def _poly_sparse(
-    bra: FockState, ket_coeffs: dict, poly, hbar: float, dims: int, moments: dict
-):
-    """sum over poly of coeff * <bra|Op(mono)|ket>, each moment read from `moments`.
-
-    `moments` maps a monomial to its moment for this one (bra, ket) pair;
-    the missing moments are computed by one _moments call and stored, so a
-    caller that keeps the map for a sweep step applies every monomial once
-    per step however many symbols it evaluates. With coefficient arrays (a
-    rotation table) the result is one value per entry.
-    """
-    moments.update(
-        _moments(bra, ket_coeffs, [mono for mono in poly if mono not in moments], hbar, dims)
-    )
-    total = 0j
-    for mono, coeff in poly.items():
-        total += coeff * moments[mono]
-    return total
-
-
 def _check_block(rows: int, cols: int) -> None:
     """Refuse a rows x cols character block before it is allocated."""
     if rows * cols > _BLOCK_CAP:
@@ -1285,17 +1272,32 @@ def _char_kernel(chars, hbar: float, ranges):
 
 
 def _char_product(bra: FockState, ket: FockState, chars, hbar: float, d: int) -> complex:
-    ranges = [(range(len(fa)), range(len(fb))) for fa, fb in zip(bra.factors, ket.factors)]
-    for rows, cols in ranges:
-        _check_block(len(rows), len(cols))
+    """sum over chars of coeff * <bra|D(beta)|ket> for a product bra.
+
+    Per (character, mode), the row conj(fa_j) @ D_j over the ket's index
+    range in that mode; then prod_j row_j @ fb_j for a product ket, or
+    sum_k c_k prod_j row_j[k_j] over a sparse ket's support.
+    """
+    if ket.is_product:
+        cols = [range(len(fb)) for fb in ket.factors]
+    else:
+        kk, vals = _support_arrays(ket.coeffs, d)
+        cols = [_index_range(kk[:, j]) for j in range(d)]
+    ranges = list(zip([range(len(fa)) for fa in bra.factors], cols))
+    for rows, span in ranges:
+        _check_block(len(rows), len(span))
     windows = _char_kernel(chars, hbar, ranges)
     total = 0j
     for coeff, _ in chars:
-        term = coeff
-        for fa, fb, D in zip(bra.factors, ket.factors, windows):
-            term *= complex(np.conjugate(fa) @ D @ fb)
-        total += term
-    return total
+        term = coeff if ket.is_product else np.ones(len(kk), dtype=complex)
+        for j, (fa, D) in enumerate(zip(bra.factors, windows)):
+            row = np.conjugate(fa) @ D
+            if ket.is_product:
+                term *= complex(row @ ket.factors[j])
+            else:
+                term *= row[kk[:, j] - cols[j].start]
+        total += term if ket.is_product else coeff * np.sum(term * vals)
+    return complex(total)
 
 
 def _char_sparse(bra_coeffs: dict, ket_coeffs: dict, groups, hbar: float, thetas) -> np.ndarray:
@@ -1347,22 +1349,6 @@ def _char_sparse(bra_coeffs: dict, ket_coeffs: dict, groups, hbar: float, thetas
     return out
 
 
-def _char_product_bra(bra: FockState, ket_coeffs: dict, chars, hbar: float, d: int) -> complex:
-    kk, vals = _support_arrays(ket_coeffs, d)
-    ranges = [(range(len(fa)), _index_range(kk[:, j])) for j, fa in enumerate(bra.factors)]
-    for rows, cols in ranges:
-        _check_block(len(rows), len(cols))
-    windows = _char_kernel(chars, hbar, ranges)
-    total = 0j
-    for coeff, _ in chars:
-        term = np.ones(len(kk), dtype=complex)
-        for j, (fa, (_, cols), D) in enumerate(zip(bra.factors, ranges, windows)):
-            row = np.conjugate(fa) @ D
-            term *= row[kk[:, j] - cols.start]
-        total += coeff * np.sum(term * vals)
-    return complex(total)
-
-
 def _char_windows(mm: np.ndarray, kk: np.ndarray) -> list[tuple[range, range]]:
     """Per-mode (rows, cols) index windows of a bra and a ket support.
 
@@ -1378,15 +1364,7 @@ def _char_windows(mm: np.ndarray, kk: np.ndarray) -> list[tuple[range, range]]:
     return windows
 
 
-def expectation(
-    bra: FockState,
-    ket: FockState,
-    a: Symbol,
-    thetas=None,
-    *,
-    _groups=None,
-    _moment_map: dict | None = None,
-):
+def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None, *, _groups=None):
     """<bra, Op_hbar(a) ket>, exact up to the states' tail bounds.
 
     Character terms evaluate <m|D(beta)|n> only for m and n inside the bra's
@@ -1401,14 +1379,16 @@ def expectation(
     from one _displacement_windows call: one kernel pass for windows of up
     to _KERNEL_CHUNK elements in all. A sparse state with no coefficients
     gives 0.
-    `_groups` and `_moment_map` are internal to scarlab, not part of the
-    interface. `_groups` is a list of character tuples, the characters of
-    several probes, and asks for one row per group, each equal to a lone
-    call on that group bit for bit, from one pass over the states: one
-    window pass, one set of support arrays and phase tables. `a` then
-    carries all of their characters, and its polynomial part is not
-    evaluated. `_moment_map` is a moment map of this (bra, ket) pair that
-    the polynomial part reads and extends (_poly_sparse).
+    `_groups` is internal to scarlab, not part of the interface: a list of
+    groups of one kind, on two sparse states, asking for one row per group
+    from one pass. If `a` has characters, each group is a character tuple,
+    and the pass is one window pass with one set of support arrays and
+    phase tables. Otherwise each group maps monomials to coefficients (with
+    thetas, a rotation table), and the pass is one _moments call for the
+    union of the groups; a row is sum coeff * moment over its own group, in
+    the group's order. `a` carries the union of the groups and is not
+    evaluated itself. A lone call on two sparse states is the one-group case
+    of each kind, so each row has the bits of a lone call on its group.
     """
     if bra.hbar != ket.hbar or bra.dims != ket.dims:
         raise ValidationError("states live in different spaces")
@@ -1424,29 +1404,30 @@ def expectation(
     if angles.ndim != 2 or angles.shape[1] != d:
         raise ValidationError("need one angle per mode")
     rows = np.zeros((1 if _groups is None else len(_groups), len(angles)), dtype=complex)
-    total = rows[0]
-    if {} in (bra.coeffs, ket.coeffs):  # a sparse state with no coefficients
-        pass
-    elif _groups is not None:
-        rows += _char_sparse(bra.coeffs, ket.coeffs, _groups, hbar, angles)
+    if _groups is None:  # a lone call: one group of each kind a has
+        polys = [a.poly if thetas is None else a.rotation_table(angles)[0]] if a.poly else []
+        chars = [a.chars] if a.chars else []
     else:
-        if a.poly:
-            if ket.is_product:
-                total += _poly_product(bra, ket, a.poly)
-            else:
-                poly = a.poly if thetas is None else a.rotation_table(angles)[0]
-                moments = {} if _moment_map is None else _moment_map
-                total += _poly_sparse(bra, ket.coeffs, poly, hbar, d, moments)
-        if a.chars:
-            if ket.is_product:
-                total += _char_product(bra, ket, a.chars, hbar, d)
-            elif bra.is_product:
-                total += _char_product_bra(bra, ket.coeffs, a.chars, hbar, d)
-            else:
-                total += _char_sparse(bra.coeffs, ket.coeffs, [a.chars], hbar, angles)[0]
+        polys, chars = ([], _groups) if a.chars else (_groups, [])
+    if {} in (bra.coeffs, ket.coeffs):  # a sparse state with no coefficients
+        polys, chars = [], []
+    if polys and ket.is_product:
+        rows += _poly_product(bra, ket, a.poly)
+    elif polys:
+        moments = _moments(bra, ket.coeffs, dict.fromkeys(m for g in polys for m in g), hbar, d)
+        for row, group in zip(rows, polys):
+            total = 0j
+            for mono, coeff in group.items():
+                total += coeff * moments[mono]
+            row += total
+    if chars:
+        if bra.is_product:
+            rows += _char_product(bra, ket, a.chars, hbar, d)
+        else:
+            rows += _char_sparse(bra.coeffs, ket.coeffs, chars, hbar, angles)
     if _groups is not None:
         return rows if thetas is not None else rows[:, 0]
-    return complex(total[0]) if thetas is None else total
+    return complex(rows[0, 0]) if thetas is None else rows[0]
 
 
 # ---------------------------------------------------------------------------

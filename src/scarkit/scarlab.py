@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, OverlappingToriError, ScarkitError, ValidationError
-from .fockstate import (
-    FockState,
-    ScarState,
-    _moments,
-    _poly_sparse,
-    expectation,
-    normalize_scar,
-)
+from .fockstate import FockState, ScarState, expectation, normalize_scar
 from .freqarith import HarmonicDecomposition
 from .phasespace import (
     PhasePoint,
@@ -184,41 +177,47 @@ def convex_scar(
     return combined
 
 
-def _flow_tables(decomp: HarmonicDecomposition, probes) -> tuple[list, list, tuple | None]:
-    """residuals' stacked angle grid, each probe's polynomial rotation table
-    on it, and the probes' characters as the arguments of one grouped
-    expectation call: the symbol of all of them and one group per character
-    probe, or None when no probe has a character. The grid is angle 0, then
-    each component's T_POINTS - 1 flow angles over one period, in component
-    order."""
+def _passes(dims: int, polys, probes) -> list:
+    """The grouped expectation calls that evaluate every probe on one state
+    pair, one (symbol, groups, probe rows) per kind some probe has:
+    polynomial first, with polys[p] probe p's polynomial map or rotation
+    table, then characters. The symbol carries the union of its groups and
+    so names the kind; groups[i] is the part of probe rows[i]."""
+    passes = []
+    rows = [p for p, poly in enumerate(polys) if poly]
+    if rows:
+        groups = [polys[p] for p in rows]
+        passes.append((Symbol(dims, dict.fromkeys((m for g in groups for m in g), 1.0)), groups, rows))
+    rows = [p for p, a in enumerate(probes) if a.chars]
+    if rows:
+        groups = [probes[p].chars for p in rows]
+        passes.append((Symbol(dims, {}, [c for g in groups for c in g]), groups, rows))
+    return passes
+
+
+def _flow_tables(decomp: HarmonicDecomposition, probes) -> tuple[np.ndarray, list]:
+    """residuals' stacked angle grid and the passes (_passes) of the probes'
+    rotation tables on it. The grid is angle 0, then each component's
+    T_POINTS - 1 flow angles over one period, in component order."""
+    if any(a.dims != decomp.dims for a in probes):
+        raise ValidationError("symbol mode count does not match the decomposition")
     rates = flow_rates(decomp)
     thetas = [[0.0] * decomp.dims]
     for n, comp in enumerate(decomp.components):
         times = [comp.period * i / T_POINTS for i in range(1, T_POINTS)]
         thetas.extend([rates[n][j] * t for j in range(decomp.dims)] for t in times)
-    groups = [a.chars for a in probes if a.chars]
-    chars = (Symbol(decomp.dims, {}, [c for g in groups for c in g]), groups) if groups else None
-    return thetas, [a.rotation_table(thetas)[0] for a in probes], chars
+    thetas = np.array(thetas)  # one array for both calls of every step
+    return thetas, _passes(decomp.dims, [a.rotation_table(thetas)[0] for a in probes], probes)
 
 
-def _pair_values(bra: FockState, ket: FockState, probes, chars) -> list[complex]:
-    """<bra, Op(a) ket> for every probe, from one pass over the pair: one
-    _moments map for the union of the probes' monomials, which each probe's
-    polynomial part reads through expectation, and every character probe in
-    one grouped expectation call (chars as _flow_tables gives it). Each value
-    has the bits of a lone expectation(bra, ket, a)."""
-    union = dict.fromkeys(m for a in probes for m in a.poly)
-    moments = _moments(bra, ket.coeffs, union, ket.hbar, ket.dims)
-    rows = iter(expectation(bra, ket, chars[0], _groups=chars[1]) if chars else ())
-    values = []
-    for a in probes:
-        val = 0j
-        if a.poly:
-            part = Symbol(a.dims, a.poly, (), a.label) if a.chars else a
-            val += expectation(bra, ket, part, _moment_map=moments)
-        if a.chars:
-            val += complex(next(rows))
-        values.append(val)
+def _probe_values(bra: FockState, ket: FockState, passes, count: int, thetas=None) -> np.ndarray:
+    """<bra, Op(a) ket> for each of `count` probes, one row per probe with
+    one entry per angle of thetas (one entry without), from one grouped
+    expectation call per pass of _passes; each row adds its polynomial part,
+    then its characters, to 0, with the bits of a lone expectation call."""
+    values = np.zeros((count, 1 if thetas is None else len(thetas)), dtype=complex)
+    for symbol, groups, rows in passes:
+        values[rows] += expectation(bra, ket, symbol, thetas, _groups=groups).reshape(len(rows), -1)
     return values
 
 
@@ -238,16 +237,12 @@ def residuals(
     period of |<Op(a o flow_n(t))> - <Op(a)>|, exact Egorov making 16 points
     enough.
     Each probe is flowed over one stacked grid: angle 0, which gives the
-    base value <Op(a)>, then every component's T_POINTS - 1 angles. Its
-    polynomial part is its rotation table times the moments of one batched
-    _moments call made before the probe loop for the union of every table,
-    so each monomial is applied to the state once per sweep step. The
-    character parts of all probes go to one grouped expectation call on
-    (state, state, thetas), one row per probe: one displacement window per
-    (character, mode), all of them in one kernel pass, serves every base
-    value and angle, the support arrays and phase tables are formed once,
-    and one stacked product per probe reads every angle, each with the sums
-    a lone angle of a lone probe would take.
+    base value <Op(a)>, then every component's T_POINTS - 1 angles. The
+    probes' rotation tables go to one grouped expectation call on (state,
+    state, thetas), and their characters to another (_probe_values), so
+    each monomial is applied to the state once per sweep step and each
+    (character, mode) window is evaluated once for every base value and
+    angle, each row with the bits of a lone expectation call.
     `_bases` and `_flow` are internal to sweep, not part of the interface:
     a list passed as `_bases` receives the base values, unnormalized and in
     probe order, and sweep reads every gap row from it; `_flow` is
@@ -272,16 +267,8 @@ def residuals(
         concentration.append(acc / norm2)
     if probes is None:
         probes = default_probes(decomp)
-    thetas, tables, chars = _flow or _flow_tables(decomp, probes)
-    union = dict.fromkeys(mono for table in tables for mono in table)
-    moments = _moments(state, state.coeffs, union, state.hbar, state.dims)
-    rows = iter(expectation(state, state, chars[0], thetas, _groups=chars[1]) if chars else ())
-    values = np.zeros((len(probes), len(thetas)), dtype=complex)  # one row per probe
-    for value, a, table in zip(values, probes, tables):
-        if table:
-            value += _poly_sparse(state, state.coeffs, table, state.hbar, state.dims, moments)
-        if a.chars:
-            value += next(rows)
+    thetas, passes = _flow or _flow_tables(decomp, probes)
+    values = _probe_values(state, state, passes, len(probes), thetas)  # one row per probe
     if _bases is not None:
         _bases.extend(values[:, 0].tolist())
     moved = values[:, 1:].reshape(len(probes), decomp.d_omega, T_POINTS - 1)
@@ -473,6 +460,7 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
             sum(alpha * averages[i][p] for i, (_, alpha) in enumerate(pts))
             for p in range(len(probes))
         ]
+        cross = _passes(decomp.dims, [a.poly for a in probes], probes)  # the cross rows' calls
     else:
         z0 = config.z0
         if z0 is None:
@@ -503,8 +491,8 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
                 val /= nrm**2
             rows.append((hbar, f"gap:{a.label}", val, complex(ref), abs(val - ref)))
         for i, j in itertools.combinations(range(len(parts)), 2):
-            values = _pair_values(parts[i].state, parts[j].state, probes, flow[2])
-            for a, val in zip(probes, values):
+            values = _probe_values(parts[i].state, parts[j].state, cross, len(probes))
+            for a, val in zip(probes, values[:, 0].tolist()):
                 rows.append((hbar, f"cross:{i + 1}-{j + 1}:{a.label}", val, 0j, abs(val)))
         rows.extend(residual_rows)
         _require_finite(rows, probes)

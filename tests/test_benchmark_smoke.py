@@ -4,8 +4,9 @@ Each workload runs one short repetition through perfbench/run.py, whose
 correctness gate compares seed-independent rows with
 perfbench/reference.json; a row that drifts fails here. One traced
 simplex-scan repetition checks that the layer hooks of perfbench/spans.py
-still attach to src/ and report every layer, and one traced d2-char
-repetition that its character expectations are traced.
+still attach to src/ and report every layer; one traced d2-char and one
+traced d3-poly repetition check that their character and polynomial
+expectations are traced.
 """
 import importlib.util
 import json
@@ -68,3 +69,6 @@ def test_traced_smoke_reports_every_layer():
     # the flowed character pass of d2-char goes through expectation, so its
     # character span keeps firing
     assert _traced_metrics("d2-char")["fockstate.expect_char.calls"]["value"] > 0
+    # and the moment pass of d3-poly's polynomial probes goes through it too,
+    # so it is booked to fockstate.expect_poly, not to scarlab.residuals
+    assert _traced_metrics("d3-poly")["fockstate.expect_poly.calls"]["value"] > 0

@@ -304,13 +304,7 @@ def test_sweep_non_finite_row_exits_4(workdir, monkeypatch):
     from scarkit import scarlab
 
     # every gap row is the unrotated value of the flowed probe: make the
-    # whole flowed pass, polynomial sums and characters, NaN
-    monkeypatch.setattr(
-        scarlab, "_poly_sparse",
-        lambda bra, ket_coeffs, table, hbar, dims, moments: np.full(
-            len(next(iter(table.values()))), complex(math.nan, 0.0)
-        ),
-    )
+    # whole flowed pass, its grouped polynomial and character calls, NaN
     monkeypatch.setattr(
         scarlab, "expectation",
         lambda bra, ket, a, thetas, _groups: np.full(

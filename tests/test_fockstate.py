@@ -55,7 +55,7 @@ from scarkit.freqarith import (
 )
 from scarkit.phasespace import PhasePoint, component_energies, sigma_membership
 from scarkit.spectral import decompose_eigenvalue, eigenvalue, select_target
-from scarkit.symbols import character, mode_energy, momentum, monomial, position
+from scarkit.symbols import Symbol, character, mode_energy, momentum, monomial, position
 
 F = Fraction
 
@@ -1333,6 +1333,56 @@ def test_grouped_characters_match_lone_calls_bit_for_bit(angles):
         for row, a in zip(rows, probes):
             want = expectation(x, y, a, thetas)
             assert np.array(row).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("angles", [None, 1, 31])
+def test_grouped_polynomials_match_lone_calls_bit_for_bit(angles, monkeypatch):
+    # one grouped call gives one row per polynomial group, each with the bits
+    # of a lone call on that group, from one moment call for the union of the
+    # groups: a monomial two probes share is applied once
+    from scarkit import fockstate
+
+    rng = np.random.default_rng(13)
+    hbar = 0.05
+    probes = [
+        position(2, 0, 2) + monomial(2, (1, 0, 0, 1), 0.3 - 0.2j),
+        monomial(2, (2, 0, 0, 0), -0.7) + monomial(2, (0, 0, 2, 1), 1.1j),
+        mode_energy(2, 1),
+    ]
+    thetas = None if angles is None else rng.uniform(-3.0, 3.0, size=(angles, 2))
+    groups = [a.poly if thetas is None else a.rotation_table(thetas)[0] for a in probes]
+    assert set(groups[0]) & set(groups[1])  # the probes share x1^2, rotated or not
+    union = Symbol(2, dict.fromkeys((m for g in groups for m in g), 1.0))
+    bra = _random_sparse(rng, hbar, 10, 40, 25)
+    ket = _random_sparse(rng, hbar, 15, 45, 25)
+    calls = []
+    original = fockstate._moments
+
+    def counting(bra, ket_coeffs, monos, hbar, dims):
+        calls.append(list(monos))
+        return original(bra, ket_coeffs, monos, hbar, dims)
+
+    for x, y in ((bra, ket), (ket, ket)):
+        monkeypatch.setattr(fockstate, "_moments", counting)
+        rows = expectation(x, y, union, thetas, _groups=groups)
+        monkeypatch.setattr(fockstate, "_moments", original)
+        assert rows.shape == ((3,) if angles is None else (3, angles))
+        for row, a in zip(rows, probes):
+            want = expectation(x, y, a, thetas)
+            assert np.array(row).tobytes() == np.array(want).tobytes()
+    monos, _ = calls  # one call per state pair
+    assert monos == list(union.poly)  # the union, each monomial once
+    assert len(monos) < sum(len(g) for g in groups)
+
+
+def test_sparse_keys_must_be_nonnegative_integer_tuples():
+    # a negative index used to enter the kernels silently, and a key of the
+    # wrong length failed in numpy with a bare "cannot reshape"
+    for key in ((-1, 0), (1,), (1, 0, 2), (1.0, 0), 1):
+        with pytest.raises(ValidationError, match="sparse indices must be tuples of 2 nonnegative"):
+            FockState(0.1, 2, (3, 3), 0.0, coeffs={key: 1.0 + 0j, (1, 0): 1.0 + 0j})
+    ok = FockState(0.1, 2, (3, 3), 0.0, coeffs={(np.int64(1), 0): 1.0 + 0j, (0, 3): 0.5j})
+    assert ok.coefficient((1, 0)) == 1.0
 
 
 @pytest.mark.parametrize("angles", [None, 4])
