@@ -1263,7 +1263,10 @@ def _check_block(rows: int, cols: int) -> None:
 
 def _char_kernel(chars, hbar: float, ranges):
     """The window of every (character, mode) over the per-mode (rows, cols)
-    ranges, character by character, from one _displacement_windows pass."""
+    ranges, character by character, from one _displacement_windows pass.
+    Each window's cap is checked here, before any window is computed."""
+    for rows, cols in ranges:
+        _check_block(len(rows), len(cols))
     return _displacement_windows([
         (beta, rows, cols)
         for _, w in chars
@@ -1283,20 +1286,21 @@ def _char_product(bra: FockState, ket: FockState, chars, hbar: float, d: int) ->
     else:
         kk, vals = _support_arrays(ket.coeffs, d)
         cols = [_index_range(kk[:, j]) for j in range(d)]
-    ranges = list(zip([range(len(fa)) for fa in bra.factors], cols))
-    for rows, span in ranges:
-        _check_block(len(rows), len(span))
-    windows = _char_kernel(chars, hbar, ranges)
+    windows = _char_kernel(chars, hbar, list(zip([range(len(fa)) for fa in bra.factors], cols)))
     total = 0j
+    if ket.is_product:
+        for coeff, _ in chars:
+            term = coeff
+            for fa, fb, D in zip(bra.factors, ket.factors, windows):
+                term *= complex(np.conjugate(fa) @ D @ fb)
+            total += term
+        return total
     for coeff, _ in chars:
-        term = coeff if ket.is_product else np.ones(len(kk), dtype=complex)
+        term = np.ones(len(kk), dtype=complex)
         for j, (fa, D) in enumerate(zip(bra.factors, windows)):
             row = np.conjugate(fa) @ D
-            if ket.is_product:
-                term *= complex(row @ ket.factors[j])
-            else:
-                term *= row[kk[:, j] - cols[j].start]
-        total += term if ket.is_product else coeff * np.sum(term * vals)
+            term *= row[kk[:, j] - cols[j].start]
+        total += coeff * np.sum(term * vals)
     return complex(total)
 
 
@@ -1352,16 +1356,13 @@ def _char_sparse(bra_coeffs: dict, ket_coeffs: dict, groups, hbar: float, thetas
 def _char_windows(mm: np.ndarray, kk: np.ndarray) -> list[tuple[range, range]]:
     """Per-mode (rows, cols) index windows of a bra and a ket support.
 
-    Every cap is checked here, before anything is allocated: the bra x ket
-    block and each mode's displacement window.
+    The bra x ket block's cap is checked here, before anything is
+    allocated; each mode's displacement window is checked by _char_kernel.
     """
     _check_block(len(mm), len(kk))
     cols = [_index_range(kk[:, j]) for j in range(kk.shape[1])]
     rows = cols if mm is kk else [_index_range(mm[:, j]) for j in range(mm.shape[1])]
-    windows = list(zip(rows, cols))
-    for rows, cols in windows:
-        _check_block(len(rows), len(cols))
-    return windows
+    return list(zip(rows, cols))
 
 
 def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None, *, _groups=None):
@@ -1381,12 +1382,12 @@ def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None, *, _grou
     gives 0.
     `_groups` is internal to scarlab, not part of the interface: a list of
     groups of one kind, on two sparse states, asking for one row per group
-    from one pass. If `a` has characters, each group is a character tuple,
-    and the pass is one window pass with one set of support arrays and
-    phase tables. Otherwise each group maps monomials to coefficients (with
-    thetas, a rotation table), and the pass is one _moments call for the
-    union of the groups; a row is sum coeff * moment over its own group, in
-    the group's order. `a` carries the union of the groups and is not
+    from one pass. A group that maps monomials to coefficients (with
+    thetas, a rotation table) is polynomial, and the pass is one _moments
+    call for the union of the groups; a row is sum coeff * moment over its
+    own group, in the group's order. Otherwise each group is a character
+    tuple, and the pass is one window pass with one set of support arrays
+    and phase tables. `a` carries the union of the groups and is not
     evaluated itself. A lone call on two sparse states is the one-group case
     of each kind, so each row has the bits of a lone call on its group.
     """
@@ -1408,7 +1409,7 @@ def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None, *, _grou
         polys = [a.poly if thetas is None else a.rotation_table(angles)[0]] if a.poly else []
         chars = [a.chars] if a.chars else []
     else:
-        polys, chars = ([], _groups) if a.chars else (_groups, [])
+        polys, chars = ([], _groups) if _groups and not isinstance(_groups[0], dict) else (_groups, [])
     if {} in (bra.coeffs, ket.coeffs):  # a sparse state with no coefficients
         polys, chars = [], []
     if polys and ket.is_product:
@@ -1416,10 +1417,8 @@ def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None, *, _grou
     elif polys:
         moments = _moments(bra, ket.coeffs, dict.fromkeys(m for g in polys for m in g), hbar, d)
         for row, group in zip(rows, polys):
-            total = 0j
             for mono, coeff in group.items():
-                total += coeff * moments[mono]
-            row += total
+                row += coeff * moments[mono]
     if chars:
         if bra.is_product:
             rows += _char_product(bra, ket, a.chars, hbar, d)

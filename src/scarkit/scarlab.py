@@ -181,8 +181,9 @@ def _passes(dims: int, polys, probes) -> list:
     """The grouped expectation calls that evaluate every probe on one state
     pair, one (symbol, groups, probe rows) per kind some probe has:
     polynomial first, with polys[p] probe p's polynomial map or rotation
-    table, then characters. The symbol carries the union of its groups and
-    so names the kind; groups[i] is the part of probe rows[i]."""
+    table, then characters. The symbol carries the union of its groups,
+    each monomial or window with coefficient 1 so that none cancels, and so
+    names the kind; groups[i] is the part of probe rows[i]."""
     passes = []
     rows = [p for p, poly in enumerate(polys) if poly]
     if rows:
@@ -191,7 +192,7 @@ def _passes(dims: int, polys, probes) -> list:
     rows = [p for p, a in enumerate(probes) if a.chars]
     if rows:
         groups = [probes[p].chars for p in rows]
-        passes.append((Symbol(dims, {}, [c for g in groups for c in g]), groups, rows))
+        passes.append((Symbol(dims, {}, [(1.0, w) for g in groups for _, w in g]), groups, rows))
     return passes
 
 

@@ -864,6 +864,38 @@ def test_sweep_gap_rows_match_standalone_expectation_bit_for_bit(convex):
             assert _hex(gaps[h, f"gap:{a.label}"]) == _hex(want), a.label
 
 
+def test_probes_whose_characters_cancel_keep_their_rows():
+    # char(w) and -char(w), cos(x1) and -cos(x1): the characters of the
+    # probes add up to 0, yet each gap and cross row is its own probe's value,
+    # with the bits of a lone expectation call
+    from scarkit.fockstate import expectation
+    from scarkit.symbols import parse_symbol
+
+    decomp = make_dec([[F(1)], [F(1)]], ("one",))
+    za = PhasePoint(x=(math.sqrt(1.5), math.sqrt(0.5)), xi=(0.0, 0.0))
+    zb = PhasePoint(x=(math.sqrt(0.5), math.sqrt(1.5)), xi=(0.0, 0.0))
+    w = "0.3 0.1 -0.2 0.5"
+    cos = f"0.5*char({w}) + 0.5*char(-0.3 -0.1 0.2 -0.5)"
+    texts = [f"char({w})", f"-char({w})", cos, f"-{cos.replace(' + ', ' - ')}", "x1"]
+    probes = tuple(parse_symbol(t, 2) for t in texts)
+    assert (probes[0] + probes[1] + probes[2] + probes[3]).chars == ()
+    cfg = SweepConfig(decomp, (1.0,), (0.1, 0.05), points=((za, 0.5), (zb, 0.5)), probes=probes)
+    report = sweep(cfg)
+    assert report.errors == ()
+    got = {(h, name): v for h, name, v, _, _ in report.rows}
+    for h in cfg.hbars:
+        parts, _, state = scarlab._convex_parts(decomp, cfg.points, cfg.E, h, cfg.tail_tol)
+        for a in probes:
+            want = expectation(state, state, a) / state.norm() ** 2
+            assert _hex(got[h, f"gap:{a.label}"]) == _hex(want), a.label
+            want = expectation(parts[0].state, parts[1].state, a)
+            assert _hex(got[h, f"cross:1-2:{a.label}"]) == _hex(want), a.label
+    state = parts[0].state
+    bases = []
+    residuals(decomp, state, cfg.E, probes, _bases=bases)
+    assert [_hex(v) for v in bases] == [_hex(expectation(state, state, a)) for a in probes]
+
+
 def test_sweep_step_takes_one_window_per_character_and_mode(monkeypatch):
     # the gap rows of characters read the flowed pass: a step evaluates each
     # (character, mode) window once, not once for the flow and once for the gap,
