@@ -45,17 +45,16 @@ many small windows pays the kernel's fixed numpy cost once; an element's
 bits do not depend on the other elements of the pass.
 
 Given (A, d) flow angles thetas and two sparse states, expectation returns
-the A values of the symbol composed with each rotation. scarlab sends it
-every probe of a state pair in one grouped call per kind: the probes'
-polynomial maps (rotation tables with thetas) read one batched _moments map
-for their union, and their characters share one window pass. Sparse
-characters, at one zero angle or at many, for one probe or many, come from
-one routine (_char_sparse) by rotation covariance: one displacement window
-per (character, mode) at the unrotated beta, summed over each probe's
-characters into one support block, and every angle read from it by one
-stacked product whose per-angle sums do not depend on the number of
-angles or probes, so angle 0 is the unrotated value bit for bit. A product
-bra takes one routine (_char_product) against a product or a sparse ket.
+the A values of the symbol composed with each rotation. Both kinds flow by
+rotation covariance, the flow being diagonal in the number basis, and no
+symbol is rotated: a polynomial moment is summed over the support once per
+box offset o, then weighted by e^{i theta.o} (_moments); a character takes
+one displacement window per (character, mode) at the unrotated beta,
+summed over each probe's characters into one support block that every
+angle reads (_char_sparse). Per-angle sums do not depend on the number of
+angles or probes, so angle 0 is the unrotated value bit for bit. scarlab
+sends every probe of a state pair in one grouped call per kind, and a
+product bra takes one routine (_char_product) against any ket.
 """
 from __future__ import annotations
 
@@ -1217,8 +1216,9 @@ def _bra_reads(bra: FockState, ket_coeffs: dict, keys, vals, shifts: np.ndarray)
     return np.conjugate(np.where(inside & (codes[pos] == code), bvals[pos], 0))
 
 
-def _moments(bra: FockState, ket_coeffs: dict, monos, hbar: float, dims: int) -> dict:
-    """<bra|Op(x^a xi^b)|ket> for every monomial in monos, as a map from monomial to moment.
+def _moments(bra: FockState, ket_coeffs: dict, monos, hbar: float, thetas: np.ndarray) -> dict:
+    """<bra|Op(x^a xi^b o rotation by thetas[i])|ket> for every monomial in
+    monos, as a map from monomial to its A values, thetas an (A, d) array.
 
     The monomials' _MomentPlan comes from a bounded cache, so its words,
     boxes and shifts are built once for every call that asks for the same
@@ -1227,29 +1227,35 @@ def _moments(bra: FockState, ket_coeffs: dict, monos, hbar: float, dims: int) ->
     takes its factor i^b (_complex_band), and one _bra_reads call reads the
     bra at k + offset for every box. The monomials of one box are weighted
     together: the outer product of a monomial's bands over the box times
-    the ket amplitude is the matrix element from k to k + offset. Each
-    moment is then one sum over its own S x B products, in the order a lone
-    monomial would take, so its bits do not depend on which other monomials
-    share the call. An empty ket gives 0.
+    the ket amplitude is the matrix element from k to k + offset. A moment
+    is summed over the support first, W_o = sum_k conj(bra_{k+o}) ket_k
+    <k+o|Op|k> per offset o, and angle theta is then sum_o W_o e^{i theta.o}:
+    the flow is diagonal in the number basis (rotation covariance). These
+    are elementwise products and last-axis sums, with no matrix product, so
+    an angle's bits do not depend on the other angles (a lone call is the
+    angle 0) nor a moment's on the other monomials. An empty ket gives 0.
     """
     if not monos:
         return {}
+    dims = thetas.shape[1]
     plan = _moment_plan(tuple(monos), dims)
     keys, vals = _support_arrays(ket_coeffs, dims)
     if not len(keys):
-        return dict.fromkeys(monos, 0j)
+        return dict.fromkeys(monos, np.zeros(len(thetas), dtype=complex))
     bands = _ladder_bands(keys[:, list(plan.modes)].T, plan, hbar)
     bands = _complex_band(bands, [b for _, _, b in plan.bands])
     R = bands.shape[2] // 2
     reads = _bra_reads(bra, ket_coeffs, keys, vals, plan.shifts)
+    phase = np.exp(1j * (thetas[:, None, :] * plan.shifts).sum(axis=2))  # (A, offsets)
     out = {}
     for members, rows, table, radii in plan.groups:
         weight = vals[None, :, None]
         for i, r in enumerate(radii):
             band = bands[table[:, i], :, R - r : R + r + 1]
             weight = (weight[..., None] * band[:, :, None, :]).reshape(len(members), len(keys), -1)
-        sums = (reads[:, rows] * weight).reshape(len(members), -1).sum(axis=1)
-        out.update(zip(members, sums.tolist()))
+        per_offset = (reads[:, rows] * weight).sum(axis=1)  # (members, box offsets)
+        sums = (per_offset[:, None, :] * phase[None, :, rows]).sum(axis=2)
+        out.update(zip(members, sums))
     return out
 
 
@@ -1373,23 +1379,23 @@ def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None, *, _grou
     those elements is not finite (large m and n at once).
     With thetas, an (A, d) array of flow angles, both states must be sparse
     and the result is the array of the A values <bra, Op_hbar(a o rotation
-    by thetas[i]) ket>: the polynomial part through a.rotation_table(thetas)
-    and one batched _moments call, the characters by rotation covariance
-    (_char_sparse), so the displacement windows do not grow with A.
+    by thetas[i]) ket>, both kinds by rotation covariance and no symbol
+    rotated: the polynomial part from one _moments call, the characters
+    from _char_sparse, so neither the moments nor the windows grow with A.
     Every (character, mode) window of a call, in any representation, comes
     from one _displacement_windows call: one kernel pass for windows of up
     to _KERNEL_CHUNK elements in all. A sparse state with no coefficients
     gives 0.
     `_groups` is internal to scarlab, not part of the interface: a list of
     groups of one kind, on two sparse states, asking for one row per group
-    from one pass. A group that maps monomials to coefficients (with
-    thetas, a rotation table) is polynomial, and the pass is one _moments
-    call for the union of the groups; a row is sum coeff * moment over its
-    own group, in the group's order. Otherwise each group is a character
-    tuple, and the pass is one window pass with one set of support arrays
-    and phase tables. `a` carries the union of the groups and is not
-    evaluated itself. A lone call on two sparse states is the one-group case
-    of each kind, so each row has the bits of a lone call on its group.
+    from one pass. A group that maps monomials to coefficients is
+    polynomial, and the pass is one _moments call for the union of the
+    groups; a row is sum coeff * moment over its own group, in the group's
+    order. Otherwise each group is a character tuple, and the pass is one
+    window pass with one set of support arrays and phase tables. `a` carries
+    the union of the groups and is not evaluated itself. A lone call on two
+    sparse states is the one-group case of each kind, so each row has the
+    bits of a lone call on its group.
     """
     if bra.hbar != ket.hbar or bra.dims != ket.dims:
         raise ValidationError("states live in different spaces")
@@ -1406,7 +1412,7 @@ def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None, *, _grou
         raise ValidationError("need one angle per mode")
     rows = np.zeros((1 if _groups is None else len(_groups), len(angles)), dtype=complex)
     if _groups is None:  # a lone call: one group of each kind a has
-        polys = [a.poly if thetas is None else a.rotation_table(angles)[0]] if a.poly else []
+        polys = [a.poly] if a.poly else []
         chars = [a.chars] if a.chars else []
     else:
         polys, chars = ([], _groups) if _groups and not isinstance(_groups[0], dict) else (_groups, [])
@@ -1415,7 +1421,7 @@ def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None, *, _grou
     if polys and ket.is_product:
         rows += _poly_product(bra, ket, a.poly)
     elif polys:
-        moments = _moments(bra, ket.coeffs, dict.fromkeys(m for g in polys for m in g), hbar, d)
+        moments = _moments(bra, ket.coeffs, dict.fromkeys(m for g in polys for m in g), hbar, angles)
         for row, group in zip(rows, polys):
             for mono, coeff in group.items():
                 row += coeff * moments[mono]
@@ -1434,6 +1440,8 @@ def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None, *, _grou
 
 def evolve(state: FockState, decomp: HarmonicDecomposition, t: float) -> FockState:
     """e^{-i t Op(H)/hbar} state: phase e^{-i t (omega.k + |omega|_1/2)} per index."""
+    if state.dims != decomp.dims:
+        raise ValidationError(f"state has {state.dims} mode(s), the decomposition {decomp.dims}")
     omega = decomp.spec.numeric
     half = sum(omega) / 2.0
     if state.is_product:

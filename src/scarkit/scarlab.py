@@ -177,17 +177,16 @@ def convex_scar(
     return combined
 
 
-def _passes(dims: int, polys, probes) -> list:
+def _passes(dims: int, probes) -> list:
     """The grouped expectation calls that evaluate every probe on one state
     pair, one (symbol, groups, probe rows) per kind some probe has:
-    polynomial first, with polys[p] probe p's polynomial map or rotation
-    table, then characters. The symbol carries the union of its groups,
-    each monomial or window with coefficient 1 so that none cancels, and so
-    names the kind; groups[i] is the part of probe rows[i]."""
+    polynomial maps first, then characters. The symbol carries the union of
+    its groups, each monomial or window with coefficient 1 so that none
+    cancels, and so names the kind; groups[i] is the part of probe rows[i]."""
     passes = []
-    rows = [p for p, poly in enumerate(polys) if poly]
+    rows = [p for p, a in enumerate(probes) if a.poly]
     if rows:
-        groups = [polys[p] for p in rows]
+        groups = [probes[p].poly for p in rows]
         passes.append((Symbol(dims, dict.fromkeys((m for g in groups for m in g), 1.0)), groups, rows))
     rows = [p for p, a in enumerate(probes) if a.chars]
     if rows:
@@ -197,9 +196,9 @@ def _passes(dims: int, polys, probes) -> list:
 
 
 def _flow_tables(decomp: HarmonicDecomposition, probes) -> tuple[np.ndarray, list]:
-    """residuals' stacked angle grid and the passes (_passes) of the probes'
-    rotation tables on it. The grid is angle 0, then each component's
-    T_POINTS - 1 flow angles over one period, in component order."""
+    """residuals' stacked angle grid, which is angle 0 and then each
+    component's T_POINTS - 1 flow angles over one period in component order,
+    and the probes' passes (_passes), which serve flowed and cross calls."""
     if any(a.dims != decomp.dims for a in probes):
         raise ValidationError("symbol mode count does not match the decomposition")
     rates = flow_rates(decomp)
@@ -207,8 +206,7 @@ def _flow_tables(decomp: HarmonicDecomposition, probes) -> tuple[np.ndarray, lis
     for n, comp in enumerate(decomp.components):
         times = [comp.period * i / T_POINTS for i in range(1, T_POINTS)]
         thetas.extend([rates[n][j] * t for j in range(decomp.dims)] for t in times)
-    thetas = np.array(thetas)  # one array for both calls of every step
-    return thetas, _passes(decomp.dims, [a.rotation_table(thetas)[0] for a in probes], probes)
+    return np.array(thetas), _passes(decomp.dims, probes)
 
 
 def _probe_values(bra: FockState, ket: FockState, passes, count: int, thetas=None) -> np.ndarray:
@@ -239,9 +237,10 @@ def residuals(
     enough.
     Each probe is flowed over one stacked grid: angle 0, which gives the
     base value <Op(a)>, then every component's T_POINTS - 1 angles. The
-    probes' rotation tables go to one grouped expectation call on (state,
-    state, thetas), and their characters to another (_probe_values), so
-    each monomial is applied to the state once per sweep step and each
+    probes' polynomial maps go to one grouped expectation call on (state,
+    state, thetas), and their characters to another (_probe_values); both
+    kinds flow by rotation covariance, with no rotated symbol, so each
+    monomial is applied to the state once per sweep step and each
     (character, mode) window is evaluated once for every base value and
     angle, each row with the bits of a lone expectation call.
     `_bases` and `_flow` are internal to sweep, not part of the interface:
@@ -253,6 +252,8 @@ def residuals(
     E = tuple(float(v) for v in E)
     if len(E) != decomp.d_omega:
         raise ValidationError("energy vector must have one entry per component")
+    if state.dims != decomp.dims:
+        raise ValidationError(f"state has {state.dims} mode(s), the decomposition {decomp.dims}")
     if state.is_product:
         raise ValidationError("residuals needs a sparse state; project a product state first")
     items = list(state.coeffs.items())
@@ -389,8 +390,11 @@ def fit_loglog(hbars, values, drop: int = FIT_DROP, floor: float = 1e-14) -> flo
     Drops the `drop` largest hbar entries (pre-asymptotic regime) and floors
     values so an exactly vanishing residual cannot produce -inf. The slope
     is dx . (y - mean y) / (dx . dx) with dx = x - mean x; with fewer than
-    two points, or with no spread in the kept hbar values, it is NaN.
+    two points, or with no spread in the kept hbar values, it is NaN. An
+    hbar that is not positive and finite is a ValidationError.
     """
+    if bad := [h for h in hbars if not 0 < h < math.inf]:
+        raise ValidationError(f"hbar values must be positive and finite, got {bad[0]!r}")
     pairs = sorted(zip(hbars, values), key=lambda p: -p[0])[drop:]
     pairs = [(h, max(abs(v), floor)) for h, v in pairs]
     x = np.log([h for h, _ in pairs])
@@ -461,7 +465,6 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
             sum(alpha * averages[i][p] for i, (_, alpha) in enumerate(pts))
             for p in range(len(probes))
         ]
-        cross = _passes(decomp.dims, [a.poly for a in probes], probes)  # the cross rows' calls
     else:
         z0 = config.z0
         if z0 is None:
@@ -492,7 +495,7 @@ def sweep(config: SweepConfig) -> ConvergenceReport:
                 val /= nrm**2
             rows.append((hbar, f"gap:{a.label}", val, complex(ref), abs(val - ref)))
         for i, j in itertools.combinations(range(len(parts)), 2):
-            values = _probe_values(parts[i].state, parts[j].state, cross, len(probes))
+            values = _probe_values(parts[i].state, parts[j].state, flow[1], len(probes))
             for a, val in zip(probes, values[:, 0].tolist()):
                 rows.append((hbar, f"cross:{i + 1}-{j + 1}:{a.label}", val, 0j, abs(val)))
         rows.extend(residual_rows)

@@ -141,7 +141,8 @@ def enumerate_window(
     """All levels with eigenvalue in [lo, hi], grouped by exact coordinates.
 
     Backtracking over the lattice with per-coordinate bounds floor(s_hi /
-    omega_j); more than 10^7 visited points is a resource error. Groups are
+    omega_j), the last coordinate starting where its sum can reach s_lo;
+    more than 10^7 visited points is a resource error. Groups are
     sorted by value, indices lexicographically. hbar must be positive and
     finite and both bounds finite (ValidationError).
     """
@@ -174,7 +175,9 @@ def enumerate_window(
                 groups.setdefault(key, []).append(tuple(k))
             return
         cap = int(math.floor((remaining + 1e-12) / omega[j]))
-        for kj in range(cap + 1):
+        # the last coordinate alone reaches s_lo; start one step early against rounding
+        start = math.ceil((remaining - (s_hi - s_lo) - 1e-12) / omega[j]) - 1 if j == d - 1 else 0
+        for kj in range(max(start, 0), cap + 1):
             k[j] = kj
             walk(j + 1, remaining - kj * omega[j])
         k[j] = 0
@@ -222,10 +225,13 @@ def hbar_ceiling(decomp: HarmonicDecomposition, E: Sequence[float]) -> float:
     Component n needs N(hbar, n) >= conductor_n; this returns the largest
     hbar for which sign(E_n) * (T_n / 2 pi) * (E_n / hbar - zero_point_n / 2)
     >= conductor_n holds for all n with E_n != 0 (inf when unconstrained).
+    A non-finite entry of E is a ValidationError.
     """
     E = tuple(float(v) for v in E)
     if len(E) != decomp.d_omega:
         raise ValidationError("energy vector must have one entry per component")
+    if not all(math.isfinite(v) for v in E):
+        raise ValidationError(f"component energies must be finite, got {E!r}")
     bound = math.inf
     for comp, en in zip(decomp.components, E):
         if en == 0.0:

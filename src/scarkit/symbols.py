@@ -194,64 +194,43 @@ class Symbol:
     def rotate(self, theta: Sequence[float]) -> "Symbol":
         """a composed with the rotation z_j -> e^{-i theta_j} z_j.
 
-        On coordinates: x_j -> x_j cos + xi_j sin, xi_j -> -x_j sin + xi_j cos.
-        Characters map to characters with w_c -> e^{i theta} w_c, so the class
-        is preserved exactly. This is the one-angle case of rotation_table.
+        On coordinates: x_j -> x_j cos + xi_j sin, xi_j -> -x_j sin + xi_j cos,
+        expanded mode by mode (_substitute_mode) with Python's cos, sin and
+        pow. Characters map to characters with w_c -> e^{i theta} w_c, so the
+        class is preserved exactly. expectation flows by rotation covariance
+        of matrix elements instead, and never calls this.
         """
-        poly, chars = self.rotation_table([theta])
-        return Symbol(
-            self.dims,
-            {m: c[0] for m, c in poly.items()},
-            tuple((c, w[0]) for c, w in chars),
-            self.label,
-        )
-
-    def rotation_table(self, thetas) -> tuple[dict[Monomial, np.ndarray], tuple]:
-        """rotate at every row of thetas (shape (A, d)), expanded once for all rows.
-
-        Returns (poly, chars): poly maps each monomial to its A coefficients,
-        chars pairs each character's coefficient with its (A, 2d) rotated
-        parameters. Row i is rotate(thetas[i]), which drops the monomials that
-        are 0 in that row; a monomial that is 0 in every row is left out.
-        """
-        th = np.asarray(thetas, dtype=float)
-        if th.ndim != 2 or th.shape[1] != self.dims:
+        th = np.asarray(theta, dtype=float)
+        if th.shape != (self.dims,):
             raise ValidationError("need one angle per mode")
         d = self.dims
-        # Python's cos, sin and pow per angle: numpy's vector loops round differently
-        cos = [[math.cos(t) for t in col] for col in th.T.tolist()]
-        sin = [[math.sin(t) for t in col] for col in th.T.tolist()]
-        powers = {}  # mode -> cos^k, sin^k and (-sin)^k per angle, rows k = 0..top
-        for j in range(d):
-            top = max((max(m[j], m[d + j]) for m in self.poly), default=0)
-            if top:
-                signed = (cos[j], sin[j], [-v for v in sin[j]])
-                powers[j] = [
-                    np.array([[v**k for v in vals] for k in range(top + 1)]) for vals in signed
-                ]
-        poly: dict[Monomial, np.ndarray] = {}
+        cos = [math.cos(t) for t in th.tolist()]
+        sin = [math.sin(t) for t in th.tolist()]
+        powers = [  # per mode, cos^k, sin^k and (-sin)^k for k = 0..MAX_DEGREE
+            [[v**k for k in range(MAX_DEGREE + 1)] for v in (c, s, -s)] for c, s in zip(cos, sin)
+        ]
+        poly: dict[Monomial, complex] = {}
         for mono, coeff in self.poly.items():
-            expanded = {tuple([0] * (2 * d)): np.full(len(th), coeff)}
+            expanded = {tuple([0] * (2 * d)): coeff}
             for j in range(d):
                 if mono[j] or mono[d + j]:
                     expanded = _substitute_mode(expanded, d, j, mono[j], mono[d + j], *powers[j])
-            for m, c2 in expanded.items():
-                poly[m] = poly.get(m, 0j) + c2
-        cos_a, sin_a = np.array(cos), np.array(sin)  # (d, A)
-        chars = []
-        for coeff, w in self.chars:
-            wx, wxi = np.array(w[:d])[:, None], np.array(w[d:])[:, None]
-            rotated = [wx * cos_a - wxi * sin_a, wx * sin_a + wxi * cos_a]
-            chars.append((coeff, np.concatenate(rotated).T))
-        return {m: c for m, c in poly.items() if c.any()}, tuple(chars)
+            for m, c in expanded.items():
+                poly[m] = poly.get(m, 0j) + c
+        chars = [
+            (coeff, [w[j] * cos[j] - w[d + j] * sin[j] for j in range(d)]
+             + [w[j] * sin[j] + w[d + j] * cos[j] for j in range(d)])
+            for coeff, w in self.chars
+        ]
+        return Symbol(d, poly, chars, self.label)
 
 
 def _substitute_mode(table, d, j, ax, bx, cpow, spow, mspow):
     """Expand x_j^ax xi_j^bx after the rotation, merging into `table`.
 
-    cpow[k], spow[k] and mspow[k] hold cos^k, sin^k and (-sin)^k per angle.
+    cpow[k], spow[k] and mspow[k] hold cos^k, sin^k and (-sin)^k.
     """
-    out: dict[Monomial, np.ndarray] = {}
+    out: dict[Monomial, complex] = {}
     for base, coeff in table.items():
         # (x c + xi s)^ax * (-x s + xi c)^bx via double binomial expansion
         for p in range(ax + 1):

@@ -972,11 +972,13 @@ def _reference_lookup(bra):
     return lookup
 
 
-def _reference_moment(lookup, keys, vals, mono, hbar):
-    """<bra|Op(mono)|ket> one monomial at a time, with its own bands and bra read.
+def _reference_moment(lookup, keys, vals, mono, hbar, thetas):
+    """<bra|Op(mono o rotation by theta)|ket> for each row theta of thetas,
+    one monomial at a time, with its own bands and bra read.
 
     The per-monomial kernel that the batched _moments replaced, kept as its
-    bit-for-bit reference.
+    bit-for-bit reference: each offset o of the monomial's box is summed over
+    the support first, W_o, and angle theta is then sum_o W_o e^{i theta.o}.
     """
     dims = keys.shape[1]
     weight = vals[:, None]
@@ -992,7 +994,9 @@ def _reference_moment(lookup, keys, vals, mono, hbar):
         band = _reference_band(keys[:, j], a, b, hbar)
         weight = (weight[:, :, None] * band[:, None, :]).reshape(len(keys), len(shifts))
     bra = lookup(keys[:, None, :] + shifts[None, :, :])
-    return complex(np.sum(np.conjugate(bra) * weight))
+    per_offset = np.sum(np.conjugate(bra) * weight, axis=0)
+    phase = np.exp(1j * np.sum(thetas[:, None, :] * shifts, axis=2))
+    return np.sum(per_offset * phase, axis=1)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -1018,15 +1022,19 @@ def test_batched_moments_match_per_monomial_kernel_bit_for_bit(d):
         r = a + b
         got = _complex_band(band[:, R - r : R + r + 1], b)
         assert got.tobytes() == _reference_band(keys[:, j], a, b, hbar).tobytes(), (j, a, b)
-    for name, bra in bras.items():
-        got = _moments(bra, ket.coeffs, monos, hbar, d)
+    grids = {"lone": np.zeros((1, d)), "flowed": np.vstack([np.zeros(d), rng.uniform(-9, 9, (6, d))])}
+    for (name, bra), (grid, thetas) in itertools.product(bras.items(), grids.items()):
+        got = _moments(bra, ket.coeffs, monos, hbar, thetas)
         lookup = _reference_lookup(bra)
         differ = [
             mono for mono in monos
-            if np.array(got[mono]).tobytes()
-            != np.array(_reference_moment(lookup, keys, vals, mono, hbar)).tobytes()
+            if got[mono].tobytes()
+            != _reference_moment(lookup, keys, vals, mono, hbar, thetas).tobytes()
         ]
-        assert got.keys() == set(monos) and differ == [], name
+        assert got.keys() == set(monos) and differ == [], (name, grid)
+        if grid == "flowed":  # angle 0 of the grid is the lone call, bit for bit
+            lone = _moments(bra, ket.coeffs, monos, hbar, thetas[:1])
+            assert all(got[m][:1].tobytes() == lone[m].tobytes() for m in monos)
 
 
 def test_sparse_bra_past_int64_codes_raises():
@@ -1350,17 +1358,17 @@ def test_grouped_polynomials_match_lone_calls_bit_for_bit(angles, monkeypatch):
         mode_energy(2, 1),
     ]
     thetas = None if angles is None else rng.uniform(-3.0, 3.0, size=(angles, 2))
-    groups = [a.poly if thetas is None else a.rotation_table(thetas)[0] for a in probes]
-    assert set(groups[0]) & set(groups[1])  # the probes share x1^2, rotated or not
+    groups = [a.poly for a in probes]  # plain maps, flowed or not
+    assert set(groups[0]) & set(groups[1])  # the probes share x1^2
     union = Symbol(2, dict.fromkeys((m for g in groups for m in g), 1.0))
     bra = _random_sparse(rng, hbar, 10, 40, 25)
     ket = _random_sparse(rng, hbar, 15, 45, 25)
     calls = []
     original = fockstate._moments
 
-    def counting(bra, ket_coeffs, monos, hbar, dims):
-        calls.append(list(monos))
-        return original(bra, ket_coeffs, monos, hbar, dims)
+    def counting(bra, ket_coeffs, monos, hbar, thetas):
+        calls.append((list(monos), len(thetas)))
+        return original(bra, ket_coeffs, monos, hbar, thetas)
 
     for x, y in ((bra, ket), (ket, ket)):
         monkeypatch.setattr(fockstate, "_moments", counting)
@@ -1370,8 +1378,8 @@ def test_grouped_polynomials_match_lone_calls_bit_for_bit(angles, monkeypatch):
         for row, a in zip(rows, probes):
             want = expectation(x, y, a, thetas)
             assert np.array(row).tobytes() == np.array(want).tobytes()
-    monos, _ = calls  # one call per state pair
-    assert monos == list(union.poly)  # the union, each monomial once
+    assert calls == [(list(union.poly), angles or 1)] * 2  # one call per state pair
+    monos = calls[0][0]  # the union, each monomial once, for every angle
     assert len(monos) < sum(len(g) for g in groups)
 
 
@@ -1613,6 +1621,15 @@ def test_evolve_rotates_position_expectation(dec1, dec12):
     assert expectation(moved, moved, position(2, 1)).real == pytest.approx(
         want, abs=1e-8
     )
+
+
+def test_evolve_refuses_a_state_of_another_mode_count(dec12):
+    # zip over omega used to drop mode 3 from every phase without a word
+    state = FockState(0.1, 3, (2, 2, 2), 0.0, {(1, 0, 2): 1.0 + 0j, (0, 2, 1): 0.5j})
+    with pytest.raises(ValidationError, match=r"state has 3 mode\(s\), the decomposition 2"):
+        evolve(state, dec12, 0.3)
+    with pytest.raises(ValidationError, match=r"state has 3 mode\(s\), the decomposition 2"):
+        evolve(coherent(PhasePoint(x=(0.3, 0.2, 0.1), xi=(0.0,) * 3), 0.1), dec12, 0.3)
 
 
 def test_evolve_egorov_exact(dec12):

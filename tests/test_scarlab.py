@@ -471,6 +471,22 @@ def test_fit_loglog_without_hbar_spread_is_nan():
     assert math.isnan(fit_loglog([0.2, 0.1, 0.05, 0.05, 0.05], [1, 2, 3, 4, 5]))
 
 
+def test_fit_loglog_refuses_hbar_that_is_not_positive_and_finite():
+    # log of a negative hbar used to warn and return NaN
+    for hbars in ([1, -1, 0.5, 0.25], [1, 0.0, 0.5, 0.25], [1, math.nan, 0.5, 0.25], [math.inf, 1, 0.5, 0.25]):
+        with pytest.raises(ValidationError, match="hbar values must be positive and finite"):
+            fit_loglog(hbars, [1, 1, 1, 1])
+
+
+def test_residuals_refuses_a_state_of_another_mode_count(dec12):
+    # a state of another mode count used to fail in numpy with a bare "cannot reshape"
+    from scarkit.fockstate import FockState
+
+    state = FockState(0.1, 3, (2, 2, 2), 0.0, {(1, 0, 2): 1.0 + 0j})
+    with pytest.raises(ValidationError, match=r"state has 3 mode\(s\), the decomposition 2"):
+        residuals(dec12, state, (0.5, 0.5))
+
+
 def test_sweeps_call_no_lapack(monkeypatch, dec12):
     def banned(*args, **kwargs):
         raise AssertionError("LAPACK on the sweep path")
@@ -637,33 +653,29 @@ def test_residuals_agree_with_reference_on_noninvariant_states(d_omega, kind):
 
 @pytest.mark.parametrize("case", range(3), ids=["full-rank-d3", "rank-deficient", "convex"])
 def test_residuals_applies_each_monomial_once(moment_cases, case, monkeypatch):
+    # the flow is rotation covariance of the moments: the moment call asks
+    # for the probes' own monomials, each once, at every angle of the grid
     from scarkit import fockstate
-    from scarkit.phasespace import flow_rates
 
     _, decomp, state, E = moment_cases[case]
     probes = _moment_probes(decomp, seed=4)
     calls = []  # the monomials of each batched moment call
+    grids = []  # the angles of each batched moment call
     original = fockstate._moments
 
-    def counting(bra, ket_coeffs, monos, hbar, dims):
+    def counting(bra, ket_coeffs, monos, hbar, thetas):
         calls.append(list(monos))
-        return original(bra, ket_coeffs, monos, hbar, dims)
+        grids.append(thetas)
+        return original(bra, ket_coeffs, monos, hbar, thetas)
 
     monkeypatch.setattr(fockstate, "_moments", counting)
     residuals(decomp, state, E, probes=probes)
     applied = [mono for monos in calls for mono in monos]
     assert len([monos for monos in calls if monos]) == 1  # one call asks for the whole step
-    rates = flow_rates(decomp)
-    distinct = {m for a in probes for m in a.poly}
-    rotations = 0
-    for n, comp in enumerate(decomp.components):
-        for a in probes:
-            for i in range(1, 16):
-                t = comp.period * i / 16
-                distinct |= set(a.rotate([rates[n][j] * t for j in range(decomp.dims)]).poly)
-                rotations += 1
+    assert grids[0].shape == (1 + 15 * decomp.d_omega, decomp.dims)  # angle 0, then every flow angle
+    rotations = decomp.d_omega * 15 * len(probes)
     assert len(applied) == len(set(applied))
-    assert set(applied) <= distinct
+    assert set(applied) == {m for a in probes for m in a.poly}  # the plain maps, no rotated monomial
     assert len(applied) < rotations  # without the cache there is one per rotated monomial
 
 
@@ -735,13 +747,13 @@ def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
     batches = []  # (hbar, bra is ket) of each batched moment call that computes anything
     original = fockstate._moments
 
-    def counting(bra, ket_coeffs, monos, hbar, dims):
-        keys, vals = fockstate._support_arrays(ket_coeffs, dims)
+    def counting(bra, ket_coeffs, monos, hbar, thetas):
+        keys, vals = fockstate._support_arrays(ket_coeffs, thetas.shape[1])
         same = bra.coeffs is ket_coeffs
         applied.extend((hbar, same, keys.tobytes(), vals.tobytes(), mono) for mono in monos)
         if monos:
             batches.append((hbar, same))
-        return original(bra, ket_coeffs, monos, hbar, dims)
+        return original(bra, ket_coeffs, monos, hbar, thetas)
 
     calls = []  # per expectation call: kind, flowed or not, bra is ket, and its groups
     monkeypatch.setattr(fockstate, "_moments", counting)
@@ -766,16 +778,42 @@ def test_sweep_evaluates_each_moment_once_per_step(convex, monkeypatch):
             # one ket per step and pair: the state of the gap and residual rows, or the pair's ket
             assert len({(k, v) for hh, s, k, v, _ in applied if (hh, s) == (h, same)}) == 1
             monos = {m for hh, s, _, _, m in applied if (hh, s) == (h, same)}
-            assert (base <= monos) if same else (base == monos)
+            assert base == monos  # a state's groups are plain maps, as a pair's are
     groups = [a.chars for a in probes if a.chars]
     assert len(groups) == 3  # char1, char2 and the mixed probe
-    thetas = scarlab._flow_tables(decomp, probes)[0]
-    tables = [set(a.rotation_table(thetas)[0]) for a in probes if a.poly]
-    step = [("poly", True, True, tables), ("chars", True, True, groups)]
-    if convex:  # the cross pair reads the plain polynomial maps
-        step += [("poly", False, False, [set(a.poly) for a in probes if a.poly])]
-        step += [("chars", False, False, groups)]
+    maps = [set(a.poly) for a in probes if a.poly]
+    step = [("poly", True, True, maps), ("chars", True, True, groups)]
+    if convex:  # the cross pair reads the same plain polynomial maps
+        step += [("poly", False, False, maps), ("chars", False, False, groups)]
     assert calls == step * len(cfg.hbars)
+
+
+@pytest.mark.parametrize("convex", [False, True], ids=["single", "convex"])
+def test_sweep_never_rotates_a_symbol(convex, monkeypatch):
+    # both probe kinds flow by rotation covariance of their matrix elements:
+    # no step of a sweep, and so no residuals or flowed expectation call in
+    # it, composes a symbol with a rotation or expands a rotated monomial
+    from scarkit import symbols
+
+    if convex:
+        decomp = make_dec([[F(1)], [F(1)]], ("one",))
+        za = PhasePoint(x=(math.sqrt(1.5), math.sqrt(0.5)), xi=(0.0, 0.0))
+        zb = PhasePoint(x=(math.sqrt(0.5), math.sqrt(1.5)), xi=(0.0, 0.0))
+        points = ((za, 0.5), (zb, 0.5))
+        cfg = SweepConfig(decomp, (1.0,), (0.1, 0.05), points=points, probes=_moment_probes(decomp, 4))
+    else:
+        decomp = make_dec([[F(1), F(0)], [F(2), F(0)], [F(0), F(1)]], ("one", "sqrt2"))
+        cfg = SweepConfig(decomp, (0.6, 0.4), (0.1, 0.05), probes=_moment_probes(decomp, 4))
+    assert any(a.poly for a in cfg.probes) and any(a.chars for a in cfg.probes)
+
+    def refuse(*args):
+        raise AssertionError("a sweep rotated a symbol")
+
+    monkeypatch.setattr(symbols.Symbol, "rotate", refuse)
+    monkeypatch.setattr(symbols, "_substitute_mode", refuse)
+    report = sweep(cfg)
+    assert report.errors == ()
+    assert any(name.startswith("invariance:") for _, name, *_ in report.rows)
 
 
 def _count_kernel(monkeypatch):

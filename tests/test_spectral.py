@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -175,6 +176,66 @@ def test_window_resource_cap(dec11, monkeypatch):
     monkeypatch.setattr("scarkit.spectral._WINDOW_CAP", 500)
     with pytest.raises(ResourceLimitError):
         enumerate_window(dec11, 0.01, 0.0, 3.0)
+
+
+def _brute_window(decomp, hbar, lo, hi):
+    """enumerate_window's levels by a scan of every lattice point below hi,
+    as (value, coords, indices), sorted as enumerate_window sorts them."""
+    omega = decomp.spec.numeric
+    half = sum(omega) / 2.0
+    s_lo, s_hi = lo / hbar - half, hi / hbar - half
+    box = [range(int(max(s_hi, 0) // w) + 2) for w in omega]
+    groups = {}
+    for k in itertools.product(*box):
+        if s_lo - 1e-12 <= sum(w * kj for w, kj in zip(omega, k)) <= s_hi + 1e-12:
+            groups.setdefault(eigenvalue_coords(decomp, k), []).append(k)
+    levels = [
+        (hbar * float(decomp.spec.basis.evaluate(c)), c, tuple(sorted(ks)))
+        for c, ks in groups.items()
+    ]
+    return sorted(levels, key=lambda lv: lv[0])
+
+
+def test_window_matches_brute_force(dec11, dec12, dec23):
+    decomps = [
+        dec11,
+        dec12,
+        dec23,
+        make_dec([[F(1), F(0)], [F(2), F(0)], [F(0), F(1)]], ("one", "sqrt2")),
+        make_dec([[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]], ("one", "sqrt2", "sqrt3")),
+    ]
+    rng = random.Random(17)
+    for decomp in decomps:
+        windows = [(1.0, 2.0, 3.0), (0.5, 3.0, 3.0)]  # ends on a level of dec11 and dec23
+        for _ in range(6):
+            hbar = rng.choice([1.0, 0.5, 0.25, 0.1])
+            lo = rng.uniform(0.0, 4.0)
+            windows.append((hbar, lo, lo + rng.uniform(0.0, 1.5)))
+        for hbar, lo, hi in windows:
+            got = [
+                (lv.value, lv.coords, lv.indices) for lv in enumerate_window(decomp, hbar, lo, hi)
+            ]
+            assert got == _brute_window(decomp, hbar, lo, hi), (decomp.dims, hbar, lo, hi)
+
+
+def test_window_walks_only_the_shell(dec12, monkeypatch):
+    # about 3,500 lattice points lie below the top of this window and about
+    # 300 in its shell: a walk bounded only from above exceeds the cap
+    monkeypatch.setattr("scarkit.spectral._WINDOW_CAP", 1000)
+    hbar = 0.01
+    got = enumerate_window(dec12, hbar, 1.0 - 2 * hbar, 1.0 + 2 * hbar)
+    monkeypatch.undo()
+    assert len(got) > 50
+    want = _brute_window(dec12, hbar, 1.0 - 2 * hbar, 1.0 + 2 * hbar)
+    assert [(lv.value, lv.coords, lv.indices) for lv in got] == want
+
+
+def test_hbar_ceiling_refuses_non_finite_energies(dec12):
+    # a NaN energy used to fall through every ladder test and surface as a
+    # DomainError about a missing ladder
+    for E in ((math.nan, 0.5), (0.5, math.inf)):
+        with pytest.raises(ValidationError, match="component energies must be finite"):
+            hbar_ceiling(dec12, E)
 
 
 def test_select_target_frozen_example(dec12):

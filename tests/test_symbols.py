@@ -130,34 +130,11 @@ def test_rotation_by_full_turn_is_identity():
     assert np.allclose(a.evaluate(x, xi), b.evaluate(x, xi), atol=1e-12)
 
 
-def test_rotation_table_rows_are_rotate():
-    rng = random.Random(21)
-    for _ in range(40):
-        dims = rng.randint(1, 3)
-        a = random_symbol(rng, dims, n_poly=4, n_char=2, max_deg=6)
-        thetas = [[rng.uniform(-30, 30) for _ in range(dims)] for _ in range(15)]
-        thetas[3] = [0.0] * dims
-        poly, chars = a.rotation_table(thetas)
-        assert all(c.shape == (15,) and c.any() for c in poly.values())
-        for i, theta in enumerate(thetas):
-            r = a.rotate(theta)
-            row = [(m, complex(c[i])) for m, c in poly.items() if c[i] != 0]
-            assert row == list(r.poly.items())  # same monomials, order and floats
-            assert [(c, tuple(w[i].tolist())) for c, w in chars] == list(r.chars)
-            assert r.label == a.label
-    # at angle 0 every monomial keeps exactly its own coefficient
-    a = parse_symbol("x1^2*xi2 + 0.5*H1 - 2*x2*xi1^3", 2)
-    poly, _ = a.rotation_table([[0.0, 0.0]])
-    assert {m: complex(c[0]) for m, c in poly.items()} == a.poly
-
-
-def test_rotation_table_needs_one_angle_per_mode():
+def test_rotate_needs_one_angle_per_mode():
     a = mode_energy(2, 0)
-    for bad in ([0.1, 0.2], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]):
+    for bad in ([[0.1, 0.2]], [0.1], [0.1, 0.2, 0.3], 0.1, [[[0.1, 0.2]]]):
         with pytest.raises(ValidationError, match="one angle per mode"):
-            a.rotation_table(bad)
-    with pytest.raises(ValidationError, match="one angle per mode"):
-        a.rotate([0.1])
+            a.rotate(bad)
 
 
 def test_rotation_preserves_mode_energy():
