@@ -13,22 +13,23 @@ exactly (freqarith.lattice_solver); no point of the cutoff box is scanned,
 and amplitudes are evaluated at the kept points only. Sparse states test
 each stored index.
 
-Expectations are exact matrix-element sums: polynomial symbols through the
-banded action of Op(x^a xi^b), which moves an index by at most a + b,
-characters through displacement-operator matrix elements, evaluated per
-mode only over the index range [min, max] of each state's support in that
-mode; a non-finite element raises NumericalError. The moments
-<bra|Op(x^a xi^b)|ket> of a sparse ket come from one batched kernel
-(_moments), split into a plan and an evaluation. The plan (_moment_plan,
-a bounded cache keyed by the monomials and the mode count) holds what
-depends only on the monomials: acted modes, ladder words, boxes of offsets
-and gather indices. The evaluation takes the ket support as an (S, d) key
-array, builds every band of the call in one real ladder recursion
-(_ladder_bands), reads the bra at k + offset once for all boxes
-(_bra_reads: a sparse bra through sorted integer codes, a product bra from
-its factors) and forms one sum per monomial. Product states (coherent)
-keep per-mode factor vectors and use factorized fast paths; projected
-states are sparse coefficient maps, and an empty one gives 0.
+Product states (coherent) keep per-mode factor vectors; inner, husimi,
+projection and evolve take them. Projected states are sparse coefficient
+maps, and expectation takes sparse states only: a product state is
+projected first. Expectations are exact matrix-element sums: polynomial
+symbols through the banded action of Op(x^a xi^b), which moves an index
+by at most a + b, characters through displacement-operator matrix
+elements, evaluated per mode only over the index range [min, max] of each
+state's support in that mode; a non-finite element raises NumericalError,
+and an empty state gives 0. The moments <bra|Op(x^a xi^b)|ket> come from
+one batched kernel (_moments), split into a plan and an evaluation. The
+plan (_moment_plan, a bounded cache keyed by the monomials and the mode
+count) holds what depends only on the monomials: acted modes, ladder
+words, boxes of offsets and gather indices. The evaluation takes the ket
+support as an (S, d) key array, builds every band of the call in one real
+ladder recursion (_ladder_bands), reads the bra at k + offset once for all
+boxes through sorted integer codes (_bra_reads) and forms one sum per
+monomial.
 
 The special functions are written here in numpy and math, with no
 special-function library behind them. Coherent amplitudes are Poisson probabilities in Loader's
@@ -44,7 +45,7 @@ given per element, while they hold at most 2^18 elements, so a call with
 many small windows pays the kernel's fixed numpy cost once; an element's
 bits do not depend on the other elements of the pass.
 
-Given (A, d) flow angles thetas and two sparse states, expectation returns
+Given (A, d) flow angles thetas, expectation returns
 the A values of the symbol composed with each rotation. Both kinds flow by
 rotation covariance, the flow being diagonal in the number basis, and no
 symbol is rotated: a polynomial moment is summed over the support once per
@@ -53,8 +54,7 @@ one displacement window per (character, mode) at the unrotated beta,
 summed over each probe's characters into one support block that every
 angle reads (_char_sparse). Per-angle sums do not depend on the number of
 angles or probes, so angle 0 is the unrotated value bit for bit. scarlab
-sends every probe of a state pair in one grouped call per kind, and a
-product bra takes one routine (_char_product) against any ket.
+sends every probe of a state pair in one grouped call per kind.
 """
 from __future__ import annotations
 
@@ -1145,30 +1145,6 @@ def _char_betas(w: Sequence[float], hbar: float, d: int) -> list[complex]:
 # ---------------------------------------------------------------------------
 # expectation values
 
-def _poly_product(bra: FockState, ket: FockState, poly) -> complex:
-    d = bra.dims
-    total = 0j
-    for mono, coeff in poly.items():
-        term = coeff
-        for j in range(d):
-            a, b = mono[j], mono[d + j]
-            fa, fb = bra.factors[j], ket.factors[j]
-            if a == 0 and b == 0:
-                L = min(len(fa), len(fb))
-                term *= complex(np.vdot(fa[:L], fb[:L]))
-            else:
-                n = np.arange(len(fb))
-                m = n[:, None] + np.arange(-(a + b), a + b + 1)
-                ok = (m >= 0) & (m < len(fa))
-                (band,) = _ladder_bands(n[None], _moment_plan(((a, b),), 1), bra.hbar)
-                W = _complex_band(band, b) * fb[:, None]
-                term *= complex(np.conjugate(fa[m[ok]]) @ W[ok])
-            if term == 0:
-                break
-        total += term
-    return total
-
-
 def _support_arrays(coeffs: dict, dims: int) -> tuple[np.ndarray, np.ndarray]:
     """A sparse map as an (S, dims) int64 key array and its (S,) amplitudes."""
     keys = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), dims)
@@ -1177,22 +1153,14 @@ def _support_arrays(coeffs: dict, dims: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _bra_reads(bra: FockState, ket_coeffs: dict, keys, vals, shifts: np.ndarray) -> np.ndarray:
     """conj(<k + o|bra>) for every ket index k of keys (rows) and offset o of
-    shifts (columns); indices outside the bra's support, negative ones
-    included, read 0.
+    shifts (columns), for a sparse bra; indices outside its support,
+    negative ones included, read 0.
 
-    A product bra multiplies its factors, mode by mode. A sparse bra is read
-    through integer codes of its bounding box, sorted once and searched with
-    searchsorted: code(k + o) = code(k) + code(o), with the in-box test done
-    per mode, so no (S, B, d) index array is formed. A bra that is the ket
-    reuses the ket's arrays.
+    The bra is read through integer codes of its bounding box, sorted once
+    and searched with searchsorted: code(k + o) = code(k) + code(o), with
+    the in-box test done per mode, so no (S, B, d) index array is formed. A
+    bra that is the ket reuses the ket's arrays.
     """
-    if bra.is_product:
-        out = np.ones((len(keys), len(shifts)), dtype=complex)
-        for j, f in enumerate(bra.factors):
-            k = keys[:, j, None] + shifts[:, j]
-            inside = (k >= 0) & (k < len(f))
-            out *= np.where(inside, f[np.where(inside, k, 0)], 0)
-        return np.conjugate(out)
     same = bra.coeffs is ket_coeffs
     bkeys, bvals = (keys, vals) if same else _support_arrays(bra.coeffs, bra.dims)
     if not len(bkeys):
@@ -1259,57 +1227,6 @@ def _moments(bra: FockState, ket_coeffs: dict, monos, hbar: float, thetas: np.nd
     return out
 
 
-def _check_block(rows: int, cols: int) -> None:
-    """Refuse a rows x cols character block before it is allocated."""
-    if rows * cols > _BLOCK_CAP:
-        raise ResourceLimitError(
-            f"character expectation needs a {rows} x {cols} block, over {_BLOCK_CAP} elements"
-        )
-
-
-def _char_kernel(chars, hbar: float, ranges):
-    """The window of every (character, mode) over the per-mode (rows, cols)
-    ranges, character by character, from one _displacement_windows pass.
-    Each window's cap is checked here, before any window is computed."""
-    for rows, cols in ranges:
-        _check_block(len(rows), len(cols))
-    return _displacement_windows([
-        (beta, rows, cols)
-        for _, w in chars
-        for beta, (rows, cols) in zip(_char_betas(w, hbar, len(ranges)), ranges)
-    ])
-
-
-def _char_product(bra: FockState, ket: FockState, chars, hbar: float, d: int) -> complex:
-    """sum over chars of coeff * <bra|D(beta)|ket> for a product bra.
-
-    Per (character, mode), the row conj(fa_j) @ D_j over the ket's index
-    range in that mode; then prod_j row_j @ fb_j for a product ket, or
-    sum_k c_k prod_j row_j[k_j] over a sparse ket's support.
-    """
-    if ket.is_product:
-        cols = [range(len(fb)) for fb in ket.factors]
-    else:
-        kk, vals = _support_arrays(ket.coeffs, d)
-        cols = [_index_range(kk[:, j]) for j in range(d)]
-    windows = _char_kernel(chars, hbar, list(zip([range(len(fa)) for fa in bra.factors], cols)))
-    total = 0j
-    if ket.is_product:
-        for coeff, _ in chars:
-            term = coeff
-            for fa, fb, D in zip(bra.factors, ket.factors, windows):
-                term *= complex(np.conjugate(fa) @ D @ fb)
-            total += term
-        return total
-    for coeff, _ in chars:
-        term = np.ones(len(kk), dtype=complex)
-        for j, (fa, D) in enumerate(zip(bra.factors, windows)):
-            row = np.conjugate(fa) @ D
-            term *= row[kk[:, j] - cols[j].start]
-        total += coeff * np.sum(term * vals)
-    return complex(total)
-
-
 def _char_sparse(bra_coeffs: dict, ket_coeffs: dict, groups, hbar: float, thetas) -> np.ndarray:
     """Row g, entry i: sum over groups[g] of coeff * <bra|D(beta rotated by thetas[i])|ket>.
 
@@ -1318,7 +1235,9 @@ def _char_sparse(bra_coeffs: dict, ket_coeffs: dict, groups, hbar: float, thetas
     displacement windows of every (character, mode) of every group, at the
     unrotated beta, come from one _displacement_windows call, and the support
     arrays and phase tables are formed once for all groups (a bra that is
-    the ket reuses the ket's). Each group gives one
+    the ket reuses the ket's). The bra x ket block and every window are
+    checked against _BLOCK_CAP before any of them is allocated. Each group
+    gives one
     support block B = sum over its chars of coeff * prod_j <m_j|D(beta_j)|k_j>;
     angle theta is e^{i (lo_bra - lo_ket).theta} x_theta . B y_theta with
     x_theta = conj(bra) e^{i (m - lo_bra).theta} and y_theta = ket
@@ -1333,14 +1252,26 @@ def _char_sparse(bra_coeffs: dict, ket_coeffs: dict, groups, hbar: float, thetas
     d = thetas.shape[1]
     kk, vals = _support_arrays(ket_coeffs, d)
     mm, bvals = (kk, vals) if bra_coeffs is ket_coeffs else _support_arrays(bra_coeffs, d)
-    ranges = _char_windows(mm, kk)
+    spans = [_index_range(kk[:, j]) for j in range(d)]
+    ranges = list(zip(spans if mm is kk else [_index_range(mm[:, j]) for j in range(d)], spans))
+    for rows, cols in [(mm, kk)] + ranges:  # every cap, before anything is allocated
+        if len(rows) * len(cols) > _BLOCK_CAP:
+            raise ResourceLimitError(
+                f"character expectation needs a {len(rows)} x {len(cols)} block, "
+                f"over {_BLOCK_CAP} elements"
+            )
     lo_bra = np.array([rows.start for rows, _ in ranges])
     lo_ket = np.array([cols.start for _, cols in ranges])
     at = [  # each mode's support indices in its window
         ((mm[:, j] - rows.start)[:, None], kk[:, j] - cols.start)
         for j, (rows, cols) in enumerate(ranges)
     ]
-    windows = _char_kernel([c for chars in groups for c in chars], hbar, ranges)
+    windows = _displacement_windows([
+        (beta, rows, cols)
+        for chars in groups
+        for _, w in chars
+        for beta, (rows, cols) in zip(_char_betas(w, hbar, d), ranges)
+    ])
     ket_phase = np.exp(1j * (thetas @ (kk - lo_ket).T))
     bra_phase = ket_phase if mm is kk else np.exp(1j * (thetas @ (mm - lo_bra).T))
     xs = np.conjugate(bvals) * bra_phase  # (A, M)
@@ -1359,52 +1290,38 @@ def _char_sparse(bra_coeffs: dict, ket_coeffs: dict, groups, hbar: float, thetas
     return out
 
 
-def _char_windows(mm: np.ndarray, kk: np.ndarray) -> list[tuple[range, range]]:
-    """Per-mode (rows, cols) index windows of a bra and a ket support.
-
-    The bra x ket block's cap is checked here, before anything is
-    allocated; each mode's displacement window is checked by _char_kernel.
-    """
-    _check_block(len(mm), len(kk))
-    cols = [_index_range(kk[:, j]) for j in range(kk.shape[1])]
-    rows = cols if mm is kk else [_index_range(mm[:, j]) for j in range(mm.shape[1])]
-    return list(zip(rows, cols))
-
-
 def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None, *, _groups=None):
-    """<bra, Op_hbar(a) ket>, exact up to the states' tail bounds.
+    """<bra, Op_hbar(a) ket> on two sparse states, exact up to their tail bounds.
 
-    Character terms evaluate <m|D(beta)|n> only for m and n inside the bra's
-    and the ket's per-mode index ranges; NumericalError is raised when one of
-    those elements is not finite (large m and n at once).
-    With thetas, an (A, d) array of flow angles, both states must be sparse
-    and the result is the array of the A values <bra, Op_hbar(a o rotation
-    by thetas[i]) ket>, both kinds by rotation covariance and no symbol
-    rotated: the polynomial part from one _moments call, the characters
-    from _char_sparse, so neither the moments nor the windows grow with A.
-    Every (character, mode) window of a call, in any representation, comes
-    from one _displacement_windows call: one kernel pass for windows of up
-    to _KERNEL_CHUNK elements in all. A sparse state with no coefficients
-    gives 0.
+    A product state, as bra, ket or both, raises ValidationError for lone,
+    flowed and grouped calls alike: project it first. Character terms
+    evaluate <m|D(beta)|n> only for m and n inside the bra's and the ket's
+    per-mode index ranges; NumericalError is raised when one of those
+    elements is not finite (large m and n at once).
+    With thetas, an (A, d) array of flow angles, the result is the array of
+    the A values <bra, Op_hbar(a o rotation by thetas[i]) ket>, both kinds
+    by rotation covariance and no symbol rotated: the polynomial part from
+    one _moments call, the characters from _char_sparse, so neither the
+    moments nor the windows grow with A. Every (character, mode) window of
+    a call comes from one _displacement_windows call: one kernel pass for
+    windows of up to _KERNEL_CHUNK elements in all. A state with no
+    coefficients gives 0.
     `_groups` is internal to scarlab, not part of the interface: a list of
-    groups of one kind, on two sparse states, asking for one row per group
-    from one pass. A group that maps monomials to coefficients is
+    groups of one kind asking for one row per group from one pass. A group that maps monomials to coefficients is
     polynomial, and the pass is one _moments call for the union of the
     groups; a row is sum coeff * moment over its own group, in the group's
     order. Otherwise each group is a character tuple, and the pass is one
     window pass with one set of support arrays and phase tables. `a` carries
-    the union of the groups and is not evaluated itself. A lone call on two
-    sparse states is the one-group case of each kind, so each row has the
-    bits of a lone call on its group.
+    the union of the groups and is not evaluated itself. A lone call is the
+    one-group case of each kind, so each row has the bits of a lone call on
+    its group.
     """
     if bra.hbar != ket.hbar or bra.dims != ket.dims:
         raise ValidationError("states live in different spaces")
     if a.dims != bra.dims:
         raise ValidationError("symbol mode count does not match the states")
-    if (thetas is not None or _groups is not None) and (bra.is_product or ket.is_product):
-        raise ValidationError("flowed and grouped expectations need sparse states; project first")
-    if ket.is_product and not bra.is_product:
-        return expectation(ket, bra, a.conj()).conjugate()  # Op(conj a) = Op(a)^dagger
+    if bra.is_product or ket.is_product:
+        raise ValidationError("expectation needs sparse states; project first")
     hbar = bra.hbar
     d = bra.dims
     angles = np.zeros((1, d)) if thetas is None else np.asarray(thetas, dtype=float)
@@ -1418,18 +1335,13 @@ def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None, *, _grou
         polys, chars = ([], _groups) if _groups and not isinstance(_groups[0], dict) else (_groups, [])
     if {} in (bra.coeffs, ket.coeffs):  # a sparse state with no coefficients
         polys, chars = [], []
-    if polys and ket.is_product:
-        rows += _poly_product(bra, ket, a.poly)
-    elif polys:
+    if polys:
         moments = _moments(bra, ket.coeffs, dict.fromkeys(m for g in polys for m in g), hbar, angles)
         for row, group in zip(rows, polys):
             for mono, coeff in group.items():
                 row += coeff * moments[mono]
     if chars:
-        if bra.is_product:
-            rows += _char_product(bra, ket, a.chars, hbar, d)
-        else:
-            rows += _char_sparse(bra.coeffs, ket.coeffs, chars, hbar, angles)
+        rows += _char_sparse(bra.coeffs, ket.coeffs, chars, hbar, angles)
     if _groups is not None:
         return rows if thetas is not None else rows[:, 0]
     return complex(rows[0, 0]) if thetas is None else rows[0]
@@ -1476,10 +1388,12 @@ def dump_state(f, state: FockState, config_digest: str = "") -> None:
 
 
 def load_state(f) -> FockState:
-    """Read a dump_state file; any malformed or non-finite entry is a ValidationError."""
+    """Read a dump_state file; any malformed or non-finite entry, or an index
+    given twice, is a ValidationError."""
     hbar = None
     dims = None
     coeffs: dict[FockIndex, complex] = {}
+    lines: dict[FockIndex, int] = {}  # the line that gave each index
     header_seen = False
     for lineno, raw in enumerate(f, 1):
         line = raw.strip()
@@ -1505,9 +1419,12 @@ def load_state(f) -> FockState:
             c = complex(float(parts[dims]), float(parts[dims + 1]))
             if any(v < 0 for v in k) or not cmath.isfinite(c):
                 raise ValueError("negative index or non-finite coefficient")
+            if k in lines:
+                raise ValueError(f"index {k} repeats line {lines[k]}")
         except ValueError as exc:
             raise ValidationError(f"state file line {lineno}: {exc}") from None
         coeffs[k] = c
+        lines[k] = lineno
     if hbar is None or dims is None or not coeffs:
         raise ValidationError("state file is missing header or data")
     cutoff = tuple(max(k[j] for k in coeffs) for j in range(dims))

@@ -142,9 +142,13 @@ def enumerate_window(
 
     Backtracking over the lattice with per-coordinate bounds floor(s_hi /
     omega_j), the last coordinate starting where its sum can reach s_lo;
-    more than 10^7 visited points is a resource error. Groups are
-    sorted by value, indices lexicographically. hbar must be positive and
-    finite and both bounds finite (ValidationError).
+    more than 10^7 visited points is a resource error. The walk keeps
+    lattice points only; their exact coordinates are formed after it has
+    stayed under the cap. Before it starts, a window whose last coordinate
+    alone, every other at 0, takes more than 10^7 values is refused, since
+    the walk would visit all of them. Groups are sorted by value, indices
+    lexicographically. hbar must be positive and finite and both bounds
+    finite (ValidationError).
     """
     if not 0 < hbar < math.inf:
         raise ValidationError(f"hbar must be positive and finite, got {hbar!r}")
@@ -159,7 +163,25 @@ def enumerate_window(
     s_hi = hi / hbar - half
     if s_hi < 0:
         return []
-    groups: dict[GenCoords, list[FockIndex]] = {}
+    if s_hi == math.inf:
+        raise ResourceLimitError(
+            f"eigenvalue window exceeds 10^7 lattice points: {hi!r} / hbar overflows"
+        )
+
+    def bounds(j: int, remaining: float) -> tuple[int, int]:
+        """First and last value of coordinate j with `remaining` left below
+        s_hi; the last coordinate alone reaches s_lo, and starts one step
+        early against rounding."""
+        cap = int(math.floor((remaining + 1e-12) / omega[j]))
+        start = math.ceil((remaining - (s_hi - s_lo) - 1e-12) / omega[j]) - 1 if j == d - 1 else 0
+        return max(start, 0), cap
+
+    start, cap = bounds(d - 1, s_hi)
+    if cap + 1 - start > _WINDOW_CAP:
+        raise ResourceLimitError(
+            f"eigenvalue window exceeds 10^7 lattice points: k{d} alone takes {cap + 1 - start} values"
+        )
+    kept: list[FockIndex] = []
     budget = _WINDOW_CAP
     k = [0] * d
 
@@ -171,18 +193,18 @@ def enumerate_window(
         if j == d:
             total = sum(w * kj for w, kj in zip(omega, k))
             if s_lo - 1e-12 <= total <= s_hi + 1e-12:
-                key = eigenvalue_coords(decomp, k)
-                groups.setdefault(key, []).append(tuple(k))
+                kept.append(tuple(k))
             return
-        cap = int(math.floor((remaining + 1e-12) / omega[j]))
-        # the last coordinate alone reaches s_lo; start one step early against rounding
-        start = math.ceil((remaining - (s_hi - s_lo) - 1e-12) / omega[j]) - 1 if j == d - 1 else 0
-        for kj in range(max(start, 0), cap + 1):
+        start, cap = bounds(j, remaining)
+        for kj in range(start, cap + 1):
             k[j] = kj
             walk(j + 1, remaining - kj * omega[j])
         k[j] = 0
 
     walk(0, s_hi)
+    groups: dict[GenCoords, list[FockIndex]] = {}
+    for point in kept:
+        groups.setdefault(eigenvalue_coords(decomp, point), []).append(point)
     levels = []
     for coords, indices in groups.items():
         val = hbar * (

@@ -12,6 +12,7 @@ xi_1..xi_d. Mode indices in code are 0-based; the text grammar (`x1`, `xi2`,
 """
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, field
@@ -37,6 +38,9 @@ def _canon_poly(dims: int, poly: Mapping[Monomial, complex]) -> dict[Monomial, c
         c = complex(coeff)
         if c != 0:
             out[mono] = out.get(mono, 0j) + c
+    for mono, c in out.items():  # after merging, so an overflowing sum is caught too
+        if not cmath.isfinite(c):
+            raise ValidationError(f"monomial {mono} has a non-finite coefficient {c}")
     return {m: c for m, c in out.items() if c != 0}
 
 
@@ -51,6 +55,9 @@ def _canon_chars(dims: int, chars: Iterable[tuple[complex, Sequence[float]]]):
         c = complex(coeff)
         if c != 0:
             merged[w] = merged.get(w, 0j) + c
+    for w, c in merged.items():
+        if not cmath.isfinite(c):
+            raise ValidationError(f"character {w} has a non-finite coefficient {c}")
     return tuple((c, w) for w, c in merged.items() if c != 0)
 
 
@@ -371,7 +378,10 @@ def _parse_term(term: str, dims: int, src: str) -> Symbol:
         if not factor:
             raise ValidationError(f"empty factor in {src!r}")
         if _NUMBER_RE.match(factor):
-            acc = acc * float(factor)
+            value = float(factor)
+            if not math.isfinite(value):
+                raise ValidationError(f"number {factor!r} overflows in {src!r}")
+            acc = acc * value
             continue
         if factor.startswith("char(") and factor.endswith(")"):
             body = factor[5:-1].replace(",", " ")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,19 @@ def test_levels_to_file(workdir):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("hbar", ["1e-300", "1e-310"])
+def test_levels_too_many_points_exits_5_at_once(workdir, capsys, hbar):
+    # at 1e-300 the last coordinate alone spans about 7e291 values, and the
+    # walk used to form exact coordinates for 10^7 points (over a minute)
+    # before its cap fired; at 1e-310, hi / hbar overflows, which raised a
+    # bare OverflowError
+    start = time.perf_counter()
+    rc = main(["levels", str(workdir / "sqrt2.freq"), "--hbar", hbar, "--lo", "0.5", "--hi", "0.50000001"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 5
+    assert "eigenvalue window exceeds 10^7 lattice points" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--hbar", "nan"), ("--hbar", "inf"), ("--lo", "nan"), ("--hi", "inf")]
 )
@@ -273,6 +287,24 @@ def test_sweep_custom_symbols(workdir):
     assert gaps == {"gap:x1^2", "gap:H1"}
     summary = (workdir / "s" / "summary.txt").read_text()
     assert "slope gap:x1^2" in summary and "band" in summary
+
+
+@pytest.mark.parametrize(
+    "symbol, named",
+    [
+        ("2e308*x1", "number '2e308' overflows"),
+        ("1e308*x1 + 1e308*x1", "monomial (1, 0, 0, 0) has a non-finite coefficient"),
+    ],
+)
+def test_sweep_overflowing_symbol_exits_2(workdir, capsys, symbol, named):
+    # an inf coefficient used to reach the kernels: every step failed with a
+    # non-finite row blamed on the polynomial kernel, and sweep exited 4
+    cfg = workdir / "inf.cfg"
+    cfg.write_text(BASE_CFG + f"symbols = {symbol}\n")
+    rc = main(["sweep", str(cfg), "--out", str(workdir / "o")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (workdir / "o").exists()
 
 
 def test_sweep_failed_band_exits_4_after_writing_outputs(workdir, capsys):

@@ -114,6 +114,25 @@ def as_sparse(state):
     )
 
 
+def sparse_coherent(z0, hbar):
+    """as_sparse of a coherent state: every coefficient of its cutoff box, so
+    the copy misses only the mass coherent cut off, at most its tail_bound."""
+    state = as_sparse(coherent(z0, hbar))
+    assert 0.0 <= 1.0 - state.norm() ** 2 <= state.tail_bound
+    return state
+
+
+def evolved_sparse(psi, decomp, t):
+    """as_sparse(evolve(psi)) for a product psi, checked against
+    evolve(as_sparse(psi)) index by index, so evolve's product branch is
+    tested through sparse expectations."""
+    moved = as_sparse(evolve(psi, decomp, t))
+    want = evolve(as_sparse(psi), decomp, t).coeffs
+    assert moved.coeffs.keys() == want.keys()
+    assert all(abs(moved.coeffs[k] - c) <= 1e-12 * abs(c) for k, c in want.items())
+    return moved
+
+
 def test_coherent_norm_close_to_one(dec12):
     z0 = torus_point(dec12, (0.5, 0.5))
     psi = coherent(z0, 0.1)
@@ -148,7 +167,7 @@ def test_coherent_energy_expectation_ladder_oracle(dec12):
     # <Op(H_j)> on a coherent state is H_j(z0) + hbar/2
     z0 = torus_point(dec12, (0.5, 0.5))
     hbar = 0.07
-    psi = coherent(z0, hbar)
+    psi = sparse_coherent(z0, hbar)
     for j, hj in enumerate(z0.mode_energies()):
         val = expectation(psi, psi, mode_energy(2, j))
         assert val.real == pytest.approx(hj + hbar / 2.0, abs=1e-10)
@@ -630,7 +649,7 @@ def test_reduced_conditions_rescue_joint_infeasibility(dec_chain):
 
 def test_weyl_moments_on_ground_state():
     hbar = 0.23
-    psi = coherent(PhasePoint.zero(1), hbar)
+    psi = sparse_coherent(PhasePoint.zero(1), hbar)
     cases = {
         (2, 0): hbar / 2.0,
         (0, 2): hbar / 2.0,
@@ -648,7 +667,7 @@ def test_weyl_moments_on_ground_state():
 def test_weyl_moments_on_coherent_state():
     hbar = 0.11
     z0 = PhasePoint(x=(0.4, -0.3), xi=(0.1, 0.5))
-    psi = coherent(z0, hbar)
+    psi = sparse_coherent(z0, hbar)
     assert expectation(psi, psi, position(2, 0)).real == pytest.approx(
         0.4, abs=1e-9
     )
@@ -673,10 +692,10 @@ def _gaussian_moment(mean, sigma, a):
 
 
 def _long_coherent(x0, xi0, hbar):
-    """One-mode coherent state kept far past the Poisson bulk.
+    """One-mode coherent product state kept far past the Poisson bulk.
 
     The cutoff leaves out a mass far below 1e-30, so the high moments see
-    no truncation.
+    no truncation, and tail_bound is 0.
     """
     alpha = complex(x0, xi0) / math.sqrt(2.0 * hbar)
     mu = abs(alpha) ** 2
@@ -691,16 +710,14 @@ def test_weyl_moments_match_coherent_wigner_closed_form(hbar):
     # the coherent state's Wigner function is a Gaussian of variance hbar/2
     # per coordinate, and the Weyl moment is the Wigner average of x^a xi^b
     x0, xi0 = 0.6, -0.35
-    psi = _long_coherent(x0, xi0, hbar)
-    states = [psi, as_sparse(psi)] if hbar > 0.1 else [psi]
+    state = as_sparse(_long_coherent(x0, xi0, hbar))
     sigma = math.sqrt(hbar / 2.0)
     for a, b in itertools.product(range(9), repeat=2):
         if a + b > 8:
             continue
         want = _gaussian_moment(x0, sigma, a) * _gaussian_moment(xi0, sigma, b)
-        for state in states:
-            got = expectation(state, state, monomial(1, [a, b])) / state.norm() ** 2
-            assert got == pytest.approx(want, abs=1e-13), (a, b, state.is_product)
+        got = expectation(state, state, monomial(1, [a, b])) / state.norm() ** 2
+        assert got == pytest.approx(want, abs=1e-13), (a, b)
 
 
 def _dense_weyl_mode_matrix(a, b, hbar, size):
@@ -835,7 +852,7 @@ def test_polynomial_expectation_matches_dense_reference():
             W = _dense_weyl_mode_matrix(mono[j], mono[2 + j], hbar, max(len(fa), len(fb)))
             term *= np.conjugate(fa) @ W[: len(fa), : len(fb)] @ fb
         want += term
-    assert expectation(p, q, sym) == pytest.approx(want, rel=1e-13)
+    assert expectation(as_sparse(p), as_sparse(q), sym) == pytest.approx(want, rel=1e-13)
 
 
 def _walk_monomial(coeffs, mono, hbar, dims, magnitude=False):
@@ -872,7 +889,8 @@ def _moment_pairs(draw):
     """(bra, ket, powers): sparse kets on 0..6 per mode, monomials of degree 0 to 4.
 
     The bra is a sparse map overlapping the ket's support, a sparse map on
-    indices the ket never holds, or a product state.
+    indices the ket never holds, or the sparse copy of a product state,
+    which holds every index of its box.
     """
     d = draw(st.integers(1, 3))
     index = st.tuples(*[st.integers(0, 6)] * d)
@@ -885,7 +903,7 @@ def _moment_pairs(draw):
             np.array(draw(st.lists(amplitude, min_size=1, max_size=9)), dtype=complex)
             for _ in range(d)
         )
-        bra = FockState(0.1, d, tuple(len(f) - 1 for f in factors), 0.0, factors=factors)
+        bra = as_sparse(FockState(0.1, d, tuple(len(f) - 1 for f in factors), 0.0, factors=factors))
     else:
         extra = draw(st.lists(index, max_size=12, unique=True))
         if kind == "overlap":
@@ -947,15 +965,6 @@ def _reference_lookup(bra):
     """Function from an (..., d) array of indices to the bra's coefficients
     there, 0 off its support, read index by index: the reference for the
     batched reads of _bra_reads."""
-    if bra.is_product:
-        def lookup(idx):
-            out = np.ones(idx.shape[:-1], dtype=complex)
-            for j, f in enumerate(bra.factors):
-                k = idx[..., j]
-                inside = (k >= 0) & (k < len(f))
-                out *= np.where(inside, f[np.where(inside, k, 0)], 0)
-            return out
-        return lookup
     keys, vals = _support_arrays(bra.coeffs, bra.dims)
     lo, hi = keys.min(axis=0), keys.max(axis=0)
     extents = [int(e) for e in hi - lo + 1]
@@ -1010,7 +1019,7 @@ def test_batched_moments_match_per_monomial_kernel_bit_for_bit(d):
 
     ket = sparse(30)
     z0 = PhasePoint(x=tuple(rng.uniform(0.2, 0.5, d)), xi=tuple(rng.uniform(-0.3, 0.3, d)))
-    bras = {"ket": ket, "sparse": sparse(30), "coherent": coherent(z0, hbar)}
+    bras = {"ket": ket, "sparse": sparse(30), "coherent": sparse_coherent(z0, hbar)}
     monos = [p for p in itertools.product(range(5), repeat=2 * d) if sum(p) <= 4]
     monos.append({2: (3, 1, 2, 2), 3: (2, 0, 3, 1, 1, 1)}[d])  # one of degree 8
     keys, vals = _support_arrays(ket.coeffs, d)
@@ -1049,11 +1058,11 @@ def test_character_expectation_ground_and_coherent():
     sym = character(1, w)
     wnorm2 = w[0] ** 2 + w[1] ** 2
     for hbar in (0.17, 1e-3):
-        ground = coherent(PhasePoint.zero(1), hbar)
+        ground = sparse_coherent(PhasePoint.zero(1), hbar)
         want = math.exp(-hbar * wnorm2 / 4.0)
         assert expectation(ground, ground, sym) == pytest.approx(want, abs=1e-12)
         z0 = PhasePoint(x=(0.5,), xi=(-0.2,))
-        psi = coherent(z0, hbar)
+        psi = sparse_coherent(z0, hbar)
         val = expectation(psi, psi, sym)
         want_c = complex(sym.evaluate((0.5,), (-0.2,))) * want
         assert val == pytest.approx(want_c, abs=1e-10)
@@ -1281,16 +1290,16 @@ def test_batched_windows_refuse_a_non_finite_beta_before_any_element(monkeypatch
             list(_displacement_windows([ok, ok, (bad, range(0, 3), range(0, 3))]))
 
 
-@pytest.mark.parametrize("kinds", ["product", "product-bra", "sparse"])
+@pytest.mark.parametrize("kinds", ["sparse", "sparse-pair"])
 def test_character_expectation_makes_one_kernel_pass(kinds, monkeypatch):
     # every (character, mode) window of one call goes through one
-    # _displacement_real pass, whichever representations meet
+    # _displacement_real pass, for a bra that is the ket and for two states
+    # with different windows
     from scarkit import fockstate
 
-    psi = coherent(PhasePoint(x=(0.8, 0.3), xi=(0.0, 0.1)), 0.1)
-    sparse = as_sparse(psi)
-    pairs = {"product": (psi, psi), "product-bra": (psi, sparse), "sparse": (sparse, sparse)}
-    bra, ket = pairs[kinds]
+    sparse = sparse_coherent(PhasePoint(x=(0.8, 0.3), xi=(0.0, 0.1)), 0.1)
+    other = sparse_coherent(PhasePoint(x=(0.5, 0.6), xi=(0.2, 0.0)), 0.1)
+    bra, ket = {"sparse": (sparse, sparse), "sparse-pair": (other, sparse)}[kinds]
     sym = character(2, (0.3, -0.2, 0.5, 0.1), 0.7) + character(2, (-0.4, 0.1, 0.2, 0.6), -0.2j)
     want = expectation(bra, ket, sym)
     windows, passes = [], []
@@ -1398,11 +1407,8 @@ def test_expectation_on_an_empty_sparse_state_is_zero(angles):
     empty = FockState(0.1, 2, (3, 3), 0.0, coeffs={})
     assert empty.norm() == 0.0
     full = FockState(0.1, 2, (3, 3), 0.0, coeffs={(1, 2): 1.0 + 0j, (0, 3): 0.5j})
-    psi = coherent(PhasePoint(x=(0.3, 0.2), xi=(0.1, 0.0)), 0.1)
     thetas = None if angles is None else np.linspace(0.0, 1.0, 2 * angles).reshape(angles, 2)
     pairs = [(empty, empty), (empty, full), (full, empty)]
-    if angles is None:
-        pairs += [(psi, empty), (empty, psi)]
     for sym in (position(2, 0, 2) + mode_energy(2, 1), character(2, (0.3, -0.2, 0.5, 0.1), 0.7)):
         for bra, ket in pairs:
             got = expectation(bra, ket, sym, thetas)
@@ -1445,12 +1451,14 @@ def test_sparse_character_matches_dense_reference():
 
 
 def test_character_blocks_over_budget_raise():
-    # one mode with cutoff 5505: a product bra against the product ket or a
-    # sparse ket spanning 5001 indices, and two sparse states spanning 5001
-    # indices, each need a block of more than 2^24 elements
-    hbar = 1e-4
-    psi = coherent(PhasePoint(x=(1.0,), xi=(0.0,)), hbar)
-    assert psi.cutoff == (5505,)
+    # one mode with cutoff 10711: the sparse copy of the coherent state holds
+    # the 5640 indices whose amplitude does not underflow, so its support
+    # block with itself is over 2^24 elements; against a sparse state
+    # spanning 5001 indices the mode window is, and so is the window of
+    # that state with itself
+    hbar = 5e-5
+    psi = sparse_coherent(PhasePoint(x=(1.0,), xi=(0.0,)), hbar)
+    assert psi.cutoff == (10711,) and len(psi.coeffs) == 5640
     wide = FockState(hbar, 1, (5000,), 0.0, coeffs={(0,): 0.6 + 0j, (5000,): 0.8 + 0j})
     ch = character(1, (0.3, 0.1))
     for bra, ket in ((psi, psi), (psi, wide), (wide, psi), (wide, wide)):
@@ -1570,22 +1578,29 @@ def test_flowed_character_over_budget_raises_before_allocating(monkeypatch):
         expectation(wide, wide, ch, _flow_grid(2))
 
 
-def test_expectation_consistent_across_representations(dec12):
-    z0 = torus_point(dec12, (0.5, 0.5))
-    hbar = 0.2
-    p = coherent(z0, hbar)
-    s = as_sparse(p)
+def test_expectation_refuses_product_states(dec12):
+    # expectation takes sparse states only: a product bra, ket or both is
+    # refused by lone, flowed and grouped calls, against an empty state too
+    psi = coherent(torus_point(dec12, (0.5, 0.5)), 0.2)
+    empty = FockState(0.2, 2, psi.cutoff, 0.0, coeffs={})
     sym = monomial(2, [2, 1, 0, 1], 0.7) + character(2, (0.3, -0.2, 0.5, 0.1))
-    ref = expectation(p, p, sym)
-    for bra in (p, s):
-        for ket in (p, s):
-            assert expectation(bra, ket, sym) == pytest.approx(ref, abs=1e-10)
+    grid = np.zeros((3, 2))
+    calls = [
+        lambda bra, ket: expectation(bra, ket, sym),
+        lambda bra, ket: expectation(bra, ket, sym, grid),
+        lambda bra, ket: expectation(bra, ket, sym, _groups=[sym.poly]),
+        lambda bra, ket: expectation(bra, ket, sym, grid, _groups=[sym.chars]),
+    ]
+    for other in (psi, as_sparse(psi), empty):
+        for (bra, ket), call in itertools.product([(psi, other), (other, psi)], calls):
+            with pytest.raises(ValidationError, match="expectation needs sparse states; project first"):
+                call(bra, ket)
 
 
 def test_real_symbol_has_real_expectation(dec12):
     rng = random.Random(3)
     z0 = torus_point(dec12, (0.5, 0.5))
-    psi = coherent(z0, 0.18)
+    psi = sparse_coherent(z0, 0.18)
     sym = (
         monomial(2, [3, 0, 1, 0], 0.4)
         + monomial(2, [0, 1, 0, 1], -1.2)
@@ -1598,7 +1613,7 @@ def test_real_symbol_has_real_expectation(dec12):
         x=(rng.uniform(-1, 1), rng.uniform(-1, 1)),
         xi=(rng.uniform(-1, 1), rng.uniform(-1, 1)),
     )
-    a, b = coherent(za, 0.18), psi
+    a, b = sparse_coherent(za, 0.18), psi
     assert expectation(a, b, sym) == pytest.approx(
         expectation(b, a, sym).conjugate(), abs=1e-10
     )
@@ -1609,14 +1624,14 @@ def test_evolve_rotates_position_expectation(dec1, dec12):
     z0 = PhasePoint(x=(1.0,), xi=(0.5,))
     psi = coherent(z0, hbar)
     for t in (0.0, 0.3, 1.7):
-        moved = evolve(psi, dec1, t)
+        moved = evolved_sparse(psi, dec1, t)
         want = 1.0 * math.cos(t) + 0.5 * math.sin(t)
         got = expectation(moved, moved, position(1, 0))
         assert got.real == pytest.approx(want, abs=1e-8)
     z2 = PhasePoint(x=(0.2, 0.8), xi=(0.6, -0.3))
     psi2 = coherent(z2, hbar)
     s2 = math.sqrt(2.0)
-    moved = evolve(psi2, dec12, 0.4)
+    moved = evolved_sparse(psi2, dec12, 0.4)
     want = 0.8 * math.cos(s2 * 0.4) + (-0.3) * math.sin(s2 * 0.4)
     assert expectation(moved, moved, position(2, 1)).real == pytest.approx(
         want, abs=1e-8
@@ -1638,8 +1653,8 @@ def test_evolve_egorov_exact(dec12):
     psi = coherent(z0, hbar)
     omega = dec12.spec.numeric
     t = 0.37
-    moved = evolve(psi, dec12, t)
-    assert moved.norm() == pytest.approx(psi.norm(), abs=1e-13)
+    assert evolve(psi, dec12, t).norm() == pytest.approx(psi.norm(), abs=1e-13)
+    moved, start = evolved_sparse(psi, dec12, t), as_sparse(psi)
     thetas = [w * t for w in omega]
     for sym in (
         position(2, 0),
@@ -1647,7 +1662,7 @@ def test_evolve_egorov_exact(dec12):
         character(2, (0.4, -0.1, 0.2, 0.3)),
     ):
         lhs = expectation(moved, moved, sym)
-        rhs = expectation(psi, psi, sym.rotate(thetas))
+        rhs = expectation(start, start, sym.rotate(thetas))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -1713,3 +1728,10 @@ def test_load_state_rejects_malformed_input(edit):
     assert load_state(io.StringIO(text)).norm() == pytest.approx(math.sqrt(1.25))
     with pytest.raises(ValidationError):
         load_state(io.StringIO(edit(text)))
+
+
+def test_load_state_refuses_a_repeated_index():
+    # the later line used to replace the earlier one without a word
+    text = "# hbar=0.1\n# dims=2\nk1,k2,re,im\n1,2,1.0,0.0\n0,3,0.5,0.0\n1,2,0.3,0.0\n"
+    with pytest.raises(ValidationError, match=r"line 6: index \(1, 2\) repeats line 4"):
+        load_state(io.StringIO(text))

@@ -178,6 +178,22 @@ def test_window_resource_cap(dec11, monkeypatch):
         enumerate_window(dec11, 0.01, 0.0, 3.0)
 
 
+def test_window_cap_fires_before_any_exact_coordinate(dec11, monkeypatch):
+    # the walk keeps points and forms their coordinates only once it has
+    # stayed under the cap, so running past it costs no Fraction arithmetic
+    from scarkit import spectral
+
+    def forbidden(*args):
+        raise AssertionError("eigenvalue_coords called before the walk finished")
+
+    monkeypatch.setattr(spectral, "eigenvalue_coords", forbidden)
+    monkeypatch.setattr(spectral, "_WINDOW_CAP", 500)
+    with pytest.raises(ResourceLimitError, match="exceeds 10\\^7 lattice points$"):
+        enumerate_window(dec11, 0.01, 0.0, 3.0)  # 300 values of k2 alone: the walk's cap fires
+    with pytest.raises(ResourceLimitError, match="k2 alone takes 600 values"):
+        enumerate_window(dec11, 0.005, 0.0, 3.0)  # refused before the walk
+
+
 def _brute_window(decomp, hbar, lo, hi):
     """enumerate_window's levels by a scan of every lattice point below hi,
     as (value, coords, indices), sorted as enumerate_window sorts them."""

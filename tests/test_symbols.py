@@ -110,6 +110,27 @@ def test_degree_cap_enforced():
     assert position(1, 0, power=MAX_DEGREE).degree == MAX_DEGREE
 
 
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: monomial(2, (1, 0, 0, 0), math.nan), r"monomial \(1, 0, 0, 0\)"),
+        (lambda: character(2, (0.3, 0.1, -0.2, 0.5), math.inf), r"character \(0.3, 0.1, -0.2, 0.5\)"),
+        (lambda: position(2, 0) * math.inf, r"monomial \(1, 0, 0, 0\)"),
+        (lambda: parse_symbol("2e308*x1", 2), r"number '2e308' overflows in '2e308\*x1'"),
+        (lambda: parse_symbol("1e308*x1 + 1e308*x1", 2), r"monomial \(1, 0, 0, 0\)"),
+        (lambda: character(2, (0.3,) * 4, 1e308) + character(2, (0.3,) * 4, 1e308),
+         r"character \(0.3, 0.3, 0.3, 0.3\)"),
+    ],
+    ids=["monomial", "character", "scaled", "parsed", "merged-monomials", "merged-characters"],
+)
+def test_non_finite_coefficients_are_refused(build, named):
+    # they used to build symbols whose expectations came out inf or NaN, and
+    # sweep blamed the kernel; the merged cases overflow in the sum alone
+    with pytest.raises(ValidationError, match=named):
+        build()
+    assert monomial(2, (1, 0, 0, 0), 1e308).poly == {(1, 0, 0, 0): 1e308}
+
+
 def test_rotation_composes_with_flow():
     rng = random.Random(9)
     for _ in range(12):
