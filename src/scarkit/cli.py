@@ -348,7 +348,8 @@ def cmd_husimi(args) -> int:
     mode = args.mode - 1
     if not 0 <= mode < state.dims:
         raise ValidationError(f"mode must lie in 1..{state.dims}, got {args.mode}")
-    span = 1.25 * math.sqrt(2.0 * state.hbar * (state.cutoff[mode] + 1)) + 1.0
+    top = max(k[mode] for k in state.coeffs)  # a built and a stored state agree
+    span = 1.25 * math.sqrt(2.0 * state.hbar * (top + 1)) + 1.0
     n = args.grid
     xs = [-span + 2 * span * i / (n - 1) for i in range(n)]
     values = husimi_grid(state, mode, xs, xs, base=base, tail_tol=cfg.tail_tol)

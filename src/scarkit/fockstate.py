@@ -7,16 +7,17 @@ over the box, which is 1 exactly when every component eigenvalue of k matches
 the target (the differences are integer multiples of 2 pi / T_n per axis) and
 0 otherwise. So the average keeps one joint eigenspace and kills the rest;
 no quadrature is involved (a small-grid quadrature equivalence is exercised
-in tests). For a product state the kept indices are the integer solutions
-of int_weights_n . k = sign_n N_n inside the per-mode cutoffs, enumerated
-exactly (freqarith.lattice_solver); no point of the cutoff box is scanned,
-and amplitudes are evaluated at the kept points only. Sparse states test
-each stored index.
+in tests). The kept indices are the integer solutions of int_weights_n . k
+= sign_n N_n inside a product state's per-mode cutoffs, enumerated exactly
+(freqarith.lattice_solver); no point of the cutoff box is scanned, and
+amplitudes are evaluated at the kept points only.
 
-Product states (coherent) keep per-mode factor vectors; inner, husimi,
-projection and evolve take them. Projected states are sparse coefficient
-maps, and expectation takes sparse states only: a product state is
-projected first. Expectations are exact matrix-element sums: polynomial
+Product states (coherent) keep per-mode factor vectors and are raw
+material only: projection takes them and nothing else, and inner takes one
+as its bra, the Husimi probe. Projected states are sparse coefficient maps;
+every other call (expectation, evolve, scaled, inner's ket, dump_state)
+takes sparse states only and refuses a product state with ValidationError:
+project it first. Expectations are exact matrix-element sums: polynomial
 symbols through the banded action of Op(x^a xi^b), which moves an index
 by at most a + b, characters through displacement-operator matrix
 elements, evaluated per mode only over the index range [min, max] of each
@@ -150,11 +151,7 @@ class FockState:
 
     def scaled(self, factor: complex) -> "FockState":
         if self.is_product:
-            fs = list(np.array(f) for f in self.factors)
-            fs[0] = fs[0] * factor
-            return FockState(
-                self.hbar, self.dims, self.cutoff, self.tail_bound, None, tuple(fs)
-            )
+            raise ValidationError("scaled needs a sparse state; project first")
         return FockState(
             self.hbar,
             self.dims,
@@ -307,22 +304,20 @@ def coherent(z0: PhasePoint, hbar: float, tail_tol: float = 1e-12) -> FockState:
 # inner products
 
 def inner(bra: FockState, ket: FockState) -> complex:
-    """<bra, ket> with the physics convention (antilinear in bra)."""
+    """<bra, ket> with the physics convention (antilinear in bra), on a sparse ket.
+
+    The bra is sparse or a product state (the Husimi probe), which is read
+    at the ket's indices only; a product ket raises ValidationError.
+    """
     if bra.hbar != ket.hbar or bra.dims != ket.dims:
         raise ValidationError("states live in different spaces")
-    if bra.is_product and ket.is_product:
-        out = 1.0 + 0j
-        for fa, fb in zip(bra.factors, ket.factors):
-            L = min(len(fa), len(fb))
-            out *= complex(np.vdot(fa[:L], fb[:L]))
-        return out
+    if ket.is_product:
+        raise ValidationError("inner needs a sparse ket; project first")
     if bra.is_product:
         total = 0j
         for k, c in ket.coeffs.items():
             total += np.conjugate(bra.coefficient(k)) * c
         return complex(total)
-    if ket.is_product:
-        return complex(np.conjugate(inner(ket, bra)))
     if len(bra.coeffs) > len(ket.coeffs):
         return complex(np.conjugate(inner(ket, bra)))
     total = 0j
@@ -343,28 +338,19 @@ def norm(state: FockState) -> float:
 def _project_conditions(
     state: FockState, conditions: Sequence[tuple[tuple[int, ...], int]]
 ) -> dict[FockIndex, complex]:
-    """Keep coefficients whose index satisfies ivec.k == rhs for all conditions.
+    """A product state's coefficients whose index satisfies ivec.k == rhs for all conditions.
 
-    A product state's kept indices are the lattice solutions inside its
-    per-mode cutoffs, enumerated directly and in row-major order; amplitudes
-    are evaluated at those points only, as 1 * f_0[k_0] * f_1[k_1] * ...
+    The kept indices are the lattice solutions inside its per-mode cutoffs,
+    enumerated directly and in row-major order; amplitudes are evaluated at
+    those points only, as 1 * f_0[k_0] * f_1[k_1] * ...
     """
-    if state.is_product:
-        pts = lattice_solver(
-            [ivec for ivec, _ in conditions], [len(f) for f in state.factors]
-        )([rhs for _, rhs in conditions])
-        amp = np.ones(len(pts), dtype=complex)
-        for j, f in enumerate(state.factors):
-            amp *= f[pts[:, j]]
-        return dict(zip(map(tuple, pts.tolist()), amp.tolist()))
-    kept = {}
-    for k, c in state.coeffs.items():
-        if all(
-            sum(iv * kj for iv, kj in zip(ivec, k) if iv) == rhs
-            for ivec, rhs in conditions
-        ):
-            kept[k] = c
-    return kept
+    pts = lattice_solver(
+        [ivec for ivec, _ in conditions], [len(f) for f in state.factors]
+    )([rhs for _, rhs in conditions])
+    amp = np.ones(len(pts), dtype=complex)
+    for j, f in enumerate(state.factors):
+        amp *= f[pts[:, j]]
+    return dict(zip(map(tuple, pts.tolist()), amp.tolist()))
 
 
 def _offsets(total: int, lo: Sequence[int], hi: Sequence[int]):
@@ -378,22 +364,14 @@ def _offsets(total: int, lo: Sequence[int], hi: Sequence[int]):
 
 
 def _nearest_misses(state: FockState, conditions, count: int = 3):
-    """Support points closest to satisfying the conditions, for diagnostics.
+    """A product state's support points closest to satisfying the conditions, for diagnostics.
 
-    Points rank by (miss, -|c|, k), miss being sum_n |ivec_n . k - rhs_n|. A
-    product state is searched on the lattice: every point with miss L solves
-    ivec . k = rhs + e for one offset e with |e|_1 = L, each e_n confined to
-    the range ivec_n . k - rhs_n takes over the box, so L grows until enough
+    Points rank by (miss, -|c|, k), miss being sum_n |ivec_n . k - rhs_n|,
+    and are searched on the lattice: every point with miss L solves ivec . k
+    = rhs + e for one offset e with |e|_1 = L, each e_n confined to the
+    range ivec_n . k - rhs_n takes over the box, so L grows until enough
     nonzero points are found or no larger miss exists.
     """
-    def miss(k):
-        return sum(
-            abs(sum(iv * kj for iv, kj in zip(ivec, k)) - rhs) for ivec, rhs in conditions
-        )
-
-    if not state.is_product:
-        scored = sorted((miss(k), -abs(c), k) for k, c in state.coeffs.items())
-        return tuple(k for _, _, k in scored[:count])
     extents = [len(f) for f in state.factors]
     top = [n - 1 for n in extents]
     lo = [sum(min(iv, 0) * t for iv, t in zip(ivec, top)) - rhs for ivec, rhs in conditions]
@@ -414,9 +392,7 @@ def _nearest_misses(state: FockState, conditions, count: int = 3):
 
 
 def _solvable(state: FockState, ivec, rhs) -> bool:
-    """Whether some index of the state's support satisfies ivec . k == rhs alone."""
-    if not state.is_product:
-        return any(sum(iv * kj for iv, kj in zip(ivec, k)) == rhs for k in state.coeffs)
+    """Whether some index in a product state's cutoffs satisfies ivec . k == rhs alone."""
     modes = [j for j, iv in enumerate(ivec) if iv]
     extents = [len(state.factors[j]) for j in modes]
     return len(lattice_solver([[ivec[j] for j in modes]], extents)([rhs])) > 0
@@ -441,16 +417,19 @@ def _condition_text(conditions, cutoff) -> str:
 
 
 def average_project(state: FockState, target: TargetEigenvalue) -> FockState:
-    """Time average over the period box, realized as a spectral projection.
+    """Time average of a product state over the period box, realized as a spectral projection.
 
     Keeps exactly the lattice points whose component eigenvalues all equal
     the target's (integer test int_weights_n . k == sign_n N_n); the result
-    is an exact joint eigenvector. A product state's kept points are
-    enumerated as the solutions of those equations inside its per-mode
-    cutoffs, without scanning the cutoff box. An empty result raises
+    is a sparse, exact joint eigenvector. The kept points are enumerated as
+    the solutions of those equations inside the state's per-mode cutoffs,
+    without scanning the cutoff box. An empty result raises
     EmptyProjectionError naming an equation with no solution in the state's
-    support and the support points that miss the equations least.
+    support and the support points that miss the equations least. A sparse
+    state, already projected, raises ValidationError.
     """
+    if not state.is_product:
+        raise ValidationError("average_project needs a product state, as coherent builds")
     if state.hbar != target.hbar:
         raise ValidationError("state and target disagree on hbar")
     decomp = target.decomposition
@@ -653,35 +632,17 @@ def normalize_scar(
     select_target(decomp, E, hbar). When the gradient rank d0 falls below
     d_omega it targets the reduced system at its own component energies at
     z0, and the reported target is re-anchored at the eigenvalue the kept
-    state actually has. A point with no excited mode at all degenerates to
-    the ground state with c_hbar = 1 by convention.
+    state actually has. A z0 that excites no mode (gradient rank 0) raises
+    ValidationError.
     `_fixed` is internal to sweep, not part of the interface: the memo of
     phasespace._once for this decomposition and E, which keeps the Gram data
     at z0 and the reduced system's sigma_membership for every step.
     """
     target = select_target(decomp, E, hbar, _fixed=_fixed)
     g = _once(_fixed, ("gram", z0), gram, z0, decomp)
-    psi = coherent(z0, hbar, tail_tol)
     if g.rank_d0 == 0:
-        if not psi.is_product or any(len(f) > 1 for f in psi.factors):
-            raise ValidationError("rank 0 requires the unexcited ground state")
-        state = FockState(
-            hbar=hbar,
-            dims=decomp.dims,
-            cutoff=psi.cutoff,
-            tail_bound=tail_tol,
-            coeffs={(0,) * decomp.dims: 1.0 + 0j},
-        )
-        return ScarState(
-            state=state,
-            target=_retarget(decomp, target, (0,) * decomp.dims),
-            z0=z0,
-            c_hbar=1.0,
-            rank_d0=0,
-            gram_det=g.det,
-            volume=g.volume,
-            mass=psi.norm() ** 2,
-        )
+        raise ValidationError("normalize_scar needs a z0 that excites some mode")
+    psi = coherent(z0, hbar, tail_tol)
     if g.system is decomp:
         projected = average_project(psi, target)
     else:
@@ -1351,20 +1312,17 @@ def expectation(bra: FockState, ket: FockState, a: Symbol, thetas=None, *, _grou
 # evolution (convention pinning) and persistence
 
 def evolve(state: FockState, decomp: HarmonicDecomposition, t: float) -> FockState:
-    """e^{-i t Op(H)/hbar} state: phase e^{-i t (omega.k + |omega|_1/2)} per index."""
+    """e^{-i t Op(H)/hbar} state: phase e^{-i t (omega.k + |omega|_1/2)} per index.
+
+    It pins the flow convention that the expectations' rotation covariance
+    uses, on sparse states only; a product state raises ValidationError.
+    """
     if state.dims != decomp.dims:
         raise ValidationError(f"state has {state.dims} mode(s), the decomposition {decomp.dims}")
+    if state.is_product:
+        raise ValidationError("evolve needs a sparse state; project first")
     omega = decomp.spec.numeric
     half = sum(omega) / 2.0
-    if state.is_product:
-        fs = []
-        for j, f in enumerate(state.factors):
-            ks = np.arange(len(f))
-            fs.append(f * np.exp(-1j * t * omega[j] * ks))
-        fs[0] = fs[0] * np.exp(-1j * t * half)
-        return FockState(
-            state.hbar, state.dims, state.cutoff, state.tail_bound, None, tuple(fs)
-        )
     coeffs = {
         k: c * np.exp(-1j * t * (sum(w * kj for w, kj in zip(omega, k)) + half))
         for k, c in state.coeffs.items()

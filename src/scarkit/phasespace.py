@@ -299,7 +299,7 @@ def sigma_membership(
 # Husimi evaluation
 
 def husimi(state, z: PhasePoint, tail_tol: float = 1e-12) -> float:
-    """|<coherent(z), state>|^2 / (2 pi hbar)^d."""
+    """|<coherent(z), state>|^2 / (2 pi hbar)^d for a sparse state."""
     from .fockstate import coherent, inner
 
     probe = coherent(z, state.hbar, tail_tol)
@@ -315,15 +315,12 @@ def husimi_grid(
     base: PhasePoint | None = None,
     tail_tol: float = 1e-12,
 ) -> np.ndarray:
-    """Husimi values over a plane: mode's (x, xi) varies, other modes fixed."""
-    from .fockstate import coherent, inner
-
+    """husimi over a plane: mode's (x, xi) varies, other modes fixed."""
     d = state.dims
     if not 0 <= mode < d:
         raise ValidationError("mode index out of range")
     if base is None:
         base = PhasePoint.zero(d)
-    norm = (2.0 * math.pi * state.hbar) ** d
     out = np.empty((len(xs), len(xis)))
     for i, xv in enumerate(xs):
         for k, xiv in enumerate(xis):
@@ -331,6 +328,5 @@ def husimi_grid(
             xi = list(base.xi)
             x[mode] = float(xv)
             xi[mode] = float(xiv)
-            probe = coherent(PhasePoint(tuple(x), tuple(xi)), state.hbar, tail_tol)
-            out[i, k] = abs(inner(probe, state)) ** 2 / norm
+            out[i, k] = husimi(state, PhasePoint(tuple(x), tuple(xi)), tail_tol)
     return out

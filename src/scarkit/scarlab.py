@@ -288,7 +288,8 @@ class SweepConfig:
     """One experiment: a decomposition, a level set, and an hbar schedule.
 
     Leave z0 unset to use the interior witness of sigma_membership; set
-    points for a convex combination over several tori instead.
+    points instead of z0 for a convex combination over several tori. Each
+    probe's label names its rows, so no two labels may be equal.
     """
 
     decomposition: HarmonicDecomposition
@@ -311,6 +312,12 @@ class SweepConfig:
             raise ValidationError("hbar schedule must be strictly decreasing")
         if not 0 < self.tail_tol < 1:
             raise ValidationError("tail_tol must lie in (0, 1)")
+        if self.z0 is not None and self.points:
+            raise ValidationError("set z0 or points, not both")
+        labels = [f"{a.label}" for a in self.probes]  # as the gap and cross rows print them
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValidationError(f"probe label {label} repeats; each probe names its own rows")
 
 
 @dataclass(frozen=True)
@@ -419,11 +426,13 @@ def _require_finite(rows, probes) -> None:
         for field, v in zip(("value", "reference", "residual"), entries):
             if cmath.isfinite(v):
                 continue
-            probe = next((a for a in probes if name.endswith(f":{a.label}")), None)
-            if probe is None:
-                kernel = _ROW_KERNELS[name.split(":")[0]]
-            else:
+            kind, _, rest = name.partition(":")
+            if kind in ("gap", "cross"):  # gap:<label>, cross:i-j:<label>
+                label = rest.partition(":")[2] if kind == "cross" else rest
+                probe = next(a for a in probes if f"{a.label}" == label)
                 kernel = ("character" if probe.chars else "polynomial") + " expectation"
+            else:
+                kernel = _ROW_KERNELS[kind]
             raise NumericalError(
                 f"non-finite {field} {v} in row {name} at hbar={hbar:.6g} ({kernel} kernel)"
             )

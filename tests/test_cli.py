@@ -307,6 +307,16 @@ def test_sweep_overflowing_symbol_exits_2(workdir, capsys, symbol, named):
     assert not (workdir / "o").exists()
 
 
+def test_sweep_repeated_probe_label_exits_2(workdir, capsys):
+    # two probes named x1^2 wrote 10 gap:x1^2 rows in 5 steps and exited 0
+    cfg = workdir / "dup.cfg"
+    cfg.write_text(BASE_CFG + "symbols = x1^2; x1^2\n")
+    rc = main(["sweep", str(cfg), "--out", str(workdir / "o")])
+    assert rc == 2
+    assert "probe label x1^2 repeats" in capsys.readouterr().err
+    assert not (workdir / "o").exists()
+
+
 def test_sweep_failed_band_exits_4_after_writing_outputs(workdir, capsys):
     cfg = workdir / "big.cfg"
     cfg.write_text(BASE_CFG.replace("hbar_start = 0.2", "hbar_start = 500"))
@@ -445,6 +455,19 @@ def test_husimi_from_dumped_state(workdir):
     _, rows = read_csv(workdir / "d2" / "husimi_mode2.csv")
     assert len(rows) == 21 * 21
     assert max(float(r[2]) for r in rows) > 0
+
+
+def test_husimi_of_a_built_and_a_stored_state_agree(workdir):
+    # the span once came from the state's cutoff: the coherent state's, (20, 18),
+    # for a built scar, but the largest index, (2, 2), for its dump
+    cfg = str(workdir / "run.cfg")
+    assert main(["dump", cfg, "--out", str(workdir / "d")]) == 0
+    for mode in ("1", "2"):
+        args = ["husimi", cfg, "--mode", mode, "--grid", "21", "--out"]
+        assert main(args + [str(workdir / "b")]) == 0
+        assert main(args + [str(workdir / "s"), "--state", str(workdir / "d" / "state.csv")]) == 0
+        name = f"husimi_mode{mode}.csv"
+        assert (workdir / "b" / name).read_bytes() == (workdir / "s" / name).read_bytes()
 
 
 def test_husimi_empty_state_file(workdir, capsys):

@@ -57,6 +57,8 @@ from scarkit.phasespace import PhasePoint, component_energies, sigma_membership
 from scarkit.spectral import decompose_eigenvalue, eigenvalue, select_target
 from scarkit.symbols import Symbol, character, mode_energy, momentum, monomial, position
 
+from conftest import as_sparse
+
 F = Fraction
 
 
@@ -94,43 +96,12 @@ def torus_point(decomp, E):
     return sigma_membership(decomp, E).torus_point()
 
 
-def materialize(state):
-    box = itertools.product(*(range(c + 1) for c in state.cutoff))
-    out = {}
-    for k in box:
-        c = state.coefficient(k)
-        if c != 0:
-            out[k] = c
-    return out
-
-
-def as_sparse(state):
-    return FockState(
-        hbar=state.hbar,
-        dims=state.dims,
-        cutoff=state.cutoff,
-        tail_bound=state.tail_bound,
-        coeffs=materialize(state),
-    )
-
-
 def sparse_coherent(z0, hbar):
     """as_sparse of a coherent state: every coefficient of its cutoff box, so
     the copy misses only the mass coherent cut off, at most its tail_bound."""
     state = as_sparse(coherent(z0, hbar))
     assert 0.0 <= 1.0 - state.norm() ** 2 <= state.tail_bound
     return state
-
-
-def evolved_sparse(psi, decomp, t):
-    """as_sparse(evolve(psi)) for a product psi, checked against
-    evolve(as_sparse(psi)) index by index, so evolve's product branch is
-    tested through sparse expectations."""
-    moved = as_sparse(evolve(psi, decomp, t))
-    want = evolve(as_sparse(psi), decomp, t).coeffs
-    assert moved.coeffs.keys() == want.keys()
-    assert all(abs(moved.coeffs[k] - c) <= 1e-12 * abs(c) for k, c in want.items())
-    return moved
 
 
 def test_coherent_norm_close_to_one(dec12):
@@ -259,24 +230,20 @@ def test_inner_agrees_across_representations(dec12):
     zb = PhasePoint(x=(0.3, -0.1), xi=(0.2, 0.4))
     a, b = coherent(z0, 0.2), coherent(zb, 0.2)
     sa, sb = as_sparse(a), as_sparse(b)
-    ref = inner(a, b)
+    ref = inner(sa, sb)
     assert abs(ref) > 1e-6
-    for bra in (a, sa):
-        for ket in (b, sb):
-            assert inner(bra, ket) == pytest.approx(ref, rel=1e-10)
+    assert inner(a, sb) == pytest.approx(ref, rel=1e-10)  # the Husimi probe's product bra
     # antilinearity in the bra slot
-    assert inner(b, a) == pytest.approx(ref.conjugate(), rel=1e-10)
+    assert inner(sb, sa) == pytest.approx(ref.conjugate(), rel=1e-10)
 
 
-def test_projection_is_orthogonal_and_idempotent(dec12):
+def test_projection_is_orthogonal(dec12):
     z0 = torus_point(dec12, (0.5, 0.5))
     hbar = 0.15
     psi = coherent(z0, hbar)
     target = select_target(dec12, (0.5, 0.5), hbar)
     proj = average_project(psi, target)
     assert proj.norm() <= psi.norm() + 1e-12
-    again = average_project(proj, target)
-    assert again.coeffs == proj.coeffs
     # <psi - P psi, P psi> = <psi, P psi> - |P psi|^2 = 0
     cross = inner(psi, proj) - proj.norm() ** 2
     assert abs(cross) < 1e-12
@@ -309,7 +276,7 @@ def test_projection_matches_phase_average_oracle(dec23):
     proj = average_project(psi, target)
     M = 512
     phases = np.exp(-2j * np.pi * np.arange(M) / M)
-    for k, c in materialize(psi).items():
+    for k, c in as_sparse(psi).coeffs.items():
         dot = sum(iv * kj for iv, kj in zip(comp.int_weights, k))
         gap = dot - target.signs[0] * target.N[0]
         avg = c * np.mean(phases**gap)
@@ -317,13 +284,39 @@ def test_projection_matches_phase_average_oracle(dec23):
 
 
 def test_empty_projection_reports_nearest(dec12):
-    state = FockState(
-        hbar=0.1, dims=2, cutoff=(0, 0), tail_bound=0.0, coeffs={(0, 0): 1.0 + 0j}
-    )
+    state = coherent(PhasePoint.zero(2), 0.1)
+    assert state.cutoff == (0, 0)
     target = select_target(dec12, (0.5, 0.5), 0.1)
     with pytest.raises(EmptyProjectionError) as err:
         average_project(state, target)
     assert (0, 0) in err.value.nearest
+
+
+_REFUSALS = {  # call -> (the call on dec12 and a coherent state, the call's message)
+    "evolve": (lambda dec, psi: evolve(psi, dec, 0.3), "evolve needs a sparse state"),
+    "scaled": (lambda dec, psi: psi.scaled(2.0), "scaled needs a sparse state"),
+    "inner-product-ket": (lambda dec, psi: inner(psi, psi), "inner needs a sparse ket"),
+    "inner-sparse-bra": (lambda dec, psi: inner(as_sparse(psi), psi), "inner needs a sparse ket"),
+    "average_project": (
+        lambda dec, psi: average_project(as_sparse(psi), select_target(dec, (0.5, 0.5), psi.hbar)),
+        "average_project needs a product state",
+    ),
+    "normalize_scar-origin": (
+        lambda dec, psi: normalize_scar(dec, PhasePoint.zero(2), (0.5, 0.5), psi.hbar),
+        "normalize_scar needs a z0 that excites some mode",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(_REFUSALS))
+def test_product_states_only_feed_projection_and_husimi(dec12, call):
+    # product states are read only by coherent, projection, a product bra in
+    # inner (the Husimi probe), norm and coefficient; sparse states are not
+    # projected again, and a z0 exciting no mode (gradient rank 0) has no scar
+    psi = coherent(torus_point(dec12, (0.5, 0.5)), 0.15)
+    run, message = _REFUSALS[call]
+    with pytest.raises(ValidationError, match=message):
+        run(dec12, psi)
 
 
 _BOX_CHUNK = 1 << 18
@@ -586,13 +579,6 @@ def test_normalize_scar_is_exact_eigenvector(dec12):
         assert eigenvalue(dec12, k, hbar) == pytest.approx(
             scar.target.lambda_total, rel=1e-13
         )
-
-
-def test_normalize_scar_rank_zero_ground(dec12):
-    scar = normalize_scar(dec12, PhasePoint.zero(2), (0.5, 0.5), 0.1)
-    assert scar.rank_d0 == 0
-    assert scar.c_hbar == 1.0
-    assert scar.state.coeffs == {(0, 0): 1.0 + 0j}
 
 
 def test_normalize_scar_rank_deficient_path(dec12):
@@ -1622,16 +1608,16 @@ def test_real_symbol_has_real_expectation(dec12):
 def test_evolve_rotates_position_expectation(dec1, dec12):
     hbar = 0.09
     z0 = PhasePoint(x=(1.0,), xi=(0.5,))
-    psi = coherent(z0, hbar)
+    psi = as_sparse(coherent(z0, hbar))
     for t in (0.0, 0.3, 1.7):
-        moved = evolved_sparse(psi, dec1, t)
+        moved = evolve(psi, dec1, t)
         want = 1.0 * math.cos(t) + 0.5 * math.sin(t)
         got = expectation(moved, moved, position(1, 0))
         assert got.real == pytest.approx(want, abs=1e-8)
     z2 = PhasePoint(x=(0.2, 0.8), xi=(0.6, -0.3))
-    psi2 = coherent(z2, hbar)
+    psi2 = as_sparse(coherent(z2, hbar))
     s2 = math.sqrt(2.0)
-    moved = evolved_sparse(psi2, dec12, 0.4)
+    moved = evolve(psi2, dec12, 0.4)
     want = 0.8 * math.cos(s2 * 0.4) + (-0.3) * math.sin(s2 * 0.4)
     assert expectation(moved, moved, position(2, 1)).real == pytest.approx(
         want, abs=1e-8
@@ -1650,11 +1636,11 @@ def test_evolve_refuses_a_state_of_another_mode_count(dec12):
 def test_evolve_egorov_exact(dec12):
     hbar = 0.14
     z0 = PhasePoint(x=(0.3, 0.5), xi=(-0.4, 0.2))
-    psi = coherent(z0, hbar)
+    start = as_sparse(coherent(z0, hbar))
     omega = dec12.spec.numeric
     t = 0.37
-    assert evolve(psi, dec12, t).norm() == pytest.approx(psi.norm(), abs=1e-13)
-    moved, start = evolved_sparse(psi, dec12, t), as_sparse(psi)
+    moved = evolve(start, dec12, t)
+    assert moved.norm() == pytest.approx(start.norm(), abs=1e-13)
     thetas = [w * t for w in omega]
     for sym in (
         position(2, 0),

@@ -26,6 +26,8 @@ from scarkit.phasespace import (
 )
 from scarkit.symbols import MAX_DEGREE, Symbol, character, mode_energy, parse_symbol, position
 
+from conftest import as_sparse
+
 F = Fraction
 
 def spec_1_sqrt2():
@@ -429,11 +431,11 @@ def test_husimi_values():
     from scarkit.phasespace import husimi
 
     z0 = PhasePoint((0.9,), (-0.4,))
-    state = coherent(z0, hbar)
+    state = as_sparse(coherent(z0, hbar))
     assert husimi(state, z0) == pytest.approx(
         1.0 / (2 * math.pi * hbar), rel=1e-10
     )
-    ground = coherent(PhasePoint.zero(1), hbar)
+    ground = as_sparse(coherent(PhasePoint.zero(1), hbar))
     edge = PhasePoint((math.sqrt(2 * hbar),), (0.0,))
     assert husimi(ground, edge) == pytest.approx(
         math.exp(-1.0) / (2 * math.pi * hbar), rel=1e-10
@@ -445,7 +447,7 @@ def test_husimi_integrates_to_one():
     from scarkit.phasespace import husimi_grid
 
     hbar = 0.25
-    state = coherent(PhasePoint((0.5,), (0.3,)), hbar)
+    state = as_sparse(coherent(PhasePoint((0.5,), (0.3,)), hbar))
     xs = np.linspace(-4, 4, 161)
     step = xs[1] - xs[0]
     grid = husimi_grid(state, 0, xs, xs)

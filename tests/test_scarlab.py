@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,7 +28,9 @@ from scarkit.scarlab import (
     residuals,
     sweep,
 )
-from scarkit.symbols import position
+from scarkit.symbols import monomial, parse_symbol, position
+
+from conftest import as_sparse
 
 F = Fraction
 
@@ -109,14 +112,12 @@ def test_residuals_on_exact_eigenstate(dec12):
 
 
 def test_residuals_detect_noninvariant_state(dec12):
-    from scarkit.fockstate import FockState, coherent, dump_state
+    from scarkit.fockstate import coherent, dump_state
 
     z0 = PhasePoint(x=(0.8, 0.4), xi=(0.0, 0.0))
     psi = coherent(z0, 0.1)
     E = tuple(float(v) for v in (0.5, 0.5))
-    box = itertools.product(*(range(c + 1) for c in psi.cutoff))
-    coeffs = {k: psi.coefficient(k) for k in box}
-    sparse = FockState(psi.hbar, psi.dims, psi.cutoff, psi.tail_bound, coeffs)
+    sparse = as_sparse(psi)
     _, inv = residuals(dec12, sparse, E, probes=(position(2, 0),))
     assert inv[0] > 0.1  # <x1> genuinely rotates along the flow
     # residuals and dump_state take sparse states only
@@ -373,6 +374,47 @@ def test_invariance_keeps_a_non_finite_defect(dec12, monkeypatch):
         scarlab._require_finite(scarlab._residual_rows(dec12, state, (0.5, 0.5), probes, 0.1), probes)
 
 
+@pytest.mark.parametrize(
+    "name, kernel",
+    [
+        ("concentration:1", "component eigenvalues"),
+        ("invariance:1", "flowed probe expectations"),
+        ("gap:1", "polynomial expectation"),
+        ("cross:1-2:1", "polynomial expectation"),
+        ("gap:char(0.3 0.1 -0.2 0.5)", "character expectation"),
+    ],
+)
+def test_require_finite_blames_the_kernel_of_the_row(name, kernel):
+    # a probe labelled 1 once matched the suffix of concentration:1 and was blamed
+    probes = tuple(parse_symbol(t, 2) for t in ("1", "char(0.3 0.1 -0.2 0.5)"))
+    rows = [(0.1, name, complex(math.nan), 0j, math.nan)]
+    blame = rf"in row {re.escape(name)} at hbar=0.1 \({kernel} kernel\)"
+    with pytest.raises(NumericalError, match=blame):
+        scarlab._require_finite(rows, probes)
+
+
+def test_sweep_config_refuses_repeated_probe_labels(dec12):
+    # two unlabeled probes wrote two gap:None rows per hbar and fitted one slope through both
+    probes = (monomial(2, (2, 0, 0, 0)), monomial(2, (0, 2, 0, 0)))
+    with pytest.raises(ValidationError, match="probe label None repeats"):
+        SweepConfig(dec12, (0.5, 0.5), (0.2, 0.1, 0.05, 0.025), probes=probes)
+    x1 = position(2, 0)
+    with pytest.raises(ValidationError, match="probe label x1 repeats"):
+        SweepConfig(dec12, (0.5, 0.5), (0.2, 0.1), probes=(x1, probes[0].with_label("a"), x1))
+    SweepConfig(dec12, (0.5, 0.5), (0.2, 0.1), probes=(probes[0], probes[1].with_label("xi1^2")))
+
+
+def test_sweep_config_refuses_z0_with_points(dec11):
+    # points used to win silently: z0 went unread, off its level set or not
+    za = PhasePoint(x=(math.sqrt(1.5), math.sqrt(0.5)), xi=(0.0, 0.0))
+    zb = PhasePoint(x=(math.sqrt(0.5), math.sqrt(1.5)), xi=(0.0, 0.0))
+    with pytest.raises(ValidationError, match="set z0 or points, not both"):
+        SweepConfig(
+            dec11, (1.0,), (0.2, 0.1), z0=PhasePoint(x=(5.0, 0.0), xi=(0.0, 0.0)),
+            points=((za, 0.5), (zb, 0.5)),
+        )
+
+
 def test_summary_says_why_a_slope_is_nan():
     report = ConvergenceReport(
         hbars=(0.2, 0.1, 0.05),
@@ -619,10 +661,7 @@ def _noninvariant_state(decomp, kind):
     if kind == "coherent":
         # the coherent state of test_residuals_detect_noninvariant_state, one more mode at d = 3
         z0 = PhasePoint(x=(0.8, 0.4, 0.3)[:d], xi=(0.0,) * d)
-        psi = coherent(z0, 0.1, tail_tol=1e-12 if d == 2 else 1e-3)
-        box = itertools.product(*(range(c + 1) for c in psi.cutoff))
-        coeffs = {k: psi.coefficient(k) for k in box}
-        return FockState(psi.hbar, d, psi.cutoff, psi.tail_bound, coeffs)
+        return as_sparse(coherent(z0, 0.1, tail_tol=1e-12 if d == 2 else 1e-3))
     rng = np.random.default_rng(31)
     keys = {tuple(int(v) for v in rng.integers(0, 7, size=d)) for _ in range(40)}
     coeffs = {k: complex(*rng.normal(size=2)) for k in sorted(keys)}
